@@ -14,6 +14,7 @@ numbers instead of repairing them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -225,9 +226,12 @@ def load_letor(path) -> Dataset:
             for token in parts[2:]:
                 idx, _, val = token.partition(":")
                 try:
-                    feats[int(idx)] = float(val)
+                    index, value = int(idx), float(val)
                 except ValueError:
                     raise DataError(f"{path}: line {lineno}: malformed feature {token!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: line {lineno}: non-finite feature {token!r}")
+                feats[index] = value
             if not feats:
                 raise DataError(f"{path}: line {lineno}: no features")
             width = max(feats)
@@ -252,8 +256,9 @@ def load_letor(path) -> Dataset:
                 raise DataError(f"{path}: line {lineno}: duplicate document {doc_id!r} for qid {qid!r}")
             rows[key] = vec
             pools.setdefault(qid, []).append(doc_id)
-            if grade > 0:
-                judgments.add(qid, "0", doc_id, float(grade))
+            # grade 0 is a judgment too: a query judged all-irrelevant stays a
+            # known topic (flagged by unjudged_topics) and trains with target 0
+            judgments.add(qid, "0", doc_id, float(grade))
     if not rows:
         raise DataError(f"{path}: no data lines")
     return Dataset(

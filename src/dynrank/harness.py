@@ -305,6 +305,12 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
             params, dataset, fb, config.policy, config.metric,
             topics=train_topics, rng=_fold_rng(config.seed, i, 2),
         )
+        # a non-finite loss never plateaus, so training ran to epoch_cap
+        bad = [s.epoch for s in log if not np.isfinite(s.mean_loss)]
+        if bad or not np.isfinite(trained.theta).all():
+            epoch = bad[0] if bad else log[-1].epoch
+            raise RuntimeError(f"fold {i}: training diverged at epoch {epoch} (non-finite "
+                               "loss or weights); no checkpoint written")
         valuenet.save(trained, _ckpt_path(out, i))
         _write_train_log(out, i, log)
         report.folds.append({

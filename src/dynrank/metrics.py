@@ -72,8 +72,9 @@ class JudgmentSet:
         self._pool_cache.pop(topic, None)
 
     def _pool(self, topic: str) -> tuple:
-        """Memoized per-topic ideal pool: positive docs, their coverage and
-        descending relevance values. Recomputed whenever the topic changes."""
+        """Memoized per-topic ideal pool: positive docs, their coverage,
+        descending relevance values and the greedy alpha-DCG ideals by alpha
+        (filled by ``ideal_alpha_dcg``). Recomputed whenever the topic changes."""
         cached = self._pool_cache.get(topic)
         if cached is None:
             docs = sorted(
@@ -85,9 +86,26 @@ class JudgmentSet:
             rels = sorted(
                 (sum(self._coverage[(topic, d)].values()) for d in docs), reverse=True
             )
-            cached = (docs, coverage, rels)
+            cached = (docs, coverage, rels, {})
             self._pool_cache[topic] = cached
         return cached
+
+    def ideal_alpha_dcg(self, topic: str, k: int, alpha: float) -> float:
+        """``ideal_alpha_dcg_at_k`` over the topic's positive pool, bit for bit.
+
+        Greedy picks do not depend on k, so the cumulative gains of one
+        greedy ranking of the whole pool answer every cutoff; they are
+        computed once per (topic, alpha).
+        """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+        _, coverage, _, ideals = self._pool(topic)
+        prefix = ideals.get(alpha)
+        if prefix is None:
+            prefix = ideals[alpha] = _greedy_alpha_prefix(coverage, len(coverage), alpha)
+        return prefix[min(k, len(prefix) - 1)]
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[str, str, str, float]]) -> "JudgmentSet":
@@ -225,6 +243,26 @@ def _normalize_pool(pool: Sequence) -> list[tuple[str, frozenset]]:
     return items
 
 
+def _greedy_alpha_prefix(pool: Sequence, k: int, alpha: float) -> list[float]:
+    """Cumulative alpha-DCG of the greedy ideal ranking: entry r is the
+    ideal at cutoff r, for r = 0 .. min(k, len(pool))."""
+    remaining = sorted(_normalize_pool(pool))
+    counts: Counter = Counter()
+    totals = [0.0]
+    for rank in range(1, min(k, len(remaining)) + 1):
+        best_i = 0
+        best_gain = -1.0
+        for i, (_, subs) in enumerate(remaining):
+            gain = sum((1.0 - alpha) ** counts[s] for s in subs)
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        _, subs = remaining.pop(best_i)
+        totals.append(totals[-1] + best_gain / math.log2(rank + 1))
+        for s in subs:
+            counts[s] += 1
+    return totals
+
+
 def ideal_alpha_dcg_at_k(pool: Sequence, k: int, alpha: float = 0.5) -> float:
     """Best achievable novelty-discounted DCG from ``pool``, greedy construction.
 
@@ -236,21 +274,7 @@ def ideal_alpha_dcg_at_k(pool: Sequence, k: int, alpha: float = 0.5) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    remaining = sorted(_normalize_pool(pool))
-    counts: Counter = Counter()
-    total = 0.0
-    for rank in range(1, min(k, len(remaining)) + 1):
-        best_i = 0
-        best_gain = -1.0
-        for i, (_, subs) in enumerate(remaining):
-            gain = sum((1.0 - alpha) ** counts[s] for s in subs)
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        _, subs = remaining.pop(best_i)
-        total += best_gain / math.log2(rank + 1)
-        for s in subs:
-            counts[s] += 1
-    return total
+    return _greedy_alpha_prefix(pool, k, alpha)[-1]
 
 
 def alpha_ndcg_at_k(coverage: Sequence, k: int, alpha: float = 0.5, pool: Sequence | None = None) -> float:
@@ -316,9 +340,14 @@ def ranked_coverage(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str]) 
     return [judgments.coverage(topic, d) for d in doc_ids]
 
 
-def topic_pool(judgments: JudgmentSet, topic: str) -> list[tuple[str, dict[str, float]]]:
-    """All positively judged documents of a topic with their coverage."""
-    return judgments._pool(topic)[1]
+def _pooled_alpha_ndcg(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str], k: int,
+                       alpha: float) -> float:
+    """``alpha_ndcg_at_k`` with the topic's positive pool as the ideal's pool."""
+    realized = alpha_dcg_at_k(ranked_coverage(judgments, topic, doc_ids), k, alpha)
+    ideal = judgments.ideal_alpha_dcg(topic, k, alpha)
+    if ideal <= 0.0:
+        return 0.0
+    return min(realized / ideal, 1.0)
 
 
 def target_value(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str], spec: MetricSpec) -> float:
@@ -340,12 +369,7 @@ def target_value(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str], spe
         ideal = dcg_at_k(pool_rels, k) if pool_rels else 0.0
         return realized / ideal if ideal > 0 else 0.0
     if spec.target == "alpha-ndcg":
-        return alpha_ndcg_at_k(
-            ranked_coverage(judgments, topic, doc_ids),
-            k,
-            spec.alpha,
-            pool=topic_pool(judgments, topic),
-        )
+        return _pooled_alpha_ndcg(judgments, topic, doc_ids, k, spec.alpha)
     raise ValueError(f"unknown target metric {spec.target!r}")
 
 
@@ -369,12 +393,7 @@ def report_value(
         ideal = dcg_at_k(pool_rels, k) if pool_rels else 0.0
         return realized / ideal if ideal > 0 else 0.0
     if base == "alpha-ndcg":
-        return alpha_ndcg_at_k(
-            ranked_coverage(judgments, topic, doc_ids),
-            k,
-            spec.alpha,
-            pool=topic_pool(judgments, topic),
-        )
+        return _pooled_alpha_ndcg(judgments, topic, doc_ids, k, spec.alpha)
     if base == "nsdcg":
         blocks = ranked.iteration_blocks()
         if not blocks:

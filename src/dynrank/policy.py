@@ -72,9 +72,8 @@ class SessionState:
     ranked: tuple[tuple[str, np.ndarray], ...] = ()
     candidates: frozenset[str] = frozenset()
     n: int = 1
-    # cached candidate matrix, built lazily for batched scoring
-    _matrix: np.ndarray | None = field(default=None, repr=False)
-    _row_of: dict[str, int] | None = field(default=None, repr=False)
+    # scoring cache shared by the states of one session, built lazily
+    _pool: _PoolCache | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -117,35 +116,47 @@ def forward_inputs(state: SessionState, window: int | None = None) -> list[np.nd
     return [pair_input(vec, state.query) for _, vec in ranked]
 
 
-def _ensure_matrix(state: SessionState) -> None:
-    if state._matrix is None:
-        ids = sorted(state.vectors)
-        state._row_of = {d: i for i, d in enumerate(ids)}
-        state._matrix = np.stack([state.vectors[d] for d in ids]) if ids else np.zeros((0, 0))
+class _PoolCache:
+    """The session's pool in sorted-id order, and its first-layer document
+    projection for the params object it was computed with. Params are never
+    mutated after construction, so the object identifies the weights."""
+
+    __slots__ = ("ids", "row_of", "matrix", "params", "proj")
+
+    def __init__(self, vectors: Mapping[str, np.ndarray]):
+        self.ids = sorted(vectors)
+        self.row_of = {d: i for i, d in enumerate(self.ids)}
+        self.matrix = np.stack([vectors[d] for d in self.ids])
+        self.params = None
+        self.proj = None
+
+    def projection(self, params: ValueNetParams) -> np.ndarray:
+        if self.params is not params:
+            self.proj = valuenet.project_docs(params, self.matrix)
+            self.params = params
+        return self.proj
 
 
 def score_candidates(params: ValueNetParams, state: SessionState) -> dict[str, float]:
     """Value of appending each candidate to the current ranked list.
 
     Pure eval-mode scoring; candidates share the ranked prefix, so the
-    final network step runs batched across them.
+    final network step runs batched across them. Returns the scores in
+    ascending doc-id order.
     """
     if not state.candidates:
         raise ValueError("no candidates to score")
-    _ensure_matrix(state)
-    cands = sorted(state.candidates)
+    if state._pool is None:
+        state._pool = _PoolCache(state.vectors)
+    pool = state._pool
+    idx = np.fromiter(map(pool.row_of.__getitem__, state.candidates), np.intp, len(state.candidates))
+    idx.sort()
     window = params.config.window
     prefix = forward_inputs(state, window - 1) if window > 1 else []
-    idx = np.array([state._row_of[c] for c in cands], dtype=np.intp)
-    doc_rows = state._matrix[idx]
-    if state.query.size:
-        rows = np.empty((len(cands), doc_rows.shape[1] + state.query.size))
-        rows[:, : doc_rows.shape[1]] = doc_rows
-        rows[:, doc_rows.shape[1] :] = state.query
-    else:
-        rows = doc_rows
-    values = valuenet.forward_candidates(params, prefix, rows)
-    return {c: float(v) for c, v in zip(cands, values)}
+    rows = pool.projection(params)[idx]
+    values = valuenet.forward_candidates(params, prefix, rows, state.query)
+    ids = pool.ids
+    return dict(zip([ids[i] for i in idx.tolist()], values.tolist()))
 
 
 def select_action(
@@ -166,11 +177,11 @@ def select_action(
     ids = sorted(scores)
     if rng.random() < epsilon:
         return ids[rng.integers(len(ids))]
+    vals = np.fromiter(map(scores.__getitem__, ids), np.float64, len(ids))
     if mode == "argmax":
-        return min(ids, key=lambda d: (-scores[d], d))
+        return ids[int(np.argmax(vals))]  # first maximum: the smallest id
     if mode != "sample":
         raise ValueError(f"unknown selection mode {mode!r}")
-    vals = np.array([scores[d] for d in ids], dtype=np.float64)
     lo = vals.min()
     if lo <= 0.0:
         vals = vals - lo + 1e-6

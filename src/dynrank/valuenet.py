@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class CheckpointError(ValueError):
@@ -253,14 +252,24 @@ class ForwardCache:
     value: float
 
 
-def _cell(ly: _LstmLayer, below, h_prev, c_prev):
-    """One LSTM cell step; works for single vectors and batched rows alike."""
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid in place, as 0.5*tanh(0.5x)+0.5 (cannot overflow)."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
+
+
+def _cell(ly: _LstmLayer, pre: np.ndarray, c_prev):
+    """One LSTM cell step from its gate pre-activation ``pre`` (4H wide),
+    which is activated in place; works for single vectors and batched rows
+    alike. The returned gates are views into ``pre``."""
     H = ly.H
-    pre = below @ ly.W.T + h_prev @ ly.U.T + ly.b
-    f = expit(pre[..., :H])
-    i = expit(pre[..., H : 2 * H])
-    o = expit(pre[..., 2 * H : 3 * H])
-    g = np.tanh(pre[..., 3 * H :])
+    _sigmoid_(pre[..., : 3 * H])  # forget, input, output
+    g = pre[..., 3 * H :]
+    np.tanh(g, out=g)
+    f, i, o = pre[..., :H], pre[..., H : 2 * H], pre[..., 2 * H : 3 * H]
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
@@ -299,7 +308,8 @@ def forward(params: ValueNetParams, inputs: Sequence, mode: str = "eval", rng=No
         below = x
         layer_caches = []
         for j, ly in enumerate(params.lstm):
-            f, i, o, g, c, tc, h = _cell(ly, below, h_prev[j], c_prev[j])
+            pre = below @ ly.W.T + h_prev[j] @ ly.U.T + ly.b
+            f, i, o, g, c, tc, h = _cell(ly, pre, c_prev[j])
             layer_caches.append(_StepCache(below, h_prev[j], c_prev[j], f, i, o, g, c, tc))
             h_prev[j] = h
             c_prev[j] = c
@@ -320,8 +330,9 @@ def forward(params: ValueNetParams, inputs: Sequence, mode: str = "eval", rng=No
         dense_cache.append((z, relu_mask, drop))
         z = zr
     out = params.dense[-1]
-    v_pre = float((out.W @ z + out.b)[0])
-    value = float(expit(v_pre)) if cfg.output == "sigmoid" else v_pre
+    v = out.W @ z + out.b
+    v_pre = float(v[0])
+    value = float(_sigmoid_(v)[0]) if cfg.output == "sigmoid" else v_pre
     cache = ForwardCache(params, mode, xs, steps, dense_cache, z, v_pre, value)
     return value, cache
 
@@ -409,12 +420,31 @@ def apply_update(params: ValueNetParams, grad: np.ndarray, learning_rate: float)
     return ValueNetParams(params.config, theta)
 
 
-def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, candidate_rows) -> np.ndarray:
+def project_docs(params: ValueNetParams, docs) -> np.ndarray:
+    """Document half of the first layer's gate pre-activation, one row per
+    document: ``(s * D) @ W_d.T``, where ``W_d`` holds the first ``docs``-width
+    columns of the first layer's input matrix and ``s`` is ``input_scale``.
+
+    A pure function of the weights, so callers scoring many candidates
+    against one set of weights may compute it once and gather rows from it
+    (see :func:`forward_candidates`).
+    """
+    D = np.atleast_2d(np.asarray(docs, dtype=np.float64))
+    width = D.shape[1]
+    if width > params.config.input_dim:
+        raise ValueError(f"document rows have dim {width}, input_dim is {params.config.input_dim}")
+    return (D * params.config.input_scale) @ params.lstm[0].W[:, :width].T
+
+
+def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj, query) -> np.ndarray:
     """Eval-mode values for many candidates sharing one ranked prefix.
 
-    Equivalent to calling :func:`forward` once per candidate with inputs
-    ``prefix + [row]``, but the prefix states are computed once and the
-    final step runs batched.
+    Candidate ``n``'s input unit is ``doc_n ‖ query``; ``doc_proj[n]`` is
+    its :func:`project_docs` row and ``query`` the shared query half (empty
+    in feature mode, where the document row is the whole unit). Equivalent
+    to calling :func:`forward` once per candidate with inputs
+    ``prefix + [doc_n ‖ query]``: the prefix states and the query half of
+    the first layer are computed once and the final step runs batched.
     """
     cfg = params.config
     prefix = [np.asarray(x, dtype=np.float64) for x in prefix_inputs]
@@ -426,24 +456,34 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, candidat
             raise ValueError(f"prefix input shape {x.shape} does not match input_dim {cfg.input_dim}")
         below = x * cfg.input_scale if cfg.input_scale != 1.0 else x
         for j, ly in enumerate(params.lstm):
-            _, _, _, _, c, _, h = _cell(ly, below, h_prev[j], c_prev[j])
+            pre = below @ ly.W.T + h_prev[j] @ ly.U.T + ly.b
+            _, _, _, _, c, _, h = _cell(ly, pre, c_prev[j])
             h_prev[j] = h
             c_prev[j] = c
             below = h
-    X = np.atleast_2d(np.asarray(candidate_rows, dtype=np.float64))
-    if X.shape[1] != cfg.input_dim:
-        raise ValueError(f"candidate rows have dim {X.shape[1]}, expected {cfg.input_dim}")
-    below = X * cfg.input_scale if cfg.input_scale != 1.0 else X
+    query = np.asarray(query, dtype=np.float64)
+    first = params.lstm[0]
+    pre = np.atleast_2d(np.asarray(doc_proj, dtype=np.float64))
+    if pre.shape[1] != 4 * first.H:
+        raise ValueError(f"document projections have width {pre.shape[1]}, expected {4 * first.H}")
+    d = cfg.input_dim - query.size
+    shared = first.W[:, d:] @ (cfg.input_scale * query) + first.U @ h_prev[0] + first.b
+    pre = pre + shared
     for j, ly in enumerate(params.lstm):
-        _, _, _, _, c, _, h = _cell(ly, below, h_prev[j], c_prev[j])
-        below = h
+        if j:
+            pre = below @ ly.W.T
+            pre += ly.U @ h_prev[j] + ly.b
+        _, _, _, _, _, _, below = _cell(ly, pre, c_prev[j])
     z = below
     for dl in params.dense[:-1]:
-        z = np.maximum(z @ dl.W.T + dl.b, 0.0)
-    v = z @ params.dense[-1].W[0] + params.dense[-1].b[0]
+        z = z @ dl.W.T
+        z += dl.b
+        np.maximum(z, 0.0, out=z)
+    v = z @ params.dense[-1].W[0]
+    v += params.dense[-1].b[0]
     if cfg.output == "sigmoid":
-        v = expit(v)
-    return np.asarray(v, dtype=np.float64)
+        _sigmoid_(v)
+    return v
 
 
 _MAGIC = b"DVNK"

@@ -139,6 +139,35 @@ class TestLoadLetor:
         with pytest.raises(DataError, match="line 1"):
             load_letor(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        path = tmp_path / "letor.txt"
+        path.write_text(f"1 qid:1 1:0.1 2:0.2\n0 qid:1 1:{value} 2:0.2\n")
+        with pytest.raises(DataError, match="line 2"):
+            load_letor(path)
+
+    def test_all_zero_query_is_registered_and_trains(self, tmp_path):
+        from dynrank.metrics import MetricSpec, target_value
+        from dynrank.policy import PolicyConfig, train_session
+        from dynrank.valuenet import NetConfig, init_glorot
+
+        path = tmp_path / "letor.txt"
+        path.write_text(
+            "1 qid:1 1:0.1 2:0.2\n0 qid:1 1:0.3 2:0.4\n"
+            "0 qid:2 1:0.5 2:0.6\n0 qid:2 1:0.7 2:0.8\n"
+            "2 qid:3 1:0.9 2:0.1\n"
+        )
+        ds = load_letor(path)
+        assert ds.unjudged_topics() == ["2"]
+        assert ds.judgments.has_topic("2")
+        for target in ("dcg", "ndcg", "alpha-ndcg"):
+            assert target_value(ds.judgments, "2", ds.pools["2"], MetricSpec(target=target)) == 0.0
+        net = NetConfig(layers=1, input_dim=2, hidden_dims=(3,), dense_dims=(2,), window=2,
+                        dropout=0.0)
+        policy = PolicyConfig(docs_per_iteration=1, iterations=2, epoch_cap=2, stop_tol=0.0)
+        _, log = train_session(init_glorot(net, 0), ds, None, policy)
+        assert len(log) == 2 and all(np.isfinite(s.mean_loss) for s in log)
+
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "letor.txt"
         path.write_text("1 qid:1 1:0.1 2:0.2\n1 qid:1 1:0.1 2:0.2 3:0.3\n")

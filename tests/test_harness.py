@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +347,58 @@ LETOR_LINES = """\
 1 qid:3 1:0.6 2:0.3 3:0.1 4:0.4
 0 qid:3 1:0.1 2:0.7 3:0.4 4:0.2
 """
+
+
+def nan_query_dataset(config):
+    """The config's synthetic dataset with NaN queries: the first gradient
+    step makes theta non-finite, and argmax selection keeps training going."""
+    ds = load_dataset(config.dataset, config.seed)
+    for q in ds.query_vectors.values():
+        q[:] = np.nan
+    return ds
+
+
+class TestNonFiniteTraining:
+    def config(self, tmp_path):
+        return tiny_config(tmp_path / "out", policy=PolicyConfig(
+            epsilon=0.0, docs_per_iteration=2, iterations=2, selection="argmax",
+            seed=0, epoch_cap=2, stop_tol=0.0))
+
+    def test_no_checkpoint_written(self, tmp_path):
+        config = self.config(tmp_path)
+        with pytest.raises(RuntimeError, match="fold 0: training diverged at epoch 1"):
+            train_run(config, nan_query_dataset(config))
+        assert not list((tmp_path / "out" / "checkpoints").iterdir())
+
+    def test_cli_exits_4(self, tmp_path, monkeypatch):
+        from dynrank import harness
+
+        config = self.config(tmp_path)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(config)))
+        monkeypatch.setattr(harness, "load_dataset", lambda spec, seed: nan_query_dataset(config))
+        res = CliRunner().invoke(main, ["train", "--config", str(cfg_path)])
+        assert res.exit_code == 4
+        assert "fold 0" in res.output and "epoch 1" in res.output
+        assert not list((tmp_path / "out" / "checkpoints").iterdir())
+
+
+def test_package_does_not_import_scipy():
+    import dynrank
+
+    code = (
+        "import pkgutil, sys, dynrank\n"
+        "for m in pkgutil.iter_modules(dynrank.__path__):\n"
+        "    __import__('dynrank.' + m.name)\n"
+        "assert 'dynrank.cli' in sys.modules\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(dynrank.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestFeatureMode:

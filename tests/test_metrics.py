@@ -159,6 +159,36 @@ class TestAlphaNdcg:
         assert ideal_alpha_dcg_at_k(pool, 2, 0.5) == pytest.approx(1 + 0.5 / math.log2(3))
 
 
+class TestCachedGreedyIdeal:
+    @given(st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e", "f"]),
+                           st.dictionaries(st.sampled_from(["s1", "s2", "s3"]),
+                                           st.sampled_from([0.0, 1.0, 2.0]), min_size=1),
+                           min_size=1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_greedy_reference_bitwise(self, docs):
+        js = JudgmentSet.from_triples(
+            ("t", sub, doc, g) for doc, cov in docs.items() for sub, g in cov.items()
+        )
+
+        def check():
+            # built from the judgments, not from the cached pool under test
+            coverage = {d: js.coverage("t", d) for d in sorted(js.judged_docs("t"))}
+            pool = [(d, cov) for d, cov in coverage.items() if any(g > 0 for g in cov.values())]
+            for alpha in (0.5, 0.2):
+                for k in range(1, len(pool) + 3):
+                    assert js.ideal_alpha_dcg("t", k, alpha) == ideal_alpha_dcg_at_k(pool, k, alpha)
+
+        check()
+        js.add("t", "s4", "g", 1.0)  # must invalidate the cached ideal
+        check()
+
+    def test_add_invalidates(self):
+        js = JudgmentSet.from_triples([("t", "s1", "a", 1.0)])
+        assert js.ideal_alpha_dcg("t", 2, 0.5) == 1.0
+        js.add("t", "s2", "b", 1.0)
+        assert js.ideal_alpha_dcg("t", 2, 0.5) == 1.0 + 1.0 / math.log2(3)
+
+
 class TestSessionNdcg:
     def test_single_iteration_equals_ndcg(self):
         rels = [2.0, 0.0, 1.0]

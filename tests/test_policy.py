@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from dynrank.data import gen_synthetic
@@ -14,6 +17,7 @@ from dynrank.policy import (
     evaluate_session,
     forward_inputs,
     new_session,
+    pair_input,
     score_candidates,
     select_action,
     session_transition,
@@ -21,7 +25,14 @@ from dynrank.policy import (
     step_transition,
     train_session,
 )
-from dynrank.valuenet import NetConfig, ValueNetParams, forward, init_glorot, param_count
+from dynrank.valuenet import (
+    NetConfig,
+    ValueNetParams,
+    apply_update,
+    forward,
+    init_glorot,
+    param_count,
+)
 
 NET = NetConfig(layers=2, input_dim=8, hidden_dims=(5, 5), dense_dims=(4,),
                 window=3, dropout=0.0, learning_rate=0.05, output="linear")
@@ -85,7 +96,88 @@ class TestScoreCandidates:
             score_candidates(init_glorot(NET, 0), state)
 
 
+@st.composite
+def scoring_cases(draw):
+    """A random net and session: 1-3 layers, window 1-5, either head, input
+    scale 1 or not, embedding mode or feature mode (empty query), some
+    documents ranked and a candidate set that may be smaller than the pool."""
+    layers = draw(st.integers(1, 3))
+    feature_mode = draw(st.booleans())
+    dim = draw(st.integers(1, 5))
+    net = NetConfig(
+        layers=layers,
+        input_dim=dim if feature_mode else 2 * dim,
+        hidden_dims=tuple(draw(st.lists(st.integers(1, 6), min_size=layers, max_size=layers))),
+        dense_dims=(3,),
+        window=draw(st.integers(1, 5)),
+        dropout=0.0,
+        output=draw(st.sampled_from(["linear", "sigmoid"])),
+        input_scale=draw(st.sampled_from([1.0, 0.7, 11.3])),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_docs = draw(st.integers(1, 10))
+    vectors = {f"d{i:02d}": rng.standard_normal(dim) for i in range(n_docs)}
+    query = np.zeros(0) if feature_mode else rng.standard_normal(dim)
+    state = SessionState(topic_id="t", query=query, vectors=vectors,
+                         candidates=frozenset(vectors))
+    order = rng.permutation(sorted(vectors))
+    for doc in order[: draw(st.integers(0, n_docs - 1))]:
+        state = step_transition(state, str(doc))
+    remaining = sorted(state.candidates)
+    keep = draw(st.lists(st.sampled_from(remaining), min_size=1, unique=True))
+    return init_glorot(net, seed), state, frozenset(keep)
+
+
+def reference_scores(params, state):
+    """Per-candidate forward over prefix + [candidate unit]."""
+    prefix = forward_inputs(state)
+    return {
+        doc: forward(params, prefix + [pair_input(state.vectors[doc], state.query)], mode="eval")[0]
+        for doc in state.candidates
+    }
+
+
+class TestScoringFastPath:
+    @given(scoring_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_candidate_forward(self, case):
+        params, state, keep = case
+        for _ in range(2):  # the second pick reuses the session's projection
+            scores = score_candidates(params, state)
+            assert list(scores) == sorted(state.candidates)
+            expected = reference_scores(params, state)
+            for doc, value in scores.items():
+                assert abs(value - expected[doc]) <= 1e-12
+            subset = dataclasses.replace(state, candidates=keep & state.candidates or state.candidates)
+            sub_scores = score_candidates(params, subset)
+            assert list(sub_scores) == sorted(subset.candidates)
+            assert all(abs(sub_scores[d] - expected[d]) <= 1e-12 for d in sub_scores)
+            if len(state.candidates) == 1:
+                break
+            state = step_transition(state, max(scores, key=scores.get))
+
+    def test_scoring_follows_updated_weights(self):
+        ds = tiny_dataset()
+        params = init_glorot(NET, 1)
+        state = step_transition(new_session(ds, "t000"), "t000-d0003")
+        before = score_candidates(params, state)
+        grad = np.random.default_rng(0).standard_normal(params.n_params)
+        updated = apply_update(params, grad, 0.1)
+        after = score_candidates(updated, state)
+        expected = reference_scores(updated, state)
+        assert all(abs(after[d] - expected[d]) <= 1e-12 for d in after)
+        assert all(after[d] != before[d] for d in after)
+
+
 class TestSelectAction:
+    @given(st.dictionaries(st.text("abc", min_size=1, max_size=3),
+                           st.sampled_from([-1.0, 0.0, 0.25, 2.0]), min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_argmax_ties_go_to_smallest_id(self, scores):
+        best = min(scores, key=lambda d: (-scores[d], d))
+        assert select_action(scores, 0.0, "argmax", np.random.default_rng(0)) == best
+
     def test_epsilon_one_is_uniform(self):
         rng = np.random.default_rng(0)
         scores = {c: float(i) for i, c in enumerate("abcde")}

@@ -14,6 +14,7 @@ from dynrank.valuenet import (
     forward_candidates,
     init_glorot,
     param_count,
+    project_docs,
     serialize,
 )
 
@@ -302,14 +303,14 @@ class TestBatchedScoring:
         rng = np.random.default_rng(2)
         prefix = [rng.standard_normal(2) for _ in range(3)]
         rows = rng.standard_normal((6, 2))
-        batch = forward_candidates(params, prefix, rows)
+        batch = forward_candidates(params, prefix, project_docs(params, rows), np.zeros(0))
         singles = np.array([forward(params, prefix + [r], mode="eval")[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
     def test_empty_prefix(self):
         params = tiny_params()
         rows = np.array([[0.1, 0.2], [0.5, -0.5]])
-        batch = forward_candidates(params, [], rows)
+        batch = forward_candidates(params, [], project_docs(params, rows), np.zeros(0))
         singles = np.array([forward(params, [r], mode="eval")[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
@@ -320,7 +321,7 @@ class TestBatchedScoring:
         rng = np.random.default_rng(4)
         prefix = [rng.standard_normal(2) for _ in range(5)]
         rows = rng.standard_normal((2, 2))
-        batch = forward_candidates(params, prefix, rows)
+        batch = forward_candidates(params, prefix, project_docs(params, rows), np.zeros(0))
         singles = np.array([forward(params, prefix + [r], mode="eval")[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
