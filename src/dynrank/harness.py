@@ -301,11 +301,15 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
         params = init_glorot(config.net, _fold_rng(config.seed, i, 1))
         fb, notes = make_feedback(config, dataset)
         report.notes.extend(n for n in notes if n not in report.notes)
-        trained, log = train_session(
-            params, dataset, fb, config.policy, config.metric,
-            topics=train_topics, rng=_fold_rng(config.seed, i, 2),
-        )
-        # a non-finite loss never plateaus, so training ran to epoch_cap
+        try:
+            trained, log = train_session(
+                params, dataset, fb, config.policy, config.metric,
+                topics=train_topics, rng=_fold_rng(config.seed, i, 2),
+            )
+        except FloatingPointError as exc:
+            raise RuntimeError(f"fold {i}: {exc}; no checkpoint written") from None
+        # every step's loss was finite, but an epoch mean may overflow and
+        # the last update may leave non-finite weights
         bad = [s.epoch for s in log if not np.isfinite(s.mean_loss)]
         if bad or not np.isfinite(trained.theta).all():
             epoch = bad[0] if bad else log[-1].epoch
@@ -364,6 +368,11 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
         if not path.exists():
             raise DataError(f"missing checkpoint {path}; run 'train' first")
         params = valuenet.load(path)
+        if params.config != config.net:
+            trained, wanted = valuenet.config_to_dict(params.config), valuenet.config_to_dict(config.net)
+            diff = ", ".join(f"{k} {trained[k]!r} (run config: {wanted[k]!r})"
+                             for k in trained if trained[k] != wanted[k])
+            raise ConfigError(f"checkpoint {path} does not match the run's net config: {diff}")
         fb, notes = make_feedback(config, dataset)
         report.notes.extend(n for n in notes if n not in report.notes)
         result = evaluate_session(

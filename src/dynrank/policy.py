@@ -11,6 +11,7 @@ Training performs one squared-loss gradient step per ranked document.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -182,11 +183,14 @@ def select_action(
         return ids[int(np.argmax(vals))]  # first maximum: the smallest id
     if mode != "sample":
         raise ValueError(f"unknown selection mode {mode!r}")
+    total = vals.sum()
+    if not math.isfinite(total):
+        raise FloatingPointError("non-finite candidate scores")
     lo = vals.min()
     if lo <= 0.0:
         vals = vals - lo + 1e-6
-    probs = vals / vals.sum()
-    return ids[rng.choice(len(ids), p=probs)]
+        total = vals.sum()
+    return ids[rng.choice(len(ids), p=vals / total)]
 
 
 def step_transition(state: SessionState, doc_id: str) -> SessionState:
@@ -223,6 +227,10 @@ class EpochStats:
     epsilon: float
 
 
+def _diverged(epoch: int, what) -> FloatingPointError:
+    return FloatingPointError(f"training diverged at epoch {epoch} ({what})")
+
+
 def train_session(
     params: ValueNetParams,
     dataset: Dataset,
@@ -239,6 +247,9 @@ def train_session(
     reformulates the query through ``feedback_fn`` (None keeps the query
     fixed). Epochs stop at ``epoch_cap`` or when the relative epoch-loss
     improvement falls below ``stop_tol``.
+
+    Raises FloatingPointError naming the epoch as soon as a step's value,
+    loss or candidate scores are non-finite.
     """
     metric = metric or MetricSpec()
     topic_list = list(topics) if topics is not None else dataset.topic_ids()
@@ -264,16 +275,23 @@ def train_session(
                     if not state.candidates:
                         break
                     scores = score_candidates(params, state)
-                    action = select_action(scores, eps, config.selection, rng)
+                    try:
+                        action = select_action(scores, eps, config.selection, rng)
+                    except FloatingPointError as exc:
+                        raise _diverged(epoch, exc) from None
                     state = step_transition(state, action)
                     block.append(action)
                     target = step_reward(metric, state, dataset.judgments)
                     value, cache = valuenet.forward(
                         params, forward_inputs(state, params.config.window), mode="train", rng=rng
                     )
+                    err = value - target
+                    loss = err * err  # overflows to inf, where ** 2 raises OverflowError
+                    if not math.isfinite(loss):  # also catches a non-finite value
+                        raise _diverged(epoch, "non-finite value or loss")
                     grad = valuenet.backward(params, cache, target)
                     params = valuenet.apply_update(params, grad, lr)
-                    losses.append((value - target) ** 2)
+                    losses.append(loss)
                 if it < config.iterations:
                     if block and feedback_fn is not None:
                         record = simulate_feedback(dataset.judgments, topic, block, state.n)

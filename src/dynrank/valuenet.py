@@ -17,10 +17,12 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,69 +123,73 @@ class _DenseLayer:
         self.W, self.b = W, b
 
 
-class _Offsets:
-    def __init__(self, theta):
-        self.theta = theta
-        self.pos = 0
+class _Block(NamedTuple):
+    """One parameter block of theta: ``theta[start:stop]`` reshaped to ``shape``."""
 
-    def take(self, *shape):
-        size = int(np.prod(shape))
-        view = self.theta[self.pos : self.pos + size].reshape(shape)
-        self.pos += size
-        return view
+    start: int
+    stop: int
+    shape: tuple[int, ...]
+
+    def view(self, theta: np.ndarray) -> np.ndarray:
+        return theta[self.start : self.stop].reshape(self.shape)
 
 
-def _build_views(config: NetConfig, theta: np.ndarray):
-    hidden = config.resolved_hidden()
-    dense_dims = config.resolved_dense()
-    off = _Offsets(theta)
-    lstm = []
-    frozen_spans = []
+class _Layout(NamedTuple):
+    lstm: tuple  # per layer: (W, U, b, h0, c0) blocks
+    dense: tuple  # per dense layer, output layer last: (W, b) blocks
+    size: int
+    frozen: tuple  # (start, stop) of each layer's h0 ‖ c0 span
+
+
+@functools.lru_cache
+def _layout(config: NetConfig) -> _Layout:
+    """Offset and shape of every parameter block, in theta order."""
+    pos = 0
+
+    def block(*shape):
+        nonlocal pos
+        start, pos = pos, pos + math.prod(shape)
+        return _Block(start, pos, shape)
+
+    lstm, frozen = [], []
     in_dim = config.input_dim
-    for H in hidden:
-        W = off.take(4 * H, in_dim)
-        U = off.take(4 * H, H)
-        b = off.take(4 * H)
-        start = off.pos
-        h0 = off.take(H)
-        c0 = off.take(H)
-        frozen_spans.append((start, off.pos))
-        lstm.append(_LstmLayer(W, U, b, h0, c0, H, in_dim))
+    for H in config.resolved_hidden():
+        lstm.append((block(4 * H, in_dim), block(4 * H, H), block(4 * H), block(H), block(H)))
+        frozen.append((lstm[-1][3].start, pos))
         in_dim = H
     dense = []
-    d_in = hidden[-1]
-    for width in dense_dims:
-        dense.append(_DenseLayer(off.take(width, d_in), off.take(width)))
-        d_in = width
-    dense.append(_DenseLayer(off.take(1, d_in), off.take(1)))
-    return lstm, dense, off.pos, frozen_spans
+    for width in config.resolved_dense() + (1,):
+        dense.append((block(width, in_dim), block(width)))
+        in_dim = width
+    return _Layout(tuple(lstm), tuple(dense), pos, tuple(frozen))
 
 
 def param_count(config: NetConfig) -> int:
     """Total number of parameters, initial states included."""
-    total = 0
-    in_dim = config.input_dim
-    for H in config.resolved_hidden():
-        total += 4 * H * in_dim + 4 * H * H + 4 * H + 2 * H
-        in_dim = H
-    d_in = config.resolved_hidden()[-1]
-    for w in config.resolved_dense():
-        total += w * d_in + w
-        d_in = w
-    return total + d_in + 1
+    return _layout(config).size
 
 
 class ValueNetParams:
-    """All parameters as one flat float64 vector plus structured views."""
+    """All parameters as one flat float64 vector plus structured views.
+
+    Never mutated after construction (``apply_update`` returns a new
+    object), so the object identifies its weights: :func:`forward_candidates`
+    memoises its prefix unroll on it for the train forward to extend.
+    """
 
     def __init__(self, config: NetConfig, theta: np.ndarray):
         theta = np.asarray(theta, dtype=np.float64)
-        expected = param_count(config)
-        if theta.shape != (expected,):
-            raise ValueError(f"theta must have shape ({expected},), got {theta.shape}")
+        layout = _layout(config)
+        if theta.shape != (layout.size,):
+            raise ValueError(f"theta must have shape ({layout.size},), got {theta.shape}")
         self.config = config
         self.theta = theta
-        self.lstm, self.dense, _, self._frozen_spans = _build_views(config, theta)
+        self.lstm = []
+        for blocks in layout.lstm:
+            four_h, in_dim = blocks[0].shape  # W
+            self.lstm.append(_LstmLayer(*(blk.view(theta) for blk in blocks), four_h // 4, in_dim))
+        self.dense = [_DenseLayer(W.view(theta), b.view(theta)) for W, b in layout.dense]
+        self._prefix = None  # (scaled prefix inputs, their unroll), set by forward_candidates
 
     @property
     def n_params(self) -> int:
@@ -230,12 +236,15 @@ def init_glorot(config: NetConfig, seed) -> ValueNetParams:
     return params
 
 
-class _StepCache:
-    __slots__ = ("below", "h_prev", "c_prev", "f", "i", "o", "g", "c", "tc")
+class _Run:
+    """One LSTM layer unrolled over K steps: its inputs ``below`` (K, in),
+    activated gates (K, 4H), hidden and cell states ``h`` and ``c`` with
+    the initial state in row 0 (K+1, H), and ``tc = tanh(c[1:])`` (K, H)."""
 
-    def __init__(self, below, h_prev, c_prev, f, i, o, g, c, tc):
-        self.below, self.h_prev, self.c_prev = below, h_prev, c_prev
-        self.f, self.i, self.o, self.g, self.c, self.tc = f, i, o, g, c, tc
+    __slots__ = ("below", "gates", "h", "c", "tc")
+
+    def __init__(self, below, gates, h, c, tc):
+        self.below, self.gates, self.h, self.c, self.tc = below, gates, h, c, tc
 
 
 @dataclass
@@ -244,8 +253,8 @@ class ForwardCache:
 
     params: ValueNetParams
     mode: str
-    inputs: list
-    steps: list  # steps[k][j] -> _StepCache
+    inputs: np.ndarray  # scaled inputs, one row per step
+    layers: list  # one _Run per LSTM layer
     dense: list  # (layer input, relu mask, dropout mask or None) per hidden layer
     head_in: np.ndarray
     v_pre: float
@@ -261,19 +270,68 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cell(ly: _LstmLayer, pre: np.ndarray, c_prev):
+def _cell(pre: np.ndarray, c_prev, c, tc, h) -> None:
     """One LSTM cell step from its gate pre-activation ``pre`` (4H wide),
-    which is activated in place; works for single vectors and batched rows
-    alike. The returned gates are views into ``pre``."""
-    H = ly.H
-    _sigmoid_(pre[..., : 3 * H])  # forget, input, output
-    g = pre[..., 3 * H :]
-    np.tanh(g, out=g)
-    f, i, o = pre[..., :H], pre[..., H : 2 * H], pre[..., 2 * H : 3 * H]
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return f, i, o, g, c, tc, h
+    which is activated in place into the gates; writes the new cell state
+    to ``c``, its tanh to ``tc`` (which may alias ``c``) and the hidden
+    state to ``h``. Works for single rows and batched rows alike."""
+    H = pre.shape[-1] // 4
+    sig = pre[..., : 3 * H]  # forget, input, output: sigmoid as 0.5*tanh(0.5x)+0.5
+    sig *= 0.5
+    np.tanh(pre, out=pre)
+    sig *= 0.5
+    sig += 0.5
+    np.multiply(pre[..., :H], c_prev, out=c)
+    np.multiply(pre[..., H : 2 * H], pre[..., 3 * H :], out=h)  # h as scratch for i * g
+    c += h
+    np.tanh(c, out=tc)
+    np.multiply(pre[..., 2 * H : 3 * H], tc, out=h)
+
+
+def _scaled_inputs(cfg: NetConfig, xs: Sequence) -> np.ndarray:
+    """Input vectors as the rows of one (K, input_dim) array times ``input_scale``."""
+    X = np.empty((len(xs), cfg.input_dim))
+    for k, x in enumerate(xs):
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (cfg.input_dim,):
+            raise ValueError(f"input shape {x.shape} does not match input_dim {cfg.input_dim}")
+        X[k] = x
+    if cfg.input_scale != 1.0:
+        X *= cfg.input_scale
+    return X
+
+
+def _unroll(params: ValueNetParams, X: np.ndarray, runs: list | None = None) -> list:
+    """Run the LSTM stack over the scaled inputs ``X`` (one row per step),
+    one layer at a time: a layer's input projection ``below @ W.T + b`` is
+    one matmul over all steps, and only ``U @ h`` runs step by step.
+
+    Given ``runs``, the unroll of earlier inputs, the stack continues from
+    their final states and the result covers the earlier steps as well.
+    Returns one :class:`_Run` per layer.
+    """
+    out = []
+    below = X
+    for j, ly in enumerate(params.lstm):
+        gates = below @ ly.W.T
+        gates += ly.b
+        k0 = 0 if runs is None else len(runs[j].tc)
+        K = k0 + len(below)
+        h, c, tc = np.empty((K + 1, ly.H)), np.empty((K + 1, ly.H)), np.empty((K, ly.H))
+        if runs is None:
+            h[0], c[0] = ly.h0, ly.c0
+        else:
+            prev = runs[j]
+            h[: k0 + 1], c[: k0 + 1], tc[:k0] = prev.h, prev.c, prev.tc
+            gates = np.concatenate((prev.gates, gates))
+            below = np.concatenate((prev.below, below))
+        for k in range(k0, K):
+            pre = gates[k]
+            pre += ly.U @ h[k]
+            _cell(pre, c[k], c[k + 1], tc[k], h[k + 1])
+        out.append(_Run(below, gates, h, c, tc))
+        below = h[k0 + 1 :]
+    return out
 
 
 def forward(params: ValueNetParams, inputs: Sequence, mode: str = "eval", rng=None):
@@ -283,40 +341,32 @@ def forward(params: ValueNetParams, inputs: Sequence, mode: str = "eval", rng=No
     inverted dropout to the dense-head hidden activations (``rng`` seeds
     the masks); eval mode is a pure function of (params, inputs).
 
+    The stack is unrolled over all inputs but the last, then stepped once.
+    When :func:`forward_candidates` last scored exactly those inputs with
+    these params, its memoised unroll is reused; either way the bits are
+    the same.
+
     Returns (value, cache); the cache feeds :func:`backward`.
     """
     cfg = params.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    xs = [np.asarray(x, dtype=np.float64) for x in inputs]
+    xs = list(inputs)
     if not xs:
         raise ValueError("empty input sequence")
-    xs = xs[-cfg.window :]
-    for x in xs:
-        if x.shape != (cfg.input_dim,):
-            raise ValueError(f"input shape {x.shape} does not match input_dim {cfg.input_dim}")
-    if cfg.input_scale != 1.0:
-        xs = [x * cfg.input_scale for x in xs]
+    X = _scaled_inputs(cfg, xs[-cfg.window :])
     use_dropout = mode == "train" and cfg.dropout > 0.0
     if use_dropout and not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
 
-    h_prev = [ly.h0 for ly in params.lstm]
-    c_prev = [ly.c0 for ly in params.lstm]
-    steps = []
-    for x in xs:
-        below = x
-        layer_caches = []
-        for j, ly in enumerate(params.lstm):
-            pre = below @ ly.W.T + h_prev[j] @ ly.U.T + ly.b
-            f, i, o, g, c, tc, h = _cell(ly, pre, c_prev[j])
-            layer_caches.append(_StepCache(below, h_prev[j], c_prev[j], f, i, o, g, c, tc))
-            h_prev[j] = h
-            c_prev[j] = c
-            below = h
-        steps.append(layer_caches)
+    head, memo = X[:-1], params._prefix
+    if memo is not None and memo[0].shape == head.shape and memo[0].tobytes() == head.tobytes():
+        runs = memo[1]
+    else:
+        runs = _unroll(params, head)
+    runs = _unroll(params, X[-1:], runs)
 
-    z = h_prev[-1]
+    z = runs[-1].h[-1]
     dense_cache = []
     for dl in params.dense[:-1]:
         a = dl.W @ z + dl.b
@@ -333,7 +383,7 @@ def forward(params: ValueNetParams, inputs: Sequence, mode: str = "eval", rng=No
     v = out.W @ z + out.b
     v_pre = float(v[0])
     value = float(_sigmoid_(v)[0]) if cfg.output == "sigmoid" else v_pre
-    cache = ForwardCache(params, mode, xs, steps, dense_cache, z, v_pre, value)
+    cache = ForwardCache(params, mode, X, runs, dense_cache, z, v_pre, value)
     return value, cache
 
 
@@ -342,15 +392,18 @@ def backward(params: ValueNetParams, cache: ForwardCache, target: float) -> np.n
 
     Backpropagates through the dense head and through time across all
     unrolled steps and layers; returns a flat vector aligned with
-    ``params.theta`` (initial-state coordinates included).
+    ``params.theta`` (initial-state coordinates included). Per layer only
+    the (dh, dc) carry runs step by step: the gate factors are computed
+    for all steps at once before the time loop and the weight gradients
+    are one matmul each after it.
     """
     if cache.params is not params:
         raise ValueError("cache does not belong to these parameters")
     if cache.mode != "train":
         raise ValueError("backward requires a cache from a train-mode forward")
     cfg = params.config
-    grad = np.zeros_like(params.theta)
-    glstm, gdense, _, _ = _build_views(cfg, grad)
+    layout = _layout(cfg)
+    grad = np.empty_like(params.theta)  # every block is written below
 
     dvalue = 2.0 * (cache.value - float(target))
     if cfg.output == "sigmoid":
@@ -358,50 +411,60 @@ def backward(params: ValueNetParams, cache: ForwardCache, target: float) -> np.n
     else:
         dv = dvalue
 
-    out = params.dense[-1]
-    gdense[-1].W += dv * cache.head_in[None, :]
-    gdense[-1].b += dv
-    dz = out.W[0] * dv
+    out_W, out_b = layout.dense[-1]
+    np.multiply(cache.head_in, dv, out=out_W.view(grad)[0])
+    grad[out_b.start] = dv
+    dz = params.dense[-1].W[0] * dv
     for l in range(len(params.dense) - 2, -1, -1):
         z_in, relu_mask, drop = cache.dense[l]
         if drop is not None:
             dz = dz * drop
         da = dz * relu_mask
-        gdense[l].W += np.outer(da, z_in)
-        gdense[l].b += da
+        W, b = layout.dense[l]
+        np.outer(da, z_in, out=W.view(grad))
+        b.view(grad)[:] = da
         dz = params.dense[l].W.T @ da
 
-    L = len(params.lstm)
-    K = len(cache.steps)
-    incoming: list[list] = [[None] * K for _ in range(L)]
-    incoming[L - 1][K - 1] = dz
-    for j in range(L - 1, -1, -1):
-        ly = params.lstm[j]
-        gly = glstm[j]
-        dh_carry = np.zeros(ly.H)
-        dc_carry = np.zeros(ly.H)
+    K = len(cache.inputs)
+    incoming = np.zeros((K, params.lstm[-1].H))
+    incoming[-1] = dz
+    for j in range(len(params.lstm) - 1, -1, -1):
+        ly, run = params.lstm[j], cache.layers[j]
+        H = ly.H
+        f, i, o, g = (run.gates[:, m * H : (m + 1) * H] for m in range(4))
+        tc = run.tc
+        dc_dh = 1.0 - tc**2
+        dc_dh *= o  # dc += dh * dc_dh
+        sig = run.gates[:, : 3 * H]
+        dsig = 1.0 - sig
+        dsig *= sig  # sigmoid derivatives of f, i, o
+        # d(pre)/dc for the f, i and g blocks; the o block holds d(pre)/dh
+        fac = np.empty((K, 4, H))
+        np.multiply(run.c[:-1], dsig[:, :H], out=fac[:, 0])
+        np.multiply(g, dsig[:, H : 2 * H], out=fac[:, 1])
+        np.multiply(tc, dsig[:, 2 * H :], out=fac[:, 2])
+        dg = 1.0 - g**2
+        np.multiply(i, dg, out=fac[:, 3])
+        dpre = np.empty((K, 4 * H))
+        dpre3 = dpre.reshape(K, 4, H)
+        dh_carry = np.zeros(H)
+        dc_carry = np.zeros(H)
         for k in range(K - 1, -1, -1):
-            st = cache.steps[k][j]
-            dh = dh_carry if incoming[j][k] is None else dh_carry + incoming[j][k]
-            dc = dc_carry + dh * st.o * (1.0 - st.tc**2)
-            do_pre = dh * st.tc * st.o * (1.0 - st.o)
-            df_pre = dc * st.c_prev * st.f * (1.0 - st.f)
-            di_pre = dc * st.g * st.i * (1.0 - st.i)
-            dg_pre = dc * st.i * (1.0 - st.g**2)
-            dpre = np.concatenate([df_pre, di_pre, do_pre, dg_pre])
-            gly.W += np.outer(dpre, st.below)
-            gly.U += np.outer(dpre, st.h_prev)
-            gly.b += dpre
-            dh_carry = ly.U.T @ dpre
-            dc_carry = dc * st.f
-            if j > 0:
-                dx = ly.W.T @ dpre
-                if incoming[j - 1][k] is None:
-                    incoming[j - 1][k] = dx
-                else:
-                    incoming[j - 1][k] += dx
-        gly.h0 += dh_carry
-        gly.c0 += dc_carry
+            dh = dh_carry + incoming[k]
+            dc = dh * dc_dh[k]
+            dc += dc_carry
+            np.multiply(fac[k], dc, out=dpre3[k])
+            np.multiply(fac[k, 2], dh, out=dpre3[k, 2])
+            dh_carry = dpre[k] @ ly.U
+            dc_carry = dc * f[k]
+        W, U, b, h0, c0 = layout.lstm[j]
+        np.matmul(dpre.T, run.below, out=W.view(grad))
+        np.matmul(dpre.T, run.h[:-1], out=U.view(grad))
+        dpre.sum(axis=0, out=b.view(grad))
+        h0.view(grad)[:] = dh_carry
+        c0.view(grad)[:] = dc_carry
+        if j:
+            incoming = dpre @ ly.W
     return grad
 
 
@@ -414,8 +477,9 @@ def apply_update(params: ValueNetParams, grad: np.ndarray, learning_rate: float)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.theta.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match {params.theta.shape}")
-    theta = params.theta - learning_rate * grad
-    for start, stop in params._frozen_spans:
+    theta = np.multiply(grad, -learning_rate)
+    theta += params.theta  # == params.theta - learning_rate * grad, bit for bit
+    for start, stop in _layout(params.config).frozen:
         theta[start:stop] = params.theta[start:stop]
     return ValueNetParams(params.config, theta)
 
@@ -443,37 +507,31 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     its :func:`project_docs` row and ``query`` the shared query half (empty
     in feature mode, where the document row is the whole unit). Equivalent
     to calling :func:`forward` once per candidate with inputs
-    ``prefix + [doc_n ‖ query]``: the prefix states and the query half of
-    the first layer are computed once and the final step runs batched.
+    ``prefix + [doc_n ‖ query]``: the prefix is unrolled once, the query
+    half of the first layer is computed once and the final step runs
+    batched. The prefix unroll is memoised on ``params`` for the train
+    forward of the chosen candidate.
     """
     cfg = params.config
-    prefix = [np.asarray(x, dtype=np.float64) for x in prefix_inputs]
-    prefix = prefix[-(cfg.window - 1) :] if cfg.window > 1 else []
-    h_prev = [ly.h0 for ly in params.lstm]
-    c_prev = [ly.c0 for ly in params.lstm]
-    for x in prefix:
-        if x.shape != (cfg.input_dim,):
-            raise ValueError(f"prefix input shape {x.shape} does not match input_dim {cfg.input_dim}")
-        below = x * cfg.input_scale if cfg.input_scale != 1.0 else x
-        for j, ly in enumerate(params.lstm):
-            pre = below @ ly.W.T + h_prev[j] @ ly.U.T + ly.b
-            _, _, _, _, c, _, h = _cell(ly, pre, c_prev[j])
-            h_prev[j] = h
-            c_prev[j] = c
-            below = h
+    prefix = list(prefix_inputs)[-(cfg.window - 1) :] if cfg.window > 1 else []
+    X = _scaled_inputs(cfg, prefix)
+    runs = _unroll(params, X)
+    params._prefix = (X, runs)
     query = np.asarray(query, dtype=np.float64)
     first = params.lstm[0]
     pre = np.atleast_2d(np.asarray(doc_proj, dtype=np.float64))
     if pre.shape[1] != 4 * first.H:
         raise ValueError(f"document projections have width {pre.shape[1]}, expected {4 * first.H}")
     d = cfg.input_dim - query.size
-    shared = first.W[:, d:] @ (cfg.input_scale * query) + first.U @ h_prev[0] + first.b
+    shared = first.W[:, d:] @ (cfg.input_scale * query) + first.U @ runs[0].h[-1] + first.b
     pre = pre + shared
-    for j, ly in enumerate(params.lstm):
-        if j:
+    for ly, run in zip(params.lstm, runs):
+        if ly is not first:
             pre = below @ ly.W.T
-            pre += ly.U @ h_prev[j] + ly.b
-        _, _, _, _, _, _, below = _cell(ly, pre, c_prev[j])
+            pre += ly.U @ run.h[-1] + ly.b
+        c = np.empty((len(pre), ly.H))
+        below = np.empty_like(c)
+        _cell(pre, run.c[-1], c, c, below)
     z = below
     for dl in params.dense[:-1]:
         z = z @ dl.W.T

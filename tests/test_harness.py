@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -185,6 +186,21 @@ class TestTrainEvaluate:
         with pytest.raises(ConfigError):
             run(tiny_config(tmp_path), "explode")
 
+    def test_checkpoint_config_mismatch_rejected(self, tmp_path):
+        trained = tiny_config(tmp_path / "out", net=dataclasses.replace(tiny_config(tmp_path).net, window=5))
+        train_run(trained)
+        other = dataclasses.replace(trained, net=dataclasses.replace(trained.net, window=3))
+        ckpt = tmp_path / "out" / "checkpoints" / "fold0.ckpt"
+        with pytest.raises(ConfigError, match=r"fold0\.ckpt.*window 5 \(run config: 3\)") as info:
+            evaluate_run(other)
+        assert str(ckpt) in str(info.value)
+        assert "input_dim" not in str(info.value)  # only the differing fields
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(trained)))
+        res = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path), "--window", "3"])
+        assert res.exit_code == 2
+        assert "window" in res.output
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, tmp_path):
@@ -368,6 +384,26 @@ class TestNonFiniteTraining:
         config = self.config(tmp_path)
         with pytest.raises(RuntimeError, match="fold 0: training diverged at epoch 1"):
             train_run(config, nan_query_dataset(config))
+        assert not list((tmp_path / "out" / "checkpoints").iterdir())
+
+    def test_sample_selection_names_fold_and_epoch(self, tmp_path):
+        # NaN scores reach select_action's sampling before any train forward
+        config = tiny_config(tmp_path / "out")
+        assert config.policy.selection == "sample"
+        with pytest.raises(RuntimeError, match="fold 0: training diverged at epoch 1"):
+            train_run(config, nan_query_dataset(config))
+        assert not list((tmp_path / "out" / "checkpoints").iterdir())
+
+    def test_overflowing_linear_head(self, tmp_path):
+        # |value| passes 1e154 within a few steps, so (value - target)**2
+        # would overflow a Python float
+        config = tiny_config(
+            tmp_path / "out",
+            net=dataclasses.replace(tiny_config(tmp_path).net, output="linear", learning_rate=1e250),
+            metric=MetricSpec(target="dcg", report=("ndcg@5",)),
+        )
+        with pytest.raises(RuntimeError, match=r"fold 0: training diverged at epoch \d+"):
+            train_run(config)
         assert not list((tmp_path / "out" / "checkpoints").iterdir())
 
     def test_cli_exits_4(self, tmp_path, monkeypatch):

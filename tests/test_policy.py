@@ -236,6 +236,11 @@ class TestSelectAction:
         with pytest.raises(ValueError):
             select_action({}, 0.5, "argmax", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected_in_sample_mode(self, bad):
+        with pytest.raises(FloatingPointError, match="non-finite candidate scores"):
+            select_action({"a": bad, "b": 1.0}, 0.0, "sample", np.random.default_rng(0))
+
 
 class TestTransitions:
     def test_step_moves_doc(self):

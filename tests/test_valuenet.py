@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dynrank import valuenet
 from dynrank.valuenet import (
     CheckpointError,
     NetConfig,
@@ -93,7 +96,7 @@ def reference_forward(params: ValueNetParams, xs):
     def sigmoid(z):
         return 1.0 / (1.0 + math.exp(-z))
 
-    xs = [np.asarray(x, float) for x in xs][-cfg.window:]
+    xs = [np.asarray(x, float) * cfg.input_scale for x in xs][-cfg.window:]
     h = [np.array(ly.h0, float) for ly in params.lstm]
     c = [np.array(ly.c0, float) for ly in params.lstm]
     for x in xs:
@@ -143,9 +146,8 @@ class TestForward:
         params = ValueNetParams(TINY, np.zeros(param_count(TINY)))
         value, cache = forward(params, [np.ones(2), np.ones(2)])
         assert value == 0.0
-        for layer_steps in cache.steps:
-            for st in layer_steps:
-                assert not st.c.any()
+        for run in cache.layers:
+            assert not run.c[1:].any()
 
     def test_eval_mode_deterministic(self):
         params = tiny_params()
@@ -176,12 +178,13 @@ class TestForward:
         rng = np.random.default_rng(1)
         xs = [rng.standard_normal(2) * 3 for _ in range(4)]
         _, cache = forward(params, xs)
-        for layer_steps in cache.steps:
-            for st in layer_steps:
-                for gate in (st.f, st.i, st.o):
-                    assert ((gate > 0) & (gate < 1)).all()
-                h = st.o * st.tc
-                assert ((h > -1) & (h < 1)).all()
+        for run in cache.layers:
+            H = run.h.shape[1]
+            f, i, o = run.gates[:, :H], run.gates[:, H : 2 * H], run.gates[:, 2 * H : 3 * H]
+            for gate in (f, i, o):
+                assert ((gate > 0) & (gate < 1)).all()
+            h = o * run.tc
+            assert ((h > -1) & (h < 1)).all()
 
     def test_window_truncation_exact(self):
         params = tiny_params()
@@ -369,3 +372,154 @@ class TestSerialization:
         forged = blob[:4] + struct.pack("<I", len(hjson)) + hjson + blob[8 + hlen:]
         with pytest.raises(CheckpointError):
             deserialize(forged)
+
+
+@st.composite
+def net_cases(draw):
+    """A random net (1-3 layers, window 1-5, either head, input scale 1 or
+    not, initial states included) and 1..window inputs."""
+    layers = draw(st.integers(1, 3))
+    net = NetConfig(
+        layers=layers,
+        input_dim=draw(st.integers(1, 4)),
+        hidden_dims=tuple(draw(st.lists(st.integers(1, 4), min_size=layers, max_size=layers))),
+        dense_dims=(3,),
+        window=draw(st.integers(1, 5)),
+        dropout=0.0,
+        output=draw(st.sampled_from(["linear", "sigmoid"])),
+        input_scale=draw(st.sampled_from([1.0, 0.7, 3.1])),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    xs = [rng.standard_normal(net.input_dim) for _ in range(draw(st.integers(1, net.window)))]
+    return init_glorot(net, seed), xs
+
+
+def loss_at(params, theta, xs, target):
+    value, _ = forward(ValueNetParams(params.config, theta), xs)
+    return (value - target) ** 2
+
+
+class TestUnrollProperties:
+    @given(net_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_forward_matches_scalar_reference(self, case):
+        params, xs = case
+        value, _ = forward(params, xs)
+        assert value == pytest.approx(reference_forward(params, xs), abs=1e-10)
+
+    @given(net_cases(), st.floats(-2.0, 2.0))
+    @settings(max_examples=25, deadline=None)
+    def test_backward_matches_finite_differences(self, case, target):
+        params, xs = case
+        _, cache = forward(params, xs, mode="train")
+        for (z_in, _, _), dl in zip(cache.dense, params.dense):
+            assume(np.abs(dl.W @ z_in + dl.b).min() > 1e-3)  # no ReLU kink within reach
+        grad = backward(params, cache, target)
+        h = 1e-6
+        fd = np.empty_like(grad)
+        for i in range(params.n_params):
+            tp, tm = params.theta.copy(), params.theta.copy()
+            tp[i] += h
+            tm[i] -= h
+            fd[i] = (loss_at(params, tp, xs, target) - loss_at(params, tm, xs, target)) / (2 * h)
+        rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-3)
+        assert rel.max() <= 1e-4
+
+    @given(net_cases(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_memoised_prefix_gives_identical_bits(self, case, feature_mode):
+        params, xs = case
+        cfg = params.config
+        rng = np.random.default_rng(len(xs))
+        q_dim = 0 if feature_mode else rng.integers(0, cfg.input_dim + 1)
+        query = xs[-1][cfg.input_dim - q_dim :]
+        units = [np.concatenate([x[: cfg.input_dim - q_dim], query]) for x in xs]
+        prefix, last = units[:-1], units[-1]
+        docs = np.stack([last[: cfg.input_dim - q_dim], rng.standard_normal(cfg.input_dim - q_dim)])
+        forward_candidates(params, prefix, project_docs(params, docs), query)
+
+        def run(p, inputs):
+            value, cache = forward(p, inputs, mode="train")
+            return value, cache, backward(p, cache, 0.5)
+
+        calls = []
+        real_unroll = valuenet._unroll
+
+        def counting_unroll(*args):
+            calls.append(len(args[1]))
+            return real_unroll(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(valuenet, "_unroll", counting_unroll)
+            hit = run(params, prefix + [last])
+            assert calls == [1]  # the memo covered the prefix: one step added
+            miss = run(params.copy(), prefix + [last])
+            assert calls == [1, len(prefix), 1]  # the copy unrolls the prefix itself
+            if prefix:
+                calls.clear()
+                changed = [u + 1.0 for u in prefix]
+                run(params, changed + [last])
+                assert len(calls) == 2  # a different prefix misses
+        assert hit[0] == miss[0]
+        assert hit[2].tobytes() == miss[2].tobytes()
+        for a, b in zip(hit[1].layers, miss[1].layers):
+            for name in ("below", "gates", "h", "c", "tc"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_different_query_misses_memo(self, monkeypatch):
+        cfg = NetConfig(layers=1, input_dim=4, hidden_dims=(3,), dense_dims=(2,), dropout=0.0)
+        params = init_glorot(cfg, 0)
+        doc, q1, q2 = np.array([0.3, -0.2]), np.array([0.5, 0.1]), np.array([0.5, 0.2])
+        forward_candidates(params, [np.concatenate([doc, q1])], project_docs(params, doc[None]), q1)
+        calls = []
+        real_unroll = valuenet._unroll
+        monkeypatch.setattr(valuenet, "_unroll", lambda *a: calls.append(1) or real_unroll(*a))
+        value, _ = forward(params, [np.concatenate([doc, q2]), np.concatenate([doc, q2])])
+        assert len(calls) == 2
+        assert value == forward(params.copy(), [np.concatenate([doc, q2])] * 2)[0]
+
+
+@st.composite
+def net_configs(draw):
+    layers = draw(st.integers(1, 3))
+    return NetConfig(
+        layers=layers,
+        input_dim=draw(st.integers(1, 9)),
+        hidden_dims=tuple(draw(st.lists(st.integers(1, 9), min_size=layers, max_size=layers))),
+        dense_dims=tuple(draw(st.lists(st.integers(1, 9), min_size=0, max_size=3))),
+        dropout=0.0,
+    )
+
+
+class TestLayout:
+    @given(net_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_tile_theta_once(self, cfg):
+        layout = valuenet._layout(cfg)
+        blocks = [blk for layer in layout.lstm for blk in layer]
+        blocks += [blk for layer in layout.dense for blk in layer]
+        pos = 0
+        for blk in blocks:  # theta order, no gap and no overlap
+            assert blk.start == pos and blk.stop - blk.start == math.prod(blk.shape)
+            pos = blk.stop
+        assert pos == layout.size == param_count(cfg) == closed_form_count(cfg)
+        assert layout.dense[-1][0].shape[0] == 1
+        assert layout.frozen == tuple((h0.start, c0.stop) for _, _, _, h0, c0 in layout.lstm)
+        assert all(h0.stop == c0.start for _, _, _, h0, c0 in layout.lstm)
+
+    @given(net_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_views_and_frozen_spans_follow_layout(self, cfg):
+        params = init_glorot(cfg, 0)
+        updated = apply_update(params, np.ones(params.n_params), 0.5)
+        frozen = np.zeros(params.n_params, bool)
+        for start, stop in valuenet._layout(cfg).frozen:
+            frozen[start:stop] = True
+        assert (updated.theta[frozen] == params.theta[frozen]).all()
+        assert (updated.theta[~frozen] == params.theta[~frozen] - 0.5).all()
+        for ly in updated.lstm:  # the initial states are exactly the frozen span
+            for vec in (ly.h0, ly.c0):
+                offset = (vec.__array_interface__["data"][0]
+                          - updated.theta.__array_interface__["data"][0]) // 8
+                assert frozen[offset : offset + vec.size].all()
