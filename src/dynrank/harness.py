@@ -29,6 +29,7 @@ from dynrank.feedback import (
     NQEFeedback,
     RocchioParams,
 )
+from dynrank.fileio import atomic_open
 from dynrank.metrics import MetricSpec, RankedList, report_value
 from dynrank.policy import EvalResult, PolicyConfig, evaluate_session, train_session
 from dynrank.valuenet import NetConfig, init_glorot
@@ -234,7 +235,7 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(c) for c in row) + "\n")
@@ -247,7 +248,7 @@ def emit_report(report: RunReport, out_dir, formats: Sequence[str] = ("csv", "js
     written = []
     if "json" in formats:
         path = out / "report.json"
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             json.dump(report_to_dict(report), fh, sort_keys=True, indent=1)
             fh.write("\n")
         written.append(path)
@@ -269,7 +270,7 @@ def emit_report(report: RunReport, out_dir, formats: Sequence[str] = ("csv", "js
                 continue
             written.append(path)
     if report.wall_time is not None:
-        with open(out / "timing.json", "w", encoding="utf-8") as fh:
+        with atomic_open(out / "timing.json") as fh:
             json.dump({"wall_time_seconds": report.wall_time}, fh)
             fh.write("\n")
     return written
@@ -344,7 +345,7 @@ def _rows_from_values(values: dict) -> list:
 
 
 def _write_runfile(out: Path, ranked: dict[str, RankedList]) -> None:
-    with open(out / "run.jsonl", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "run.jsonl") as fh:
         for topic in sorted(ranked):
             for it, block in enumerate(ranked[topic].iteration_blocks(), start=1):
                 fh.write(json.dumps(

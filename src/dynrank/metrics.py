@@ -72,21 +72,21 @@ class JudgmentSet:
         self._pool_cache.pop(topic, None)
 
     def _pool(self, topic: str) -> tuple:
-        """Memoized per-topic ideal pool: positive docs, their coverage,
-        descending relevance values and the greedy alpha-DCG ideals by alpha
-        (filled by ``ideal_alpha_dcg``). Recomputed whenever the topic changes."""
+        """Memoized per-topic pool: positive docs, each judged doc's set of
+        positive subtopics, descending relevance values and the greedy
+        alpha-DCG ideals by alpha (filled by ``ideal_alpha_dcg``). Recomputed
+        whenever the topic changes."""
         cached = self._pool_cache.get(topic)
         if cached is None:
-            docs = sorted(
-                doc
+            subsets = {
+                doc: _as_subtopic_set(self._coverage[(topic, doc)])
                 for doc in self._docs.get(topic, ())
-                if any(g > 0 for g in self._coverage[(topic, doc)].values())
-            )
-            coverage = [(d, dict(self._coverage[(topic, d)])) for d in docs]
+            }
+            docs = sorted(doc for doc, subs in subsets.items() if subs)
             rels = sorted(
                 (sum(self._coverage[(topic, d)].values()) for d in docs), reverse=True
             )
-            cached = (docs, coverage, rels, {})
+            cached = (docs, subsets, rels, {})
             self._pool_cache[topic] = cached
         return cached
 
@@ -101,11 +101,22 @@ class JudgmentSet:
             raise ValueError(f"k must be >= 1, got {k}")
         if not 0.0 <= alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-        _, coverage, _, ideals = self._pool(topic)
+        docs, subsets, _, ideals = self._pool(topic)
         prefix = ideals.get(alpha)
         if prefix is None:
-            prefix = ideals[alpha] = _greedy_alpha_prefix(coverage, len(coverage), alpha)
+            pool = [(d, subsets[d]) for d in docs]
+            prefix = ideals[alpha] = _greedy_alpha_prefix(pool, len(pool), alpha)
         return prefix[min(k, len(prefix) - 1)]
+
+    def alpha_dcg(self, topic: str, doc_ids: Sequence[str], k: int, alpha: float) -> float:
+        """``alpha_dcg_at_k(ranked_coverage(...), k, alpha)``, bit for bit,
+        from the cached positive-subtopic sets (unjudged docs cover none)."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+        subsets = self._pool(topic)[1]
+        return _alpha_dcg((subsets.get(d, _NO_SUBTOPICS) for d in doc_ids[:k]), alpha)
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[str, str, str, float]]) -> "JudgmentSet":
@@ -222,10 +233,17 @@ def alpha_dcg_at_k(coverage: Sequence, k: int, alpha: float = 0.5) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    return _alpha_dcg(map(_as_subtopic_set, coverage[:k]), alpha)
+
+
+_NO_SUBTOPICS = frozenset()
+
+
+def _alpha_dcg(subsets: Iterable[frozenset], alpha: float) -> float:
+    """alpha-DCG of the ranked documents' positive-subtopic sets, in order."""
     counts: Counter = Counter()
     total = 0.0
-    for rank, item in enumerate(coverage[:k], start=1):
-        subs = _as_subtopic_set(item)
+    for rank, subs in enumerate(subsets, start=1):
         gain = sum((1.0 - alpha) ** counts[s] for s in subs)
         total += gain / math.log2(rank + 1)
         for s in subs:
@@ -343,7 +361,7 @@ def ranked_coverage(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str]) 
 def _pooled_alpha_ndcg(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str], k: int,
                        alpha: float) -> float:
     """``alpha_ndcg_at_k`` with the topic's positive pool as the ideal's pool."""
-    realized = alpha_dcg_at_k(ranked_coverage(judgments, topic, doc_ids), k, alpha)
+    realized = judgments.alpha_dcg(topic, doc_ids, k, alpha)
     ideal = judgments.ideal_alpha_dcg(topic, k, alpha)
     if ideal <= 0.0:
         return 0.0
@@ -362,7 +380,7 @@ def target_value(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str], spe
     if spec.target == "dcg":
         return dcg_at_k(ranked_relevances(judgments, topic, doc_ids), k)
     if spec.target == "alpha-dcg":
-        return alpha_dcg_at_k(ranked_coverage(judgments, topic, doc_ids), k, spec.alpha)
+        return judgments.alpha_dcg(topic, doc_ids, k, spec.alpha)
     if spec.target == "ndcg":
         realized = dcg_at_k(ranked_relevances(judgments, topic, doc_ids), k)
         pool_rels = judgments.pool_relevances(topic)

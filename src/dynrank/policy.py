@@ -118,22 +118,27 @@ def forward_inputs(state: SessionState, window: int | None = None) -> list[np.nd
 
 
 class _PoolCache:
-    """The session's pool in sorted-id order, and its first-layer document
-    projection for the params object it was computed with. Params are never
-    mutated after construction, so the object identifies the weights."""
+    """The session's pool in sorted-id order, its first-layer document
+    projection for the params object it was computed with, gate-major
+    (4H, pool), and the scoring workspace the session's picks reuse. Params
+    are never mutated after construction, so the object identifies the
+    weights."""
 
-    __slots__ = ("ids", "row_of", "matrix", "params", "proj")
+    __slots__ = ("ids", "row_of", "matrix", "params", "proj", "workspace")
 
     def __init__(self, vectors: Mapping[str, np.ndarray]):
         self.ids = sorted(vectors)
         self.row_of = {d: i for i, d in enumerate(self.ids)}
-        self.matrix = np.stack([vectors[d] for d in self.ids])
+        # one document per row, stored transposed so the projection is one
+        # copy-free matmul
+        self.matrix = np.stack([vectors[d] for d in self.ids], axis=1).T
         self.params = None
         self.proj = None
+        self.workspace = valuenet.ScoringWorkspace()
 
     def projection(self, params: ValueNetParams) -> np.ndarray:
         if self.params is not params:
-            self.proj = valuenet.project_docs(params, self.matrix)
+            self.proj = valuenet.project_docs(params, self.matrix).T
             self.params = params
         return self.proj
 
@@ -142,8 +147,8 @@ def score_candidates(params: ValueNetParams, state: SessionState) -> dict[str, f
     """Value of appending each candidate to the current ranked list.
 
     Pure eval-mode scoring; candidates share the ranked prefix, so the
-    final network step runs batched across them. Returns the scores in
-    ascending doc-id order.
+    final network step runs batched across them, in the session's
+    workspace. Returns the scores in ascending doc-id order.
     """
     if not state.candidates:
         raise ValueError("no candidates to score")
@@ -154,8 +159,11 @@ def score_candidates(params: ValueNetParams, state: SessionState) -> dict[str, f
     idx.sort()
     window = params.config.window
     prefix = forward_inputs(state, window - 1) if window > 1 else []
-    rows = pool.projection(params)[idx]
-    values = valuenet.forward_candidates(params, prefix, rows, state.query)
+    proj = pool.projection(params)
+    gates = pool.workspace.gates(len(proj), len(idx))
+    np.take(proj, idx, axis=1, out=gates, mode="clip")  # "raise" would buffer the output
+    values = valuenet.forward_candidates(params, prefix, gates.T, state.query,
+                                         workspace=pool.workspace)
     ids = pool.ids
     return dict(zip([ids[i] for i in idx.tolist()], values.tolist()))
 

@@ -26,6 +26,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from dynrank.fileio import atomic_open
+
 
 class CheckpointError(ValueError):
     """Raised for malformed or incompatible serialized parameters."""
@@ -271,21 +273,23 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
 
 
 def _cell(pre: np.ndarray, c_prev, c, tc, h) -> None:
-    """One LSTM cell step from its gate pre-activation ``pre`` (4H wide),
-    which is activated in place into the gates; writes the new cell state
-    to ``c``, its tanh to ``tc`` (which may alias ``c``) and the hidden
-    state to ``h``. Works for single rows and batched rows alike."""
-    H = pre.shape[-1] // 4
-    sig = pre[..., : 3 * H]  # forget, input, output: sigmoid as 0.5*tanh(0.5x)+0.5
+    """One LSTM cell step from its gate pre-activation ``pre``, whose gates
+    are stacked along axis 0: (4H,) for one step, or (4H, N) for N
+    candidates, where each gate is one contiguous (H, N) slab. ``pre`` is
+    activated in place into the gates; the new cell state goes to ``c``, its
+    tanh to ``tc`` (which may alias ``c``) and the hidden state to ``h``.
+    ``c_prev`` broadcasts against one gate (an (H, 1) column for a batch)."""
+    H = len(pre) // 4
+    sig = pre[: 3 * H]  # forget, input, output: sigmoid as 0.5*tanh(0.5x)+0.5
     sig *= 0.5
     np.tanh(pre, out=pre)
     sig *= 0.5
     sig += 0.5
-    np.multiply(pre[..., :H], c_prev, out=c)
-    np.multiply(pre[..., H : 2 * H], pre[..., 3 * H :], out=h)  # h as scratch for i * g
+    np.multiply(pre[:H], c_prev, out=c)
+    np.multiply(pre[H : 2 * H], pre[3 * H :], out=h)  # h as scratch for i * g
     c += h
     np.tanh(c, out=tc)
-    np.multiply(pre[..., 2 * H : 3 * H], tc, out=h)
+    np.multiply(pre[2 * H : 3 * H], tc, out=h)
 
 
 def _scaled_inputs(cfg: NetConfig, xs: Sequence) -> np.ndarray:
@@ -489,18 +493,50 @@ def project_docs(params: ValueNetParams, docs) -> np.ndarray:
     document: ``(s * D) @ W_d.T``, where ``W_d`` holds the first ``docs``-width
     columns of the first layer's input matrix and ``s`` is ``input_scale``.
 
-    A pure function of the weights, so callers scoring many candidates
-    against one set of weights may compute it once and gather rows from it
-    (see :func:`forward_candidates`).
+    Computed gate-major, as ``W_d @ (s * D).T``: the rows returned are the
+    transpose of a C-contiguous (4H, N) array, the layout
+    :func:`forward_candidates` works in. ``docs`` given as the transpose of a
+    C-contiguous (dim, N) array keeps the matmul free of copies. A pure
+    function of the weights, so callers scoring many candidates against one
+    set of weights may compute it once and gather from it.
     """
     D = np.atleast_2d(np.asarray(docs, dtype=np.float64))
     width = D.shape[1]
     if width > params.config.input_dim:
         raise ValueError(f"document rows have dim {width}, input_dim is {params.config.input_dim}")
-    return (D * params.config.input_scale) @ params.lstm[0].W[:, :width].T
+    return (params.lstm[0].W[:, :width] @ (D.T * params.config.input_scale)).T
 
 
-def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj, query) -> np.ndarray:
+class ScoringWorkspace:
+    """Grow-only scratch buffers for :func:`forward_candidates`: the gate
+    block, the cell state and two hidden-state buffers that alternate
+    between layers, each handed out as a C-contiguous (rows, N) view of a
+    flat array that only ever grows.
+
+    One workspace serves a sequence of calls of any shape (such as the
+    picks of one session), so batched scoring allocates nothing
+    candidate-sized after the first call. Not for concurrent use.
+    """
+
+    __slots__ = ("_flat",)
+
+    def __init__(self):
+        self._flat = [np.empty(0) for _ in range(4)]  # gates, c, h, h
+
+    def _block(self, slot: int, rows: int, n: int) -> np.ndarray:
+        size = rows * n
+        if self._flat[slot].size < size:
+            self._flat[slot] = np.empty(size)
+        return self._flat[slot][:size].reshape(rows, n)
+
+    def gates(self, rows: int, n: int) -> np.ndarray:
+        """The (rows, n) gate block; a caller may gather the first layer's
+        document projections into it and pass its transpose as ``doc_proj``."""
+        return self._block(0, rows, n)
+
+
+def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj, query, *,
+                       workspace: ScoringWorkspace | None = None) -> np.ndarray:
     """Eval-mode values for many candidates sharing one ranked prefix.
 
     Candidate ``n``'s input unit is ``doc_n ‖ query``; ``doc_proj[n]`` is
@@ -509,8 +545,13 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     to calling :func:`forward` once per candidate with inputs
     ``prefix + [doc_n ‖ query]``: the prefix is unrolled once, the query
     half of the first layer is computed once and the final step runs
-    batched. The prefix unroll is memoised on ``params`` for the train
-    forward of the chosen candidate.
+    batched, gate-major on (4H, N) blocks. The prefix unroll is memoised on
+    ``params`` for the train forward of the chosen candidate.
+
+    The final step's intermediates live in ``workspace`` (a fresh one when
+    None); when ``doc_proj`` is the transpose of the workspace's gate block,
+    the first layer is computed in place there. The returned values are a
+    new array.
     """
     cfg = params.config
     prefix = list(prefix_inputs)[-(cfg.window - 1) :] if cfg.window > 1 else []
@@ -519,25 +560,29 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     params._prefix = (X, runs)
     query = np.asarray(query, dtype=np.float64)
     first = params.lstm[0]
-    pre = np.atleast_2d(np.asarray(doc_proj, dtype=np.float64))
-    if pre.shape[1] != 4 * first.H:
-        raise ValueError(f"document projections have width {pre.shape[1]}, expected {4 * first.H}")
+    rows = np.atleast_2d(np.asarray(doc_proj, dtype=np.float64))
+    if rows.shape[1] != 4 * first.H:
+        raise ValueError(f"document projections have width {rows.shape[1]}, expected {4 * first.H}")
+    ws = ScoringWorkspace() if workspace is None else workspace
+    n = len(rows)
     d = cfg.input_dim - query.size
     shared = first.W[:, d:] @ (cfg.input_scale * query) + first.U @ runs[0].h[-1] + first.b
-    pre = pre + shared
-    for ly, run in zip(params.lstm, runs):
-        if ly is not first:
-            pre = below @ ly.W.T
-            pre += ly.U @ run.h[-1] + ly.b
-        c = np.empty((len(pre), ly.H))
-        below = np.empty_like(c)
-        _cell(pre, run.c[-1], c, c, below)
+    for j, (ly, run) in enumerate(zip(params.lstm, runs)):
+        pre = ws.gates(4 * ly.H, n)
+        if j:
+            np.matmul(ly.W, below, out=pre)
+            pre += (ly.U @ run.h[-1] + ly.b)[:, None]
+        else:
+            np.add(rows.T, shared[:, None], out=pre)  # in place when rows.T is pre
+        c = ws._block(1, ly.H, n)
+        below = ws._block(2 + j % 2, ly.H, n)
+        _cell(pre, run.c[-1][:, None], c, c, below)
     z = below
     for dl in params.dense[:-1]:
-        z = z @ dl.W.T
-        z += dl.b
+        z = dl.W @ z
+        z += dl.b[:, None]
         np.maximum(z, 0.0, out=z)
-    v = z @ params.dense[-1].W[0]
+    v = params.dense[-1].W[0] @ z
     v += params.dense[-1].b[0]
     if cfg.output == "sigmoid":
         _sigmoid_(v)
@@ -591,7 +636,8 @@ def deserialize(blob: bytes) -> ValueNetParams:
 
 
 def save(params: ValueNetParams, path) -> None:
-    with open(path, "wb") as fh:
+    """Write the checkpoint atomically: ``path`` holds the old or the new one."""
+    with atomic_open(path, "wb") as fh:
         fh.write(serialize(params))
 
 

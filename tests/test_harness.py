@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dynrank import fileio, valuenet
 from dynrank.cli import main
 from dynrank.data import DataError, gen_synthetic
 from dynrank.harness import (
@@ -122,6 +124,83 @@ class TestReportSerialization:
         emit_report(report, tmp_path)
         assert json.loads((tmp_path / "timing.json").read_text())["wall_time_seconds"] == 2.0
         assert "wall_time" not in (tmp_path / "report.json").read_text()
+
+
+class _TornFile:
+    """A file whose writes fail, as on a full disk, once ``budget``
+    characters have gone through: the failing write is left half done."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.fh.write(data[: self.budget])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+@pytest.fixture
+def tear_writes_to(monkeypatch):
+    """Make every atomic write of files named ``name`` fail part-way through."""
+
+    def arm(name, budget=5):
+        def torn_open(path, mode, **kw):
+            fh = open(path, mode, **kw)
+            return _TornFile(fh, budget) if Path(path).name.startswith(f".{name}.") else fh
+
+        monkeypatch.setattr(fileio, "open", torn_open, raising=False)
+
+    return arm
+
+
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("name", ["report.json", "evaluation.csv", "timing.json"])
+    def test_failed_report_write_keeps_previous_file(self, tmp_path, tear_writes_to, name):
+        old = RunReport(command="evaluate", config={"seed": 0},
+                        tables={"evaluation": [(1, "ndcg", 0.25, 0.0)]}, wall_time=1.0)
+        emit_report(old, tmp_path)
+        before = tree_bytes(tmp_path)
+        new = RunReport(command="evaluate", config={"seed": 1},
+                        tables={"evaluation": [(1, "ndcg", 0.5, 0.1), (2, "ndcg", 0.75, 0.0)]},
+                        wall_time=2.0)
+        tear_writes_to(name)
+        with pytest.raises(OSError):
+            emit_report(new, tmp_path)
+        after = tree_bytes(tmp_path)
+        assert set(after) == set(before)  # no temporary file left behind
+        assert after[name] == before[name]
+
+    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, tear_writes_to):
+        net = NetConfig(layers=1, input_dim=3, hidden_dims=(2,), dense_dims=(2,), dropout=0.0)
+        path = tmp_path / "fold0.ckpt"
+        valuenet.save(valuenet.init_glorot(net, 0), path)
+        before = tree_bytes(tmp_path)
+        tear_writes_to("fold0.ckpt", budget=40)
+        with pytest.raises(OSError):
+            valuenet.save(valuenet.init_glorot(net, 1), path)
+        assert tree_bytes(tmp_path) == before
+
+    def test_failed_runfile_write_keeps_previous_file(self, tmp_path, tear_writes_to):
+        config = tiny_config(tmp_path)
+        train_run(config)
+        evaluate_run(config)
+        before = tree_bytes(tmp_path)
+        tear_writes_to("run.jsonl", budget=100)
+        with pytest.raises(OSError):
+            evaluate_run(config)
+        assert tree_bytes(tmp_path) == before
 
 
 class TestTrainEvaluate:

@@ -16,6 +16,7 @@ from dynrank.metrics import (
     doc_relevance,
     ideal_alpha_dcg_at_k,
     ndcg_at_k,
+    ranked_coverage,
     report_value,
     session_ndcg,
     target_value,
@@ -187,6 +188,46 @@ class TestCachedGreedyIdeal:
         assert js.ideal_alpha_dcg("t", 2, 0.5) == 1.0
         js.add("t", "s2", "b", 1.0)
         assert js.ideal_alpha_dcg("t", 2, 0.5) == 1.0 + 1.0 / math.log2(3)
+
+
+class TestCachedRealizedAlphaDcg:
+    @given(st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e", "f"]),
+                           st.dictionaries(st.sampled_from(["s1", "s2", "s3", "s4"]),
+                                           st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1),
+                           min_size=1),
+           st.permutations(["a", "b", "c", "d", "e", "f", "u1", "u2"]),
+           st.integers(1, 8), st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    @settings(max_examples=100, deadline=None)
+    def test_targets_and_reports_match_reference_bitwise(self, docs, order, length, alpha):
+        js = JudgmentSet.from_triples(
+            ("t", sub, doc, g) for doc, cov in docs.items() for sub, g in cov.items()
+        )
+        ranked = order[:length]  # judged, grade-0 and unjudged ("u*") documents
+
+        def check():
+            # built from the judgments, not from the cached pool under test
+            pool = [(d, js.coverage("t", d)) for d in sorted(js.judged_docs("t"))]
+            pool = [(d, cov) for d, cov in pool if any(g > 0 for g in cov.values())]
+
+            def normalized(k):
+                realized = alpha_dcg_at_k(ranked_coverage(js, "t", ranked), k, alpha)
+                ideal = ideal_alpha_dcg_at_k(pool, k, alpha)
+                return min(realized / ideal, 1.0) if ideal > 0.0 else 0.0
+
+            k = len(ranked)
+            realized = alpha_dcg_at_k(ranked_coverage(js, "t", ranked), k, alpha)
+            spec = MetricSpec(target="alpha-dcg", alpha=alpha)
+            assert target_value(js, "t", ranked, spec) == realized
+            spec = MetricSpec(target="alpha-ndcg", alpha=alpha)
+            assert target_value(js, "t", ranked, spec) == normalized(k)
+            run = RankedList("t", ranked, [k])
+            assert report_value(js, "t", run, "alpha-ndcg", spec) == normalized(k)
+            for cut in (1, 3):
+                assert report_value(js, "t", run, f"alpha-ndcg@{cut}", spec) == normalized(cut)
+
+        check()
+        js.add("t", "s5", ranked[0], 1.0)  # must invalidate the cached subtopic sets
+        check()
 
 
 class TestSessionNdcg:

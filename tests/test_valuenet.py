@@ -523,3 +523,95 @@ class TestLayout:
                 offset = (vec.__array_interface__["data"][0]
                           - updated.theta.__array_interface__["data"][0]) // 8
                 assert frozen[offset : offset + vec.size].all()
+
+
+class TestGateMajorCell:
+    @given(st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_cell_equals_one_row_calls(self, H, N, seed):
+        rng = np.random.default_rng(seed)
+        pre = 3.0 * rng.standard_normal((4 * H, N))
+        c_prev = rng.standard_normal(H)
+        gates, c, h = pre.copy(), np.empty((H, N)), np.empty((H, N))
+        valuenet._cell(gates, c_prev[:, None], c, c, h)
+        for n in range(N):
+            g1, c1, tc1, h1 = pre[:, n].copy(), np.empty(H), np.empty(H), np.empty(H)
+            valuenet._cell(g1, c_prev, c1, tc1, h1)
+            assert g1.tobytes() == gates[:, n].copy().tobytes()
+            assert tc1.tobytes() == c[:, n].copy().tobytes()  # batched c holds tanh c
+            assert h1.tobytes() == h[:, n].copy().tobytes()
+
+
+@st.composite
+def scoring_sequences(draw):
+    """A random net (1-3 layers of unequal widths, either head), two sets of
+    its weights, an embedding- or feature-mode query, a pool of documents
+    and a sequence of scoring calls: (weights index, prefix, candidate rows),
+    whose candidate count shrinks and grows past every earlier count."""
+    layers = draw(st.integers(1, 3))
+    feature_mode = draw(st.booleans())
+    doc_dim = draw(st.integers(1, 4))
+    q_dim = 0 if feature_mode else draw(st.integers(1, 3))
+    net = NetConfig(
+        layers=layers,
+        input_dim=doc_dim + q_dim,
+        hidden_dims=tuple(draw(st.lists(st.integers(1, 7), min_size=layers, max_size=layers))),
+        dense_dims=tuple(draw(st.lists(st.integers(1, 5), min_size=0, max_size=2))),
+        window=draw(st.integers(1, 4)),
+        dropout=0.0,
+        output=draw(st.sampled_from(["linear", "sigmoid"])),
+        input_scale=draw(st.sampled_from([1.0, 2.5])),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    params = [init_glorot(net, [seed, i]) for i in range(2)]
+    query = rng.standard_normal(q_dim)
+    pool = rng.standard_normal((14, doc_dim))
+    counts = draw(st.lists(st.integers(1, 12), min_size=2, max_size=5))
+    calls = []
+    for n in counts + [max(counts) + 1, 1]:
+        rows = np.sort(rng.choice(len(pool), n, replace=False))
+        prefix = [np.concatenate([rng.standard_normal(doc_dim), query])
+                  for _ in range(draw(st.integers(0, net.window + 1)))]
+        calls.append((draw(st.integers(0, 1)), prefix, rows))
+    return params, query, pool, calls
+
+
+def _score_in_workspace(params, prefix, proj, rows, query, ws):
+    """Score the way ``policy.score_candidates`` does: gather the candidates'
+    columns of the gate-major projection into the workspace's gate block."""
+    gates = ws.gates(len(proj), len(rows))
+    np.take(proj, rows, axis=1, out=gates, mode="clip")
+    return forward_candidates(params, prefix, gates.T, query, workspace=ws)
+
+
+class TestScoringWorkspace:
+    @given(scoring_sequences())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_workspace_matches_fresh_buffers(self, case):
+        params, query, pool, calls = case
+        ws = valuenet.ScoringWorkspace()
+        for which, prefix, rows in calls:
+            p = params[which]
+            proj = project_docs(p, pool).T
+            shared = _score_in_workspace(p, prefix, proj, rows, query, ws)
+            fresh = forward_candidates(p, prefix, proj.T[rows], query)
+            assert shared.tobytes() == fresh.tobytes()
+            assert not any(np.shares_memory(shared, buf) for buf in ws._flat)
+            units = [np.concatenate([pool[r], query]) for r in rows]
+            singles = [forward(p, prefix + [u])[0] for u in units]
+            np.testing.assert_allclose(shared, singles, rtol=0, atol=1e-12)
+
+    @given(scoring_sequences())
+    @settings(max_examples=30, deadline=None)
+    def test_nothing_leaks_between_calls(self, case):
+        params, query, pool, calls = case
+        ws = valuenet.ScoringWorkspace()
+        for which, prefix, rows in calls:
+            p = params[which]
+            proj = project_docs(p, pool).T
+            for buf in ws._flat:
+                buf.fill(np.nan)
+            values = _score_in_workspace(p, prefix, proj, rows, query, ws)
+            assert np.isfinite(values).all()
+            assert values.tobytes() == forward_candidates(p, prefix, proj.T[rows], query).tobytes()
