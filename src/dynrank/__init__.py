@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from dynrank.embedspace import EmbeddedCorpus, concat_pair, cosine, embed_text, mean_vectors
+from dynrank.embedspace import EmbeddedCorpus, cosine, embed_text, mean_vectors
 from dynrank.metrics import (
     JudgmentSet,
     MetricSpec,
@@ -21,7 +21,6 @@ from dynrank.data import Dataset, gen_synthetic, load_letor, load_trec_dd, split
 
 __all__ = [
     "EmbeddedCorpus",
-    "concat_pair",
     "cosine",
     "embed_text",
     "mean_vectors",

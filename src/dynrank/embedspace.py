@@ -65,15 +65,6 @@ def _as_vector(v) -> np.ndarray:
     return arr
 
 
-def concat_pair(d, q) -> np.ndarray:
-    """Concatenate a document vector and a query vector into one input unit."""
-    d = _as_vector(d)
-    q = _as_vector(q)
-    if d.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {d.shape[0]} vs {q.shape[0]}")
-    return np.concatenate([d, q])
-
-
 def mean_vectors(vectors: Iterable, dim: int | None = None) -> np.ndarray:
     """Arithmetic mean of a collection of vectors.
 

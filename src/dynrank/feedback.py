@@ -10,7 +10,6 @@ Rocchio, naive query expansion) exist as ablation arms.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -204,15 +203,6 @@ def nqe_expand(
 
 # --- Reformulators: callables (state, record) -> new query vector -------
 
-class NoFeedback:
-    """Identity reformulation: the query never changes."""
-
-    name = "no-feedback"
-
-    def __call__(self, state, record: FeedbackRecord) -> np.ndarray:
-        return state.query
-
-
 class EmbedRocchioFeedback:
     """Embedding-space Rocchio reformulator over a fixed corpus."""
 
@@ -251,9 +241,6 @@ class ClassicRocchioFeedback:
         self.top_terms = top_terms
         self._terms: dict[str, dict[str, float]] = {}
 
-    def reset(self) -> None:
-        self._terms.clear()
-
     def __call__(self, state, record: FeedbackRecord) -> np.ndarray:
         topic = state.topic_id
         if record.iteration == 1 or topic not in self._terms:
@@ -287,9 +274,6 @@ class NQEFeedback:
         self.top_m = top_m
         self._current: dict[str, str] = {}
 
-    def reset(self) -> None:
-        self._current.clear()
-
     def __call__(self, state, record: FeedbackRecord) -> np.ndarray:
         topic = state.topic_id
         if record.iteration == 1:
@@ -299,48 +283,3 @@ class NQEFeedback:
         self._current[topic] = expanded
         return embed_text(expanded, self.dim, self.seed)
 
-
-# --- Replay serialization (JSON lines) ----------------------------------
-
-def records_to_jsonl(records: Sequence[FeedbackRecord]) -> str:
-    """One line per entry; returned documents without positive feedback get
-    a marker row with a null subtopic and score 0 so the block can be rebuilt."""
-    lines = []
-    for rec in records:
-        by_doc: dict[str, list[tuple[str, float]]] = {d: [] for d in rec.returned}
-        for doc, subtopic, score in rec.entries:
-            by_doc[doc].append((subtopic, score))
-        for doc in rec.returned:
-            if by_doc[doc]:
-                for subtopic, score in by_doc[doc]:
-                    lines.append(json.dumps(
-                        {"n": rec.iteration, "doc": doc, "subtopic": subtopic, "score": score},
-                        sort_keys=True,
-                    ))
-            else:
-                lines.append(json.dumps(
-                    {"n": rec.iteration, "doc": doc, "subtopic": None, "score": 0.0},
-                    sort_keys=True,
-                ))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def records_from_jsonl(text: str) -> list[FeedbackRecord]:
-    by_n: dict[int, tuple[list[str], list[tuple[str, str, float]]]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        n = int(row["n"])
-        returned, entries = by_n.setdefault(n, ([], []))
-        if row["doc"] not in returned:
-            returned.append(row["doc"])
-        if row["subtopic"] is not None:
-            entries.append((row["doc"], row["subtopic"], float(row["score"])))
-    return [
-        FeedbackRecord(n, tuple(returned), tuple(entries))
-        for n, (returned, entries) in sorted(by_n.items())
-    ]

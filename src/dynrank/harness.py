@@ -31,7 +31,7 @@ from dynrank.feedback import (
 )
 from dynrank.fileio import atomic_open
 from dynrank.metrics import MetricSpec, RankedList, report_value
-from dynrank.policy import EvalResult, PolicyConfig, evaluate_session, train_session
+from dynrank.policy import PolicyConfig, evaluate_session, iteration_values, train_session
 from dynrank.valuenet import NetConfig, init_glorot
 
 
@@ -329,11 +329,6 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     return report
 
 
-def _merge_values(into: dict, result: EvalResult) -> None:
-    for (name, it), vals in result.values.items():
-        into.setdefault((name, it), {}).update(zip(result.topics, vals))
-
-
 def _rows_from_values(values: dict) -> list:
     """Aggregate per-topic values in sorted-topic order so identical results
     reduce to identical floats regardless of fold evaluation order."""
@@ -379,11 +374,10 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
         result = evaluate_session(
             params, dataset, fb, config.policy, config.metric, topics=test_topics
         )
-        _merge_values(values, result)
+        for key, by_topic in result.values.items():
+            values.setdefault(key, {}).update(by_topic)
         ranked.update(result.ranked)
-        fold_values: dict = {}
-        _merge_values(fold_values, result)
-        fold_rows = _rows_from_values(fold_values)
+        fold_rows = _rows_from_values(result.values)
         by_fold.extend((i, it, name, mean, std) for it, name, mean, std in fold_rows)
         report.folds.append({
             "fold": i,
@@ -466,7 +460,8 @@ def metrics_run(config: RunConfig, run_path, dataset: Dataset | None = None) -> 
             blocks.setdefault(topic, {})[it] = doc_ids
     if not blocks:
         raise DataError(f"{run_path}: no run rows")
-    max_it = max(max(its) for its in blocks.values())
+    # iterations after a pool ran out have no run rows but are still reported
+    max_it = max(config.policy.iterations, *(max(its) for its in blocks.values()))
     values: dict = {}
     for topic in sorted(blocks):
         if not dataset.judgments.has_topic(topic):
@@ -478,13 +473,8 @@ def metrics_run(config: RunConfig, run_path, dataset: Dataset | None = None) -> 
             if it in its:
                 doc_ids.extend(its[it])
                 boundaries.append(len(doc_ids))
-            snapshot = RankedList(topic, list(doc_ids), list(boundaries))
-            for name in config.metric.report:
-                val = report_value(
-                    dataset.judgments, topic, snapshot, name, config.metric,
-                    k_per_iteration=config.policy.docs_per_iteration,
-                )
-                values.setdefault((name, it), {})[topic] = val
+            iteration_values(dataset.judgments, RankedList(topic, list(doc_ids), list(boundaries)),
+                             it, config.metric, config.policy.docs_per_iteration, values)
     report = RunReport(command="metrics", config=config_to_dict(config))
     report.tables["evaluation"] = _rows_from_values(values)
     return report

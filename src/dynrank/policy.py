@@ -5,7 +5,9 @@ A session ranks one topic: per search iteration, the policy picks
 ``docs_per_iteration`` documents one at a time (each pick conditions the
 value network on the list ranked so far), then the simulated user judges
 the block and the query is reformulated before the next iteration.
-Training performs one squared-loss gradient step per ranked document.
+Training and evaluation run the same session loop (``run_session``) and
+differ only in how a document is picked: training performs one
+squared-loss gradient step per ranked document, evaluation picks greedily.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -228,6 +230,54 @@ def step_reward(metric: MetricSpec, state: SessionState, judgments: JudgmentSet)
 FeedbackFn = Callable[[SessionState, FeedbackRecord], np.ndarray]
 
 
+def run_session(
+    dataset: Dataset,
+    topic: str,
+    feedback_fn: FeedbackFn | None,
+    config: PolicyConfig,
+    pick: Callable[[SessionState], SessionState],
+) -> Iterator[tuple[int, SessionState, list[int]]]:
+    """One search session: the episode training and evaluation share.
+
+    Each iteration asks ``pick`` (state -> state with one more document) for
+    up to ``docs_per_iteration`` documents, fewer once the pool runs out, and
+    yields ``(iteration, state, boundaries)``, the last being the session's
+    live list of block ends. Between iterations the simulator judges the
+    block and ``feedback_fn`` rewrites the query; no block or no reformulator
+    keeps it.
+    """
+    state = new_session(dataset, topic)
+    boundaries: list[int] = []
+    for it in range(1, config.iterations + 1):
+        start = len(state.ranked)
+        for _ in range(config.docs_per_iteration):
+            if not state.candidates:
+                break
+            state = pick(state)
+        block = [d for d, _ in state.ranked[start:]]
+        if block:
+            boundaries.append(len(state.ranked))
+        yield it, state, boundaries
+        if it < config.iterations:
+            query = state.query
+            if block and feedback_fn is not None:
+                query = feedback_fn(state, simulate_feedback(dataset.judgments, topic, block, state.n))
+            state = session_transition(state, query)
+    # drop the scoring cache now, not when the caller rebinds its last state,
+    # so two sessions' caches are never alive together
+    state._pool = None
+
+
+def _check_topics(dataset: Dataset, topics: Sequence[str] | None, purpose: str) -> list[str]:
+    topic_list = list(topics) if topics is not None else dataset.topic_ids()
+    if not topic_list:
+        raise ValueError(f"empty {purpose} topic set")
+    for t in topic_list:
+        if not dataset.judgments.has_topic(t):
+            raise ValueError(f"no judgments for {purpose} topic {t!r}")
+    return topic_list
+
+
 @dataclass
 class EpochStats:
     epoch: int
@@ -260,52 +310,43 @@ def train_session(
     loss or candidate scores are non-finite.
     """
     metric = metric or MetricSpec()
-    topic_list = list(topics) if topics is not None else dataset.topic_ids()
-    if not topic_list:
-        raise ValueError("empty training topic set")
-    for t in topic_list:
-        if not dataset.judgments.has_topic(t):
-            raise ValueError(f"no judgments for training topic {t!r}")
+    topic_list = _check_topics(dataset, topics, "training")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     lr = params.config.learning_rate
+    window = params.config.window
 
+    # a step's gradient lives until the next one exists: freed with its step,
+    # glibc trims the heap and the next step page-faults its arrays back in
+    grad = None
     log: list[EpochStats] = []
     prev_loss: float | None = None
     for epoch in range(1, config.epoch_cap + 1):
         eps = epsilon_schedule(epoch - 1, config.epsilon, config.epsilon_decay, config.decay_period)
         losses: list[float] = []
+
+        def pick(state: SessionState) -> SessionState:
+            nonlocal params, grad
+            scores = score_candidates(params, state)
+            try:
+                action = select_action(scores, eps, config.selection, rng)
+            except FloatingPointError as exc:
+                raise _diverged(epoch, exc) from None
+            state = step_transition(state, action)
+            target = step_reward(metric, state, dataset.judgments)
+            value, cache = valuenet.forward(params, forward_inputs(state, window), mode="train", rng=rng)
+            err = value - target
+            loss = err * err  # overflows to inf, where ** 2 raises OverflowError
+            if not math.isfinite(loss):  # also catches a non-finite value
+                raise _diverged(epoch, "non-finite value or loss")
+            grad = valuenet.backward(params, cache, target)
+            params = valuenet.apply_update(params, grad, lr)
+            losses.append(loss)
+            return state
+
         for topic in topic_list:
-            state = new_session(dataset, topic)
-            for it in range(1, config.iterations + 1):
-                block: list[str] = []
-                for _ in range(config.docs_per_iteration):
-                    if not state.candidates:
-                        break
-                    scores = score_candidates(params, state)
-                    try:
-                        action = select_action(scores, eps, config.selection, rng)
-                    except FloatingPointError as exc:
-                        raise _diverged(epoch, exc) from None
-                    state = step_transition(state, action)
-                    block.append(action)
-                    target = step_reward(metric, state, dataset.judgments)
-                    value, cache = valuenet.forward(
-                        params, forward_inputs(state, params.config.window), mode="train", rng=rng
-                    )
-                    err = value - target
-                    loss = err * err  # overflows to inf, where ** 2 raises OverflowError
-                    if not math.isfinite(loss):  # also catches a non-finite value
-                        raise _diverged(epoch, "non-finite value or loss")
-                    grad = valuenet.backward(params, cache, target)
-                    params = valuenet.apply_update(params, grad, lr)
-                    losses.append(loss)
-                if it < config.iterations:
-                    if block and feedback_fn is not None:
-                        record = simulate_feedback(dataset.judgments, topic, block, state.n)
-                        state = session_transition(state, feedback_fn(state, record))
-                    else:
-                        state = session_transition(state, state.query)
+            for _ in run_session(dataset, topic, feedback_fn, config, pick):
+                pass
         mean_loss = float(np.mean(losses)) if losses else 0.0
         log.append(EpochStats(epoch, mean_loss, eps))
         # plateau detection: epsilon-greedy losses are noisy, so a large
@@ -317,21 +358,29 @@ def train_session(
     return params, log
 
 
+def iteration_values(
+    judgments: JudgmentSet,
+    ranked: RankedList,
+    iteration: int,
+    spec: MetricSpec,
+    k_per_iteration: int,
+    into: dict[tuple[str, int], dict[str, float]],
+) -> None:
+    """Score one snapshot with every report metric into
+    ``into[(metric, iteration)][topic]``."""
+    for name in spec.report:
+        into.setdefault((name, iteration), {})[ranked.topic_id] = report_value(
+            judgments, ranked.topic_id, ranked, name, spec, k_per_iteration=k_per_iteration
+        )
+
+
 @dataclass
 class EvalResult:
     """Per-topic ranked lists and per-iteration metric values."""
 
     topics: list[str]
     ranked: dict[str, RankedList]
-    values: dict[tuple[str, int], list[float]]  # (metric, iteration) -> per-topic values
-
-    def rows(self) -> list[tuple[int, str, float, float]]:
-        """(iteration, metric_name, mean, stddev) rows, sorted."""
-        out = []
-        for (name, it), vals in self.values.items():
-            arr = np.asarray(vals, dtype=np.float64)
-            out.append((it, name, float(arr.mean()), float(arr.std())))
-        return sorted(out, key=lambda r: (r[0], r[1]))
+    values: dict[tuple[str, int], dict[str, float]]  # (metric, iteration) -> topic -> value
 
 
 def evaluate_session(
@@ -346,45 +395,20 @@ def evaluate_session(
 
     Iteration 1 is a pure one-shot ranking; feedback only applies between
     iterations. Cumulative report metrics are snapshotted after every
-    iteration and averaged over topics by the caller via ``rows``.
+    iteration, per topic; the caller aggregates them.
     """
     metric = metric or MetricSpec()
-    topic_list = list(topics) if topics is not None else dataset.topic_ids()
-    if not topic_list:
-        raise ValueError("empty evaluation topic set")
-    for t in topic_list:
-        if not dataset.judgments.has_topic(t):
-            raise ValueError(f"no judgments for evaluation topic {t!r}")
+    topic_list = _check_topics(dataset, topics, "evaluation")
     rng = np.random.default_rng(config.seed)  # unused at epsilon=0, kept for the API
 
+    def pick(state: SessionState) -> SessionState:
+        return step_transition(state, select_action(score_candidates(params, state), 0.0, "argmax", rng))
+
     ranked_lists: dict[str, RankedList] = {}
-    values: dict[tuple[str, int], list[float]] = {}
+    values: dict[tuple[str, int], dict[str, float]] = {}
     for topic in topic_list:
-        state = new_session(dataset, topic)
-        boundaries: list[int] = []
-        for it in range(1, config.iterations + 1):
-            block: list[str] = []
-            for _ in range(config.docs_per_iteration):
-                if not state.candidates:
-                    break
-                scores = score_candidates(params, state)
-                action = select_action(scores, 0.0, "argmax", rng)
-                state = step_transition(state, action)
-                block.append(action)
-            if block:
-                boundaries.append(len(state.ranked))
+        for it, state, boundaries in run_session(dataset, topic, feedback_fn, config, pick):
             snapshot = RankedList(topic, state.ranked_ids(), list(boundaries))
-            for name in metric.report:
-                val = report_value(
-                    dataset.judgments, topic, snapshot, name, metric,
-                    k_per_iteration=config.docs_per_iteration,
-                )
-                values.setdefault((name, it), []).append(val)
-            if it < config.iterations:
-                if block and feedback_fn is not None:
-                    record = simulate_feedback(dataset.judgments, topic, block, state.n)
-                    state = session_transition(state, feedback_fn(state, record))
-                else:
-                    state = session_transition(state, state.query)
-        ranked_lists[topic] = RankedList(topic, state.ranked_ids(), boundaries)
+            iteration_values(dataset.judgments, snapshot, it, metric, config.docs_per_iteration, values)
+        ranked_lists[topic] = snapshot
     return EvalResult(topics=topic_list, ranked=ranked_lists, values=values)

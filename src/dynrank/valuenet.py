@@ -197,9 +197,6 @@ class ValueNetParams:
     def n_params(self) -> int:
         return self.theta.size
 
-    def with_theta(self, theta: np.ndarray) -> "ValueNetParams":
-        return ValueNetParams(self.config, theta)
-
     def copy(self) -> "ValueNetParams":
         return ValueNetParams(self.config, self.theta.copy())
 

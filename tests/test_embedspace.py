@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dynrank.embedspace import (
     EmbeddedCorpus,
-    concat_pair,
     cosine,
     embed_text,
     embed_term_weights,
@@ -77,34 +76,6 @@ def test_tokenize_splits_on_non_alphanumerics():
 def test_token_bucket_in_range():
     for tok in ("a", "bb", "unicodeé"):
         assert 0 <= token_bucket(tok, 7, 5) < 7
-
-
-class TestConcatPair:
-    def test_definition(self):
-        np.testing.assert_array_equal(concat_pair([1, 0], [0, 1]), [1, 0, 0, 1])
-
-    def test_zero_vectors(self):
-        out = concat_pair(np.zeros(2), np.zeros(2))
-        assert out.shape == (4,)
-        assert not out.any()
-
-    def test_full_width_pair(self):
-        d = embed_text("doc", 512, 0)
-        q = embed_text("query", 512, 0)
-        assert concat_pair(d, q).shape == (1024,)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            concat_pair([1.0], [1.0, 2.0])
-
-    @given(st.lists(st.floats(-5, 5), min_size=1, max_size=8))
-    @settings(max_examples=30, deadline=None)
-    def test_entries_preserved(self, values):
-        d = np.asarray(values, float)
-        q = d[::-1].copy()
-        out = concat_pair(d, q)
-        np.testing.assert_array_equal(out[: len(values)], d)
-        np.testing.assert_array_equal(out[len(values):], q)
 
 
 class TestMeanVectors:

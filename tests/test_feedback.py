@@ -8,12 +8,9 @@ from dynrank.feedback import (
     ClassicRocchioFeedback,
     EmbedRocchioFeedback,
     FeedbackRecord,
-    NoFeedback,
     NQEFeedback,
     RocchioParams,
     nqe_expand,
-    records_from_jsonl,
-    records_to_jsonl,
     rocchio_classic,
     rocchio_embed,
     simulate_feedback,
@@ -210,14 +207,6 @@ class TestNqe:
 
 
 class TestReformulators:
-    def test_no_feedback_identity(self):
-        class S:
-            query = np.array([1.0, 2.0])
-            topic_id = "t"
-
-        rec = FeedbackRecord(1, ("d",), ())
-        np.testing.assert_array_equal(NoFeedback()(S(), rec), S.query)
-
     def test_embed_reformulator_matches_function(self):
         corpus = {"p": np.array([0.0, 1.0])}
 
@@ -256,26 +245,3 @@ class TestReformulators:
         out = fn(S(), rec)
         np.testing.assert_allclose(out, embed_text("polar shelf", 16, 0), atol=1e-12)
 
-
-class TestReplaySerialization:
-    def test_round_trip(self):
-        records = [
-            FeedbackRecord(1, ("a", "b"), (("a", "s1", 2.0), ("a", "s2", 1.0))),
-            FeedbackRecord(2, ("c",), ()),
-        ]
-        text = records_to_jsonl(records)
-        back = records_from_jsonl(text)
-        assert back == records
-
-    def test_row_shape(self):
-        text = records_to_jsonl([FeedbackRecord(1, ("a", "b"), (("a", "s1", 2.0),))])
-        lines = text.strip().splitlines()
-        import json
-
-        rows = [json.loads(l) for l in lines]
-        assert rows[0] == {"n": 1, "doc": "a", "score": 2.0, "subtopic": "s1"}
-        assert rows[1] == {"n": 1, "doc": "b", "score": 0.0, "subtopic": None}
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError, match="line 1"):
-            records_from_jsonl("{broken\n")

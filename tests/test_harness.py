@@ -252,6 +252,23 @@ class TestTrainEvaluate:
         offline = metrics_run(config, Path(config.out_dir) / "run.jsonl")
         assert offline.tables["evaluation"] == eval_report.tables["evaluation"]
 
+    def test_offline_metrics_keep_iterations_after_pool_runs_out(self, tmp_path):
+        # 3-document pools and 4 iterations of 2 picks: blocks 3 and 4 are
+        # empty, so the run file stops at iteration 2
+        base = tiny_config(tmp_path)
+        config = dataclasses.replace(
+            base,
+            dataset=dataclasses.replace(base.dataset, docs_per_topic=3),
+            policy=dataclasses.replace(base.policy, iterations=4),
+        )
+        train_run(config)
+        eval_report = evaluate_run(config)
+        runfile = Path(config.out_dir) / "run.jsonl"
+        assert max(json.loads(l)["iteration"] for l in runfile.read_text().splitlines()) == 2
+        offline = metrics_run(config, runfile)
+        assert {r[0] for r in eval_report.tables["evaluation"]} == {1, 2, 3, 4}
+        assert offline.tables["evaluation"] == eval_report.tables["evaluation"]
+
     def test_run_dispatch_writes_reports(self, tmp_path):
         config = tiny_config(tmp_path)
         report = run(config, "train")

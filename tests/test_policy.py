@@ -18,6 +18,7 @@ from dynrank.policy import (
     forward_inputs,
     new_session,
     pair_input,
+    run_session,
     score_candidates,
     select_action,
     session_transition,
@@ -467,13 +468,51 @@ class TestEvaluateSession:
         assert len(ranked.doc_ids) == 3  # pool exhausted
         assert ("alpha-ndcg", 4) in result.values
 
-    def test_rows_aggregate(self):
-        ds = tiny_dataset()
-        params = init_glorot(NET, 0)
-        result = evaluate_session(params, ds, None, quick_policy(), MetricSpec(report=("ndcg",)))
-        rows = result.rows()
-        assert [r[0] for r in rows] == [1, 2]
-        for _, name, mean, std in rows:
-            assert name == "ndcg"
-            assert 0.0 <= mean <= 1.0
-            assert std >= 0.0
+
+
+class _RecordingFeedback:
+    """Keeps every call's (state.n, record, ranked ids) and keeps the query."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, state, record):
+        self.calls.append((state.n, record, tuple(state.ranked_ids())))
+        return state.query
+
+
+# blocks of 2 picks from pools of 12 (2, 2, 2), 4 (2, 2, 0), 5 (2, 2, 1, 0)
+# and 3 documents (2, 1, 0, 0): feedback follows each non-empty block but
+# the last iteration's, and stops once the pool is exhausted
+@pytest.mark.parametrize("pool, iterations, expected_calls",
+                         [(12, 3, [1, 2]), (4, 3, [1, 2]), (5, 4, [1, 2, 3]), (3, 4, [1, 2])])
+def test_session_loop_feedback_contract(pool, iterations, expected_calls):
+    ds = gen_synthetic(1, pool, 1, 4, seed=0)
+    net = NetConfig(layers=1, input_dim=8, hidden_dims=(3,), dense_dims=(2,),
+                    window=2, dropout=0.0)
+    config = quick_policy(iterations=iterations, docs_per_iteration=2, epoch_cap=1)
+    train_fb, eval_fb = _RecordingFeedback(), _RecordingFeedback()
+    train_session(init_glorot(net, 0), ds, train_fb, config)
+    evaluate_session(init_glorot(net, 0), ds, eval_fb, config)
+    for calls in (train_fb.calls, eval_fb.calls):
+        assert [n for n, _, _ in calls] == expected_calls
+        ranked_before = 0
+        for n, record, ranked in calls:
+            assert record.iteration == n
+            assert len(record.returned) == min(2, pool - 2 * (n - 1))
+            assert record.returned == ranked[ranked_before:]  # the block just ranked
+            ranked_before = len(ranked)
+
+
+def test_session_end_drops_scoring_cache():
+    ds = tiny_dataset()
+    params = init_glorot(NET, 0)
+
+    def pick(state):
+        scores = score_candidates(params, state)
+        return step_transition(state, max(sorted(scores), key=scores.__getitem__))
+
+    states = [state for _, state, _ in run_session(ds, "t000", None, quick_policy(), pick)]
+    assert states[0]._pool is not None
+    assert states[-1]._pool is None  # the next session never holds two caches
+    assert len(score_candidates(params, states[-1])) == len(states[-1].candidates)  # rebuilt
