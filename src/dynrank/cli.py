@@ -1,8 +1,10 @@
 """Command line entry point.
 
-    dynrank <command> --config <path> [overrides]
+    dynrank <command> [--config <path>] [overrides]
 
-Commands: train, evaluate, ablate, sweep-layers, metrics.
+Commands: train, evaluate, ablate, sweep-layers, metrics. Without --config,
+``ablate`` runs ``harness.trend_config``, ``sweep-layers`` runs
+``harness.sweep_config`` and the others ``harness.default_config``.
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime failure.
 """
 
@@ -24,10 +26,7 @@ def _apply_overrides(config: RunConfig, opts: dict) -> RunConfig:
     rocchio = config.rocchio
     metric = config.metric
     if opts["layers"] is not None:
-        hidden = net.hidden_dims
-        if hidden is not None:
-            hidden = (hidden[0],) * opts["layers"]
-        net = dataclasses.replace(net, layers=opts["layers"], hidden_dims=hidden)
+        net = harness.with_layers(net, opts["layers"])
     if opts["window"] is not None:
         net = dataclasses.replace(net, window=opts["window"])
     if opts["epsilon0"] is not None:
@@ -36,13 +35,8 @@ def _apply_overrides(config: RunConfig, opts: dict) -> RunConfig:
         policy = dataclasses.replace(policy, docs_per_iteration=opts["docs_per_iter"])
     if opts["iterations"] is not None:
         policy = dataclasses.replace(policy, iterations=opts["iterations"])
-    if opts["gamma"] is not None or opts["b"] is not None or opts["c"] is not None:
-        rocchio = dataclasses.replace(
-            rocchio,
-            gamma=opts["gamma"] if opts["gamma"] is not None else rocchio.gamma,
-            b=opts["b"] if opts["b"] is not None else rocchio.b,
-            c=opts["c"] if opts["c"] is not None else rocchio.c,
-        )
+    rocchio = dataclasses.replace(
+        rocchio, **{k: opts[k] for k in ("gamma", "b", "c") if opts[k] is not None})
     if opts["alpha"] is not None:
         metric = dataclasses.replace(metric, alpha=opts["alpha"])
     if opts["metric"] is not None:
@@ -58,10 +52,14 @@ def _apply_overrides(config: RunConfig, opts: dict) -> RunConfig:
     return dataclasses.replace(config, **replacements)
 
 
+# the built-in profile each command runs without --config
+_PROFILES = {"ablate": harness.trend_config, "sweep-layers": harness.sweep_config}
+
+
 def _common_options(fn):
     opts = [
         click.option("--config", "config_path", type=click.Path(), default=None,
-                     help="JSON run config; defaults to the built-in synthetic profile."),
+                     help="JSON run config; defaults to the command's built-in profile."),
         click.option("--seed", type=int, default=None),
         click.option("--folds", type=int, default=None),
         click.option("--layers", type=int, default=None),
@@ -83,7 +81,10 @@ def _common_options(fn):
 
 def _run(command: str, config_path, run_path=None, **opts):
     try:
-        config = harness.load_config(config_path) if config_path else harness.default_config()
+        if config_path:
+            config = harness.load_config(config_path)
+        else:
+            config = _PROFILES.get(command, harness.default_config)()
         config = _apply_overrides(config, opts)
         report = harness.run(config, command, run_path=run_path)
     except ConfigError as exc:
@@ -101,6 +102,8 @@ def _run(command: str, config_path, run_path=None, **opts):
             click.echo(f"[{name}]")
             for row in rows:
                 click.echo("  " + ", ".join(str(c) for c in row))
+    for note in report.notes:
+        click.echo(f"note: {note}")
     return report
 
 

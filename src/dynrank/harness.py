@@ -241,34 +241,29 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
             fh.write(",".join(_fmt(c) for c in row) + "\n")
 
 
-def emit_report(report: RunReport, out_dir, formats: Sequence[str] = ("csv", "json")) -> list[Path]:
+# report tables written as CSV: table name -> (file name, header)
+_CSV_TABLES = {
+    "evaluation": ("evaluation.csv", ("iteration", "metric_name", "mean", "stddev")),
+    "evaluation_by_fold": ("evaluation_by_fold.csv", ("fold", "iteration", "metric_name", "mean", "stddev")),
+    "ablation": ("ablation_summary.csv", ("variant", "iteration", "metric_name", "mean", "stddev")),
+    "sweep": ("sweep_layers.csv", ("layers", "metric_name", "value")),
+}
+
+
+def emit_report(report: RunReport, out_dir) -> list[Path]:
     """Write the report deterministically; returns the files written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = out / "report.json"
-        with atomic_open(path) as fh:
-            json.dump(report_to_dict(report), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        written.append(path)
-    if "csv" in formats:
-        for name, rows in sorted(report.tables.items()):
-            if name == "evaluation":
-                path = out / "evaluation.csv"
-                _write_csv(path, ("iteration", "metric_name", "mean", "stddev"), rows)
-            elif name == "evaluation_by_fold":
-                path = out / "evaluation_by_fold.csv"
-                _write_csv(path, ("fold", "iteration", "metric_name", "mean", "stddev"), rows)
-            elif name == "ablation":
-                path = out / "ablation_summary.csv"
-                _write_csv(path, ("variant", "iteration", "metric_name", "mean", "stddev"), rows)
-            elif name == "sweep":
-                path = out / "sweep_layers.csv"
-                _write_csv(path, ("layers", "metric_name", "value"), rows)
-            else:
-                continue
-            written.append(path)
+    path = out / "report.json"
+    with atomic_open(path) as fh:
+        json.dump(report_to_dict(report), fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    written = [path]
+    for name, rows in sorted(report.tables.items()):
+        if name in _CSV_TABLES:
+            filename, header = _CSV_TABLES[name]
+            _write_csv(out / filename, header, rows)
+            written.append(out / filename)
     if report.wall_time is not None:
         with atomic_open(out / "timing.json") as fh:
             json.dump({"wall_time_seconds": report.wall_time}, fh)
@@ -297,11 +292,10 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     out = Path(config.out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     report = RunReport(command="train", config=config_to_dict(config))
+    fb, report.notes = make_feedback(config, dataset)
     folds = split_folds(dataset, config.folds, config.seed)
     for i, (train_topics, test_topics) in enumerate(folds):
         params = init_glorot(config.net, _fold_rng(config.seed, i, 1))
-        fb, notes = make_feedback(config, dataset)
-        report.notes.extend(n for n in notes if n not in report.notes)
         try:
             trained, log = train_session(
                 params, dataset, fb, config.policy, config.metric,
@@ -355,6 +349,7 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
     _check_dims(config, dataset)
     out = Path(config.out_dir)
     report = RunReport(command="evaluate", config=config_to_dict(config))
+    fb, report.notes = make_feedback(config, dataset)
     folds = split_folds(dataset, config.folds, config.seed)
     values: dict = {}
     ranked: dict[str, RankedList] = {}
@@ -369,8 +364,6 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
             diff = ", ".join(f"{k} {trained[k]!r} (run config: {wanted[k]!r})"
                              for k in trained if trained[k] != wanted[k])
             raise ConfigError(f"checkpoint {path} does not match the run's net config: {diff}")
-        fb, notes = make_feedback(config, dataset)
-        report.notes.extend(n for n in notes if n not in report.notes)
         result = evaluate_session(
             params, dataset, fb, config.policy, config.metric, topics=test_topics
         )
@@ -391,54 +384,56 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
     return report
 
 
-def ablate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
-    """Train and evaluate all feedback variants, everything else fixed."""
+def with_layers(net: NetConfig, layers: int) -> NetConfig:
+    """``net`` at another stack depth, every layer as wide as the first."""
+    hidden = net.hidden_dims
+    if hidden is not None:
+        hidden = (hidden[0],) * layers
+    return dataclasses.replace(net, layers=layers, hidden_dims=hidden)
+
+
+def _run_arms(command: str, config: RunConfig, arms, dataset: Dataset | None) -> RunReport:
+    """Train, evaluate and emit each ``(label, sub-config)`` arm on one
+    dataset; the report holds each arm's table as ``evaluation:<label>``
+    and the notes of every arm."""
     if dataset is None:
         dataset = load_dataset(config.dataset, config.seed)
-    report = RunReport(command="ablate", config=config_to_dict(config))
-    summary = []
-    for variant in ABLATION_VARIANTS:
-        sub = dataclasses.replace(
-            config,
-            feedback=variant,
-            out_dir=str(Path(config.out_dir) / "ablate" / variant),
-        )
+    report = RunReport(command=command, config=config_to_dict(config))
+    for label, sub in arms:
         train_rep = train_run(sub, dataset)
         eval_rep = evaluate_run(sub, dataset)
-        report.notes.extend(n for n in train_rep.notes + eval_rep.notes if n not in report.notes)
-        rows = eval_rep.tables["evaluation"]
-        report.tables[f"evaluation:{variant}"] = rows
         emit_report(eval_rep, sub.out_dir)
-        summary.extend((variant, it, name, mean, std) for it, name, mean, std in rows)
-    report.tables["ablation"] = summary
+        report.notes.extend(n for n in train_rep.notes + eval_rep.notes if n not in report.notes)
+        report.tables[f"evaluation:{label}"] = eval_rep.tables["evaluation"]
+    return report
+
+
+def ablate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
+    """Train and evaluate all feedback variants, everything else fixed."""
+    out = Path(config.out_dir) / "ablate"
+    report = _run_arms("ablate", config, [
+        (v, dataclasses.replace(config, feedback=v, out_dir=str(out / v))) for v in ABLATION_VARIANTS
+    ], dataset)
+    report.tables["ablation"] = [
+        (v, *row) for v in ABLATION_VARIANTS for row in report.tables[f"evaluation:{v}"]
+    ]
     return report
 
 
 def sweep_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     """Repeat training for each stack depth and report the final metric."""
-    if dataset is None:
-        dataset = load_dataset(config.dataset, config.seed)
-    report = RunReport(command="sweep-layers", config=config_to_dict(config))
+    out = Path(config.out_dir) / "sweep"
+    report = _run_arms("sweep-layers", config, [
+        (f"J{n}", dataclasses.replace(config, net=with_layers(config.net, n), out_dir=str(out / f"J{n}")))
+        for n in SWEEP_LAYERS
+    ], dataset)
     primary = config.metric.report[0]
     rows = []
-    for layers in SWEEP_LAYERS:
-        hidden = config.net.hidden_dims
-        if hidden is not None:
-            hidden = (hidden[0],) * layers
-        net = dataclasses.replace(config.net, layers=layers, hidden_dims=hidden)
-        sub = dataclasses.replace(
-            config, net=net, out_dir=str(Path(config.out_dir) / "sweep" / f"J{layers}")
-        )
-        train_run(sub, dataset)
-        eval_rep = evaluate_run(sub, dataset)
-        emit_report(eval_rep, sub.out_dir)
-        final_it = max(it for it, _, _, _ in eval_rep.tables["evaluation"])
-        value = next(
-            mean for it, name, mean, _ in eval_rep.tables["evaluation"]
-            if it == final_it and name == primary
-        )
-        rows.append((layers, primary, value))
-        report.tables[f"evaluation:J{layers}"] = eval_rep.tables["evaluation"]
+    for n in SWEEP_LAYERS:
+        table = report.tables[f"evaluation:J{n}"]
+        final_it = max(it for it, _, _, _ in table)
+        value = next(mean for it, name, mean, _ in table if it == final_it and name == primary)
+        rows.append((n, primary, value))
     report.tables["sweep"] = rows
     return report
 

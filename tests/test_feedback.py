@@ -218,18 +218,21 @@ class TestReformulators:
         fn = EmbedRocchioFeedback(corpus, RocchioParams())
         np.testing.assert_allclose(fn(S(), rec), [0.55, 0.675], atol=1e-12)
 
-    def test_classic_resets_per_session(self):
-        texts = {"p": "shelf shelf"}
+    @pytest.mark.parametrize("make", [
+        lambda texts: ClassicRocchioFeedback(texts, {"t": "polar"}, RocchioParams(), dim=8, seed=0),
+        lambda texts: NQEFeedback(texts, {"t": "polar"}, dim=8, seed=0),
+    ], ids=["classic-rocchio", "nqe"])
+    def test_resets_per_session(self, make):
+        # one reformulator serves every fold and session of a run
+        fn = make({"p": "shelf shelf", "q": "melt"})
 
         class S:
             query = np.zeros(8)
             topic_id = "t"
 
-        fn = ClassicRocchioFeedback(texts, {"t": "polar"}, RocchioParams(), dim=8, seed=0)
         rec1 = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
         first = fn(S(), rec1)
-        rec2 = FeedbackRecord(2, ("p",), (("p", "s", 1.0),))
-        fn(S(), rec2)
+        fn(S(), FeedbackRecord(2, ("q",), (("q", "s", 1.0),)))
         again = fn(S(), rec1)  # new session restarts at the original query
         np.testing.assert_allclose(first, again, atol=1e-12)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dynrank import fileio, valuenet
+from dynrank import fileio, harness, valuenet
 from dynrank.cli import main
 from dynrank.data import DataError, gen_synthetic
 from dynrank.harness import (
@@ -21,6 +21,7 @@ from dynrank.harness import (
     baseline_ranking,
     config_from_dict,
     config_to_dict,
+    default_config,
     emit_report,
     evaluate_baseline,
     evaluate_run,
@@ -31,7 +32,9 @@ from dynrank.harness import (
     report_from_dict,
     report_to_dict,
     run,
+    sweep_config,
     train_run,
+    trend_config,
 )
 from dynrank.metrics import MetricSpec
 from dynrank.policy import PolicyConfig
@@ -368,6 +371,14 @@ class TestSweep:
         assert all(r[1] == "ndcg@5" for r in rows)
         assert (tmp_path / "sweep_layers.csv").exists()
 
+    def test_report_keeps_arm_notes(self, tmp_path):
+        config = tiny_config(tmp_path, feedback="classic-rocchio")
+        report = run(config, "sweep-layers")
+        arm = json.loads((tmp_path / "sweep" / "J1" / "report.json").read_text())
+        assert arm["notes"] and "vector-only" in arm["notes"][0]
+        assert report.notes == arm["notes"]
+        assert json.loads((tmp_path / "report.json").read_text())["notes"] == arm["notes"]
+
 
 class TestBaselines:
     def test_random_deterministic(self):
@@ -431,6 +442,21 @@ class TestCli:
         echo = json.loads((out2 / "report.json").read_text())["config"]
         assert echo["seed"] == 3
         assert echo["out_dir"] == str(out2)
+
+    @pytest.mark.parametrize("command, profile", [
+        ("ablate", trend_config), ("sweep-layers", sweep_config), ("train", default_config),
+    ])
+    def test_default_profile_per_command(self, tmp_path, monkeypatch, command, profile):
+        seen = []
+
+        def fake_run(config, command, run_path=None):
+            seen.append(config)
+            return RunReport(command=command, config={})
+
+        monkeypatch.setattr(harness, "run", fake_run)
+        res = CliRunner().invoke(main, [command, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert seen == [profile(out_dir=str(tmp_path))]
 
     def test_metric_override_sets_target(self, tmp_path):
         config = tiny_config(tmp_path / "out")
