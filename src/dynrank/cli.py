@@ -40,11 +40,13 @@ def _apply_overrides(config: RunConfig, opts: dict) -> RunConfig:
     if opts["alpha"] is not None:
         metric = dataclasses.replace(metric, alpha=opts["alpha"])
     if opts["metric"] is not None:
-        target = {"alpha-ndcg": "alpha-dcg", "ndcg": "dcg", "nsdcg": "dcg"}[opts["metric"]]
+        # normalized targets: every profile's head is a sigmoid
+        target = {"alpha-ndcg": "alpha-ndcg", "ndcg": "ndcg", "nsdcg": "ndcg"}[opts["metric"]]
         metric = dataclasses.replace(metric, report=(opts["metric"],), target=target)
     replacements = {"net": net, "policy": policy, "rocchio": rocchio, "metric": metric}
-    if opts["seed"] is not None:
+    if opts["seed"] is not None:  # both seeds, as the profiles set them
         replacements["seed"] = opts["seed"]
+        replacements["policy"] = dataclasses.replace(policy, seed=opts["seed"])
     if opts["folds"] is not None:
         replacements["folds"] = opts["folds"]
     if opts["out"] is not None:

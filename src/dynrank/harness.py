@@ -87,6 +87,9 @@ class RunConfig:
             raise ConfigError(f"unknown feedback variant {self.feedback!r}")
         if self.folds < 1:
             raise ConfigError(f"folds must be >= 1, got {self.folds}")
+        if self.net.output == "sigmoid" and self.metric.target in ("dcg", "alpha-dcg"):
+            raise ConfigError(f"a sigmoid head cannot fit the unnormalized {self.metric.target!r} "
+                              "target; use a normalized target or net.output 'linear'")
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -297,20 +300,21 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     for i, (train_topics, test_topics) in enumerate(folds):
         params = init_glorot(config.net, _fold_rng(config.seed, i, 1))
         try:
-            trained, log = train_session(
+            log = train_session(
                 params, dataset, fb, config.policy, config.metric,
                 topics=train_topics, rng=_fold_rng(config.seed, i, 2),
-            )
+            )[1]
         except FloatingPointError as exc:
             raise RuntimeError(f"fold {i}: {exc}; no checkpoint written") from None
         # every step's loss was finite, but an epoch mean may overflow and
         # the last update may leave non-finite weights
         bad = [s.epoch for s in log if not np.isfinite(s.mean_loss)]
-        if bad or not np.isfinite(trained.theta).all():
+        if bad or not np.isfinite(params.theta).all():
             epoch = bad[0] if bad else log[-1].epoch
             raise RuntimeError(f"fold {i}: training diverged at epoch {epoch} (non-finite "
                                "loss or weights); no checkpoint written")
-        valuenet.save(trained, _ckpt_path(out, i))
+        valuenet.save(params, _ckpt_path(out, i))
+        params = None  # one fold's weights at a time: drop them before the next fold's exist
         _write_train_log(out, i, log)
         report.folds.append({
             "fold": i,
@@ -358,6 +362,7 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
         path = _ckpt_path(out, i)
         if not path.exists():
             raise DataError(f"missing checkpoint {path}; run 'train' first")
+        params = None  # drop the previous fold's weights before loading this fold's
         params = valuenet.load(path)
         if params.config != config.net:
             trained, wanted = valuenet.config_to_dict(params.config), valuenet.config_to_dict(config.net)

@@ -120,29 +120,42 @@ def forward_inputs(state: SessionState, window: int | None = None) -> list[np.nd
 
 
 class _PoolCache:
-    """The session's pool in sorted-id order, its first-layer document
-    projection for the params object it was computed with, gate-major
-    (4H, pool), and the scoring workspace the session's picks reuse. Params
-    are never mutated after construction, so the object identifies the
-    weights."""
+    """The session's pool in sorted-id order, stored as the columns of one
+    (dim, pool) matrix, and the scoring workspace the session's picks reuse.
 
-    __slots__ = ("ids", "row_of", "matrix", "params", "proj", "workspace")
+    Each pick's first-layer document projections go into the workspace's
+    gate block, gate-major (4H, N). While the weights change between picks,
+    as in training, only the live candidates' columns are gathered and
+    projected. Once one version of the weights scores a second time, as in
+    evaluation, the whole pool's projection is built for that version and
+    each pick gathers from it."""
+
+    __slots__ = ("ids", "row_of", "docs", "version", "proj", "workspace")
 
     def __init__(self, vectors: Mapping[str, np.ndarray]):
         self.ids = sorted(vectors)
         self.row_of = {d: i for i, d in enumerate(self.ids)}
-        # one document per row, stored transposed so the projection is one
-        # copy-free matmul
-        self.matrix = np.stack([vectors[d] for d in self.ids], axis=1).T
-        self.params = None
-        self.proj = None
+        self.docs = np.stack([vectors[d] for d in self.ids], axis=1)
+        self.version = None  # params version of the previous pick
+        self.proj = None  # the pool projection at that version, once built
         self.workspace = valuenet.ScoringWorkspace()
 
-    def projection(self, params: ValueNetParams) -> np.ndarray:
-        if self.params is not params:
-            self.proj = valuenet.project_docs(params, self.matrix).T
-            self.params = params
-        return self.proj
+    def gate_block(self, params: ValueNetParams, idx: np.ndarray) -> np.ndarray:
+        """The candidates ``idx``'s document projections in the gate block."""
+        ws = self.workspace
+        gates = ws.gates(4 * params.lstm[0].H, len(idx))
+        # "clip": "raise" would buffer the output
+        if params.version != self.version:
+            self.version, self.proj = params.version, None
+            docs = ws.docs(len(self.docs), len(idx))
+            np.take(self.docs, idx, axis=1, out=docs, mode="clip")
+            valuenet.project_docs(params, docs.T, out=gates.T)
+        else:
+            if self.proj is None:
+                # the transpose of the C-contiguous matrix keeps the matmul copy-free
+                self.proj = valuenet.project_docs(params, self.docs.T).T
+            np.take(self.proj, idx, axis=1, out=gates, mode="clip")
+        return gates
 
 
 def score_candidates(params: ValueNetParams, state: SessionState) -> dict[str, float]:
@@ -161,9 +174,7 @@ def score_candidates(params: ValueNetParams, state: SessionState) -> dict[str, f
     idx.sort()
     window = params.config.window
     prefix = forward_inputs(state, window - 1) if window > 1 else []
-    proj = pool.projection(params)
-    gates = pool.workspace.gates(len(proj), len(idx))
-    np.take(proj, idx, axis=1, out=gates, mode="clip")  # "raise" would buffer the output
+    gates = pool.gate_block(params, idx)
     values = valuenet.forward_candidates(params, prefix, gates.T, state.query,
                                          workspace=pool.workspace)
     ids = pool.ids
@@ -298,7 +309,8 @@ def train_session(
     topics: Sequence[str] | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[ValueNetParams, list[EpochStats]]:
-    """Stepwise training over full search sessions.
+    """Stepwise training over full search sessions; updates ``params`` in
+    place and returns it with the epoch log.
 
     Every ranked document triggers one gradient step towards the true
     metric of the list so far; after each block the simulator's feedback
@@ -315,10 +327,7 @@ def train_session(
         rng = np.random.default_rng(config.seed)
     lr = params.config.learning_rate
     window = params.config.window
-
-    # a step's gradient lives until the next one exists: freed with its step,
-    # glibc trims the heap and the next step page-faults its arrays back in
-    grad = None
+    grad = np.empty_like(params.theta)  # every step's gradient, overwritten by backward
     log: list[EpochStats] = []
     prev_loss: float | None = None
     for epoch in range(1, config.epoch_cap + 1):
@@ -326,7 +335,6 @@ def train_session(
         losses: list[float] = []
 
         def pick(state: SessionState) -> SessionState:
-            nonlocal params, grad
             scores = score_candidates(params, state)
             try:
                 action = select_action(scores, eps, config.selection, rng)
@@ -339,8 +347,8 @@ def train_session(
             loss = err * err  # overflows to inf, where ** 2 raises OverflowError
             if not math.isfinite(loss):  # also catches a non-finite value
                 raise _diverged(epoch, "non-finite value or loss")
-            grad = valuenet.backward(params, cache, target)
-            params = valuenet.apply_update(params, grad, lr)
+            valuenet.backward(params, cache, target, out=grad)
+            valuenet.apply_update(params, grad, lr)
             losses.append(loss)
             return state
 

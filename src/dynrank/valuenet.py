@@ -18,6 +18,8 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import io
+import itertools
 import json
 import math
 import struct
@@ -141,6 +143,7 @@ class _Layout(NamedTuple):
     dense: tuple  # per dense layer, output layer last: (W, b) blocks
     size: int
     frozen: tuple  # (start, stop) of each layer's h0 ‖ c0 span
+    trainable: tuple  # (start, stop) of the spans between the frozen ones
 
 
 @functools.lru_cache
@@ -163,7 +166,9 @@ def _layout(config: NetConfig) -> _Layout:
     for width in config.resolved_dense() + (1,):
         dense.append((block(width, in_dim), block(width)))
         in_dim = width
-    return _Layout(tuple(lstm), tuple(dense), pos, tuple(frozen))
+    edges = [0, *(e for span in frozen for e in span), pos]
+    trainable = tuple(zip(edges[::2], edges[1::2]))
+    return _Layout(tuple(lstm), tuple(dense), pos, tuple(frozen), trainable)
 
 
 def param_count(config: NetConfig) -> int:
@@ -171,12 +176,19 @@ def param_count(config: NetConfig) -> int:
     return _layout(config).size
 
 
+# one counter for all params objects: a version alone then names the weights,
+# so a cache keyed on it needs no reference to the params object
+_versions = itertools.count()
+
+
 class ValueNetParams:
     """All parameters as one flat float64 vector plus structured views.
 
-    Never mutated after construction (``apply_update`` returns a new
-    object), so the object identifies its weights: :func:`forward_candidates`
-    memoises its prefix unroll on it for the train forward to extend.
+    ``apply_update`` changes ``theta`` in place and gives the object a new
+    ``version``. Versions are unique in the process, so a version names one
+    state of one set of weights: caches of quantities derived from the
+    weights (the prefix unroll :func:`forward_candidates` memoises for the
+    train forward, a session's pool projection) key on it.
     """
 
     def __init__(self, config: NetConfig, theta: np.ndarray):
@@ -191,7 +203,8 @@ class ValueNetParams:
             four_h, in_dim = blocks[0].shape  # W
             self.lstm.append(_LstmLayer(*(blk.view(theta) for blk in blocks), four_h // 4, in_dim))
         self.dense = [_DenseLayer(W.view(theta), b.view(theta)) for W, b in layout.dense]
-        self._prefix = None  # (scaled prefix inputs, their unroll), set by forward_candidates
+        self.version = next(_versions)
+        self._prefix = None  # (version, scaled prefix inputs, their unroll), set by forward_candidates
 
     @property
     def n_params(self) -> int:
@@ -251,6 +264,7 @@ class ForwardCache:
     """Intermediates of one train-mode forward pass, consumed by backward."""
 
     params: ValueNetParams
+    version: int  # params.version the forward ran at
     mode: str
     inputs: np.ndarray  # scaled inputs, one row per step
     layers: list  # one _Run per LSTM layer
@@ -344,8 +358,8 @@ def forward(params: ValueNetParams, inputs: Sequence, mode: str = "eval", rng=No
 
     The stack is unrolled over all inputs but the last, then stepped once.
     When :func:`forward_candidates` last scored exactly those inputs with
-    these params, its memoised unroll is reused; either way the bits are
-    the same.
+    these params at their current version, its memoised unroll is reused;
+    either way the bits are the same.
 
     Returns (value, cache); the cache feeds :func:`backward`.
     """
@@ -361,8 +375,9 @@ def forward(params: ValueNetParams, inputs: Sequence, mode: str = "eval", rng=No
         rng = np.random.default_rng(rng)
 
     head, memo = X[:-1], params._prefix
-    if memo is not None and memo[0].shape == head.shape and memo[0].tobytes() == head.tobytes():
-        runs = memo[1]
+    if (memo is not None and memo[0] == params.version and memo[1].shape == head.shape
+            and memo[1].tobytes() == head.tobytes()):
+        runs = memo[2]
     else:
         runs = _unroll(params, head)
     runs = _unroll(params, X[-1:], runs)
@@ -384,27 +399,31 @@ def forward(params: ValueNetParams, inputs: Sequence, mode: str = "eval", rng=No
     v = out.W @ z + out.b
     v_pre = float(v[0])
     value = float(_sigmoid_(v)[0]) if cfg.output == "sigmoid" else v_pre
-    cache = ForwardCache(params, mode, X, runs, dense_cache, z, v_pre, value)
+    cache = ForwardCache(params, params.version, mode, X, runs, dense_cache, z, v_pre, value)
     return value, cache
 
 
-def backward(params: ValueNetParams, cache: ForwardCache, target: float) -> np.ndarray:
+def backward(params: ValueNetParams, cache: ForwardCache, target: float,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of (value - target)**2 w.r.t. every parameter.
 
     Backpropagates through the dense head and through time across all
     unrolled steps and layers; returns a flat vector aligned with
-    ``params.theta`` (initial-state coordinates included). Per layer only
-    the (dh, dc) carry runs step by step: the gate factors are computed
-    for all steps at once before the time loop and the weight gradients
-    are one matmul each after it.
+    ``params.theta`` (initial-state coordinates included), written into
+    ``out`` when given (every element is overwritten). Per layer only the
+    (dh, dc) carry runs step by step: the gate factors are computed for all
+    steps at once before the time loop and the weight gradients are one
+    matmul each after it.
     """
-    if cache.params is not params:
+    if cache.params is not params or cache.version != params.version:
         raise ValueError("cache does not belong to these parameters")
     if cache.mode != "train":
         raise ValueError("backward requires a cache from a train-mode forward")
     cfg = params.config
     layout = _layout(cfg)
-    grad = np.empty_like(params.theta)  # every block is written below
+    grad = np.empty_like(params.theta) if out is None else out  # every block is written below
+    if grad.shape != params.theta.shape or grad.dtype != np.float64 or not grad.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous float64 array of shape {params.theta.shape}")
 
     dvalue = 2.0 * (cache.value - float(target))
     if cfg.output == "sigmoid":
@@ -470,22 +489,26 @@ def backward(params: ValueNetParams, cache: ForwardCache, target: float) -> np.n
 
 
 def apply_update(params: ValueNetParams, grad: np.ndarray, learning_rate: float) -> ValueNetParams:
-    """Plain SGD step over the trainable parameters.
+    """Plain SGD step over the trainable parameters, in place.
 
-    Initial hidden/cell states are frozen after initialization and are
-    left untouched. Returns a new parameter object.
+    Adds ``-learning_rate * grad`` into ``params.theta`` span by span; the
+    frozen initial hidden/cell states are never written. ``grad`` is used
+    as scratch: its trainable spans hold ``-learning_rate * grad``
+    afterwards. Gives ``params`` a new version and returns it.
     """
     grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != params.theta.shape:
-        raise ValueError(f"gradient shape {grad.shape} does not match {params.theta.shape}")
-    theta = np.multiply(grad, -learning_rate)
-    theta += params.theta  # == params.theta - learning_rate * grad, bit for bit
-    for start, stop in _layout(params.config).frozen:
-        theta[start:stop] = params.theta[start:stop]
-    return ValueNetParams(params.config, theta)
+    theta = params.theta
+    if grad.shape != theta.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match {theta.shape}")
+    for start, stop in _layout(params.config).trainable:
+        step = grad[start:stop]
+        step *= -learning_rate
+        theta[start:stop] += step  # == theta - learning_rate * grad, bit for bit
+    params.version = next(_versions)
+    return params
 
 
-def project_docs(params: ValueNetParams, docs) -> np.ndarray:
+def project_docs(params: ValueNetParams, docs, out: np.ndarray | None = None) -> np.ndarray:
     """Document half of the first layer's gate pre-activation, one row per
     document: ``(s * D) @ W_d.T``, where ``W_d`` holds the first ``docs``-width
     columns of the first layer's input matrix and ``s`` is ``input_scale``.
@@ -493,21 +516,31 @@ def project_docs(params: ValueNetParams, docs) -> np.ndarray:
     Computed gate-major, as ``W_d @ (s * D).T``: the rows returned are the
     transpose of a C-contiguous (4H, N) array, the layout
     :func:`forward_candidates` works in. ``docs`` given as the transpose of a
-    C-contiguous (dim, N) array keeps the matmul free of copies. A pure
-    function of the weights, so callers scoring many candidates against one
-    set of weights may compute it once and gather from it.
+    C-contiguous (dim, N) array keeps the matmul free of copies.
+
+    With ``out``, the transpose of a C-contiguous (4H, N) block such as a
+    :class:`ScoringWorkspace` gate block, the rows are written there and
+    ``docs`` is the caller's scratch: it is scaled by ``s`` in place, so
+    nothing document-sized is allocated. Returns ``out``.
     """
     D = np.atleast_2d(np.asarray(docs, dtype=np.float64))
     width = D.shape[1]
     if width > params.config.input_dim:
         raise ValueError(f"document rows have dim {width}, input_dim is {params.config.input_dim}")
-    return (params.lstm[0].W[:, :width] @ (D.T * params.config.input_scale)).T
+    W_d = params.lstm[0].W[:, :width]
+    if out is None:
+        return (W_d @ (D.T * params.config.input_scale)).T
+    scaled = D.T
+    scaled *= params.config.input_scale
+    np.matmul(W_d, scaled, out=out.T)
+    return out
 
 
 class ScoringWorkspace:
     """Grow-only scratch buffers for :func:`forward_candidates`: the gate
     block, the cell state and two hidden-state buffers that alternate
-    between layers, each handed out as a C-contiguous (rows, N) view of a
+    between layers, plus a document block for :func:`project_docs` to
+    project from, each handed out as a C-contiguous (rows, N) view of a
     flat array that only ever grows.
 
     One workspace serves a sequence of calls of any shape (such as the
@@ -518,7 +551,7 @@ class ScoringWorkspace:
     __slots__ = ("_flat",)
 
     def __init__(self):
-        self._flat = [np.empty(0) for _ in range(4)]  # gates, c, h, h
+        self._flat = [np.empty(0) for _ in range(5)]  # gates, c, h, h, docs
 
     def _block(self, slot: int, rows: int, n: int) -> np.ndarray:
         size = rows * n
@@ -527,9 +560,15 @@ class ScoringWorkspace:
         return self._flat[slot][:size].reshape(rows, n)
 
     def gates(self, rows: int, n: int) -> np.ndarray:
-        """The (rows, n) gate block; a caller may gather the first layer's
-        document projections into it and pass its transpose as ``doc_proj``."""
+        """The (rows, n) gate block; a caller may gather or project the first
+        layer's document projections into it and pass its transpose as
+        ``doc_proj``."""
         return self._block(0, rows, n)
+
+    def docs(self, dim: int, n: int) -> np.ndarray:
+        """The (dim, n) document block: candidates' document columns, which
+        :func:`project_docs` (given its transpose) scales in place."""
+        return self._block(4, dim, n)
 
 
 def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj, query, *,
@@ -543,7 +582,8 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     ``prefix + [doc_n ‖ query]``: the prefix is unrolled once, the query
     half of the first layer is computed once and the final step runs
     batched, gate-major on (4H, N) blocks. The prefix unroll is memoised on
-    ``params`` for the train forward of the chosen candidate.
+    ``params``, under its version, for the train forward of the chosen
+    candidate.
 
     The final step's intermediates live in ``workspace`` (a fresh one when
     None); when ``doc_proj`` is the transpose of the workspace's gate block,
@@ -554,7 +594,7 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     prefix = list(prefix_inputs)[-(cfg.window - 1) :] if cfg.window > 1 else []
     X = _scaled_inputs(cfg, prefix)
     runs = _unroll(params, X)
-    params._prefix = (X, runs)
+    params._prefix = (params.version, X, runs)
     query = np.asarray(query, dtype=np.float64)
     first = params.lstm[0]
     rows = np.atleast_2d(np.asarray(doc_proj, dtype=np.float64))
@@ -590,8 +630,7 @@ _MAGIC = b"DVNK"
 _VERSION = 1
 
 
-def serialize(params: ValueNetParams) -> bytes:
-    """Versioned, self-describing checkpoint: JSON header + little-endian float64."""
+def _write(params: ValueNetParams, fh) -> None:
     header = {
         "format": "dynrank-valuenet",
         "version": _VERSION,
@@ -599,45 +638,72 @@ def serialize(params: ValueNetParams) -> bytes:
         "n_params": int(params.theta.size),
     }
     hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return _MAGIC + struct.pack("<I", len(hjson)) + hjson + params.theta.astype("<f8").tobytes()
+    fh.write(_MAGIC + struct.pack("<I", len(hjson)) + hjson)
+    # theta's own buffer: no copy on a little-endian host
+    fh.write(memoryview(np.asarray(params.theta, dtype="<f8")).cast("B"))
 
 
-def deserialize(blob: bytes) -> ValueNetParams:
-    if len(blob) < 8:
+def _read(fh) -> ValueNetParams:
+    head = fh.read(8)
+    if len(head) < 8:
         raise CheckpointError("truncated checkpoint: missing header")
-    if blob[:4] != _MAGIC:
-        raise CheckpointError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    (hlen,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + hlen:
+    if head[:4] != _MAGIC:
+        raise CheckpointError(f"bad magic {head[:4]!r}, expected {_MAGIC!r}")
+    (hlen,) = struct.unpack("<I", head[4:])
+    hbytes = fh.read(hlen)
+    if len(hbytes) < hlen:
         raise CheckpointError("truncated checkpoint: incomplete header")
     try:
-        header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
+        header = json.loads(hbytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt header: not a JSON object")
     if header.get("format") != "dynrank-valuenet":
         raise CheckpointError(f"unexpected format {header.get('format')!r}")
     if header.get("version") != _VERSION:
         raise CheckpointError(f"unsupported version {header.get('version')!r}")
     try:
         config = config_from_dict(header["config"])
+        n = int(header["n_params"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"invalid config in header: {exc}") from None
-    n = int(header["n_params"])
-    body = blob[8 + hlen :]
-    if len(body) != 8 * n:
-        raise CheckpointError(f"parameter payload has {len(body)} bytes, expected {8 * n}")
-    theta = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    if n != param_count(config):
-        raise CheckpointError("parameter count does not match the declared config")
+        raise CheckpointError(f"invalid header: {exc}") from None
+    if n != param_count(config):  # checked before anything parameter-sized exists
+        raise CheckpointError(f"header declares {n} parameters, its config has {param_count(config)}")
+    theta = np.empty(n, dtype="<f8")
+    got = fh.readinto(memoryview(theta).cast("B"))
+    if got != 8 * n:
+        raise CheckpointError(f"parameter payload has {got} bytes, expected {8 * n}")
+    if fh.read(1):
+        raise CheckpointError(f"trailing bytes after the {8 * n}-byte parameter payload")
     return ValueNetParams(config, theta)
 
 
+def serialize(params: ValueNetParams) -> bytes:
+    """Versioned, self-describing checkpoint: magic, header length, JSON
+    header, then theta as little-endian float64; the bytes :func:`save`
+    writes."""
+    buf = io.BytesIO()
+    _write(params, buf)
+    return buf.getvalue()
+
+
+def deserialize(blob: bytes) -> ValueNetParams:
+    """Parse the bytes of :func:`serialize`; see :func:`load`."""
+    return _read(io.BytesIO(blob))
+
+
 def save(params: ValueNetParams, path) -> None:
-    """Write the checkpoint atomically: ``path`` holds the old or the new one."""
+    """Write the checkpoint atomically: ``path`` holds the old or the new one.
+    The payload is written from theta itself, so saving copies nothing
+    parameter-sized."""
     with atomic_open(path, "wb") as fh:
-        fh.write(serialize(params))
+        _write(params, fh)
 
 
 def load(path) -> ValueNetParams:
+    """Read a checkpoint into one float64 array. Raises CheckpointError for
+    a bad header, a header whose parameter count disagrees with its config
+    (before allocating), a short payload or trailing bytes."""
     with open(path, "rb") as fh:
-        return deserialize(fh.read())
+        return _read(fh)

@@ -468,7 +468,40 @@ class TestCli:
         assert res.exit_code == 0, res.output
         echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
         assert echo["metric"]["report"] == ["alpha-ndcg"]
-        assert echo["metric"]["target"] == "alpha-dcg"
+        assert echo["metric"]["target"] == "alpha-ndcg"
+
+    @pytest.mark.parametrize("metric, target", [
+        ("alpha-ndcg", "alpha-ndcg"), ("ndcg", "ndcg"), ("nsdcg", "ndcg"),
+    ])
+    def test_metric_override_maps_to_normalized_target(self, tmp_path, monkeypatch, metric, target):
+        seen = []
+        monkeypatch.setattr(harness, "run", lambda config, command, run_path=None:
+                            seen.append(config) or RunReport(command=command, config={}))
+        res = CliRunner().invoke(main, ["train", "--out", str(tmp_path), "--metric", metric])
+        assert res.exit_code == 0, res.output
+        assert seen[0].metric.report == (metric,) and seen[0].metric.target == target
+
+    def test_seed_override_sets_run_and_policy_seed(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(harness, "run", lambda config, command, run_path=None:
+                            seen.append(config) or RunReport(command=command, config={}))
+        res = CliRunner().invoke(main, ["ablate", "--out", str(tmp_path), "--seed", "3"])
+        assert res.exit_code == 0, res.output
+        assert (seen[0].seed, seen[0].policy.seed) == (3, 3)
+
+    @pytest.mark.parametrize("target", ["dcg", "alpha-dcg"])
+    def test_sigmoid_head_with_unnormalized_target_exits_2(self, tmp_path, target):
+        d = config_to_dict(tiny_config(tmp_path / "out"))
+        assert d["net"]["output"] == "sigmoid"
+        d["metric"]["target"] = target
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(d))
+        res = CliRunner().invoke(main, ["train", "--config", str(cfg_path)])
+        assert res.exit_code == 2
+        assert "sigmoid" in res.output and target in res.output
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError):
+            tiny_config(tmp_path, metric=MetricSpec(target=target))
 
 
 LETOR_LINES = """\
@@ -539,6 +572,41 @@ class TestNonFiniteTraining:
         assert res.exit_code == 4
         assert "fold 0" in res.output and "epoch 1" in res.output
         assert not list((tmp_path / "out" / "checkpoints").iterdir())
+
+
+def test_runs_hold_few_copies_of_the_weights(tmp_path):
+    """Peak traced memory of train_run and evaluate_run, in units of one
+    copy of theta: training holds the weights and the run-owned gradient,
+    evaluation one fold's weights."""
+    import tracemalloc
+
+    config = tiny_config(
+        tmp_path / "out",
+        dataset=DatasetSpec(kind="synthetic", num_topics=4, docs_per_topic=20,
+                            subtopics_per_topic=2, dim=64),
+        net=NetConfig(layers=3, input_dim=128, hidden_dims=(256, 256, 256), dense_dims=(16,),
+                      window=3, dropout=0.0, learning_rate=0.01, output="sigmoid",
+                      input_scale=8.0),
+        policy=PolicyConfig(epsilon=0.5, docs_per_iteration=2, iterations=2,
+                            selection="sample", seed=0, epoch_cap=1, stop_tol=0.0),
+        metric=MetricSpec(target="ndcg", report=("ndcg",)),
+        feedback="no-feedback",
+    )
+    dataset = load_dataset(config.dataset, config.seed)
+    copy_bytes = 8 * valuenet.param_count(config.net)
+    assert copy_bytes > 11_000_000  # ~1.45M parameters: theta dwarfs everything else
+    peaks = []
+    tracemalloc.start()
+    try:
+        for fn in (train_run, evaluate_run):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(config, dataset)
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / copy_bytes)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 2.5, f"train_run peaked at {peaks[0]:.2f} copies of theta"
+    assert peaks[1] <= 1.5, f"evaluate_run peaked at {peaks[1]:.2f} copies of theta"
 
 
 def test_package_does_not_import_scipy():

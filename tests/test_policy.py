@@ -13,6 +13,7 @@ from dynrank.metrics import MetricSpec, alpha_dcg_at_k, dcg_at_k
 from dynrank.policy import (
     PolicyConfig,
     SessionState,
+    _PoolCache,
     epsilon_schedule,
     evaluate_session,
     forward_inputs,
@@ -169,6 +170,40 @@ class TestScoringFastPath:
         expected = reference_scores(updated, state)
         assert all(abs(after[d] - expected[d]) <= 1e-12 for d in after)
         assert all(after[d] != before[d] for d in after)
+
+
+class TestInPlaceUpdateScoring:
+    @given(scoring_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_scores_and_train_forward_follow_in_place_update(self, case, seed):
+        params, state, _ = case
+        score_candidates(params, state)
+        score_candidates(params, state)  # the same weights twice: the pool projection is cached
+        grad = np.random.default_rng(seed).standard_normal(params.n_params)
+        apply_update(params, grad, 0.1)
+        fresh = params.copy()
+        after = score_candidates(params, state)
+        want = score_candidates(fresh, dataclasses.replace(state, _pool=None))
+        assert list(after) == list(want)
+        assert np.array(list(after.values())).tobytes() == np.array(list(want.values())).tobytes()
+        nxt = step_transition(state, max(sorted(after), key=after.__getitem__))
+        inputs = forward_inputs(nxt, params.config.window)
+        assert forward(params, inputs, mode="train")[0] == forward(fresh, inputs, mode="train")[0]
+
+    @given(scoring_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_direct_projection_matches_cached_gather(self, case):
+        params, state, keep = case
+        pool = _PoolCache(state.vectors)
+        idx = np.array(sorted(pool.row_of[d] for d in keep))
+        direct = pool.gate_block(params, idx).copy()  # first call at this version
+        assert pool.proj is None
+        cached = pool.gate_block(params, idx)  # second call: gathered from the pool projection
+        assert pool.proj is not None
+        np.testing.assert_allclose(direct, cached, rtol=0, atol=1e-12)
+        apply_update(params, np.ones(params.n_params), 0.1)
+        pool.gate_block(params, idx)
+        assert pool.proj is None  # new weights project directly again
 
 
 class TestSelectAction:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from dynrank.valuenet import (
     forward,
     forward_candidates,
     init_glorot,
+    load,
     param_count,
     project_docs,
+    save,
     serialize,
 )
 
@@ -264,16 +267,19 @@ class TestBackward:
 
 
 class TestApplyUpdate:
+    # apply_update works in place, so each test compares against a snapshot
     def test_zero_learning_rate_keeps_params(self):
         params = tiny_params()
+        before = params.copy()
         grad = np.ones_like(params.theta)
         updated = apply_update(params, grad, 0.0)
-        np.testing.assert_array_equal(updated.theta, params.theta)
+        np.testing.assert_array_equal(updated.theta, before.theta)
 
     def test_zero_gradient_keeps_params(self):
         params = tiny_params()
+        before = params.copy()
         updated = apply_update(params, np.zeros_like(params.theta), 0.1)
-        np.testing.assert_array_equal(updated.theta, params.theta)
+        np.testing.assert_array_equal(updated.theta, before.theta)
 
     def test_one_step_decreases_loss(self):
         params = tiny_params()
@@ -287,9 +293,10 @@ class TestApplyUpdate:
 
     def test_initial_states_frozen(self):
         params = tiny_params()
+        before = params.copy()
         grad = np.ones_like(params.theta)
         updated = apply_update(params, grad, 0.5)
-        for old, new in zip(params.lstm, updated.lstm):
+        for old, new in zip(before.lstm, updated.lstm):
             np.testing.assert_array_equal(old.h0, new.h0)
             np.testing.assert_array_equal(old.c0, new.c0)
             assert (new.W != old.W).all()
@@ -372,6 +379,55 @@ class TestSerialization:
         forged = blob[:4] + struct.pack("<I", len(hjson)) + hjson + blob[8 + hlen:]
         with pytest.raises(CheckpointError):
             deserialize(forged)
+
+
+# written by the checkpoint code before save/load streamed: init_glorot(FIXTURE_NET, 2021)
+FIXTURE = Path(__file__).parent / "data" / "valuenet_v1.ckpt"
+FIXTURE_NET = NetConfig(layers=2, input_dim=3, hidden_dims=(2, 3), dense_dims=(2,), window=4,
+                        dropout=0.0, learning_rate=0.05, output="sigmoid", input_scale=1.5)
+
+
+class TestCheckpointFile:
+    def test_reads_and_rewrites_committed_checkpoint(self, tmp_path):
+        blob = FIXTURE.read_bytes()
+        params = load(FIXTURE)
+        assert params.config == FIXTURE_NET
+        assert params.theta.tobytes() == init_glorot(FIXTURE_NET, 2021).theta.tobytes()
+        save(params, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == blob
+        assert serialize(params) == blob
+        assert deserialize(blob) == params
+
+    def test_short_payload_rejected(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(FIXTURE.read_bytes()[:-1])
+        with pytest.raises(CheckpointError, match="payload"):
+            load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(FIXTURE.read_bytes() + b"\0")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load(path)
+
+    def test_count_mismatch_rejected_before_allocating(self, tmp_path, monkeypatch):
+        import json
+        import struct
+
+        blob = FIXTURE.read_bytes()
+        hlen = struct.unpack("<I", blob[4:8])[0]
+        header = json.loads(blob[8:8 + hlen])
+        n = 10**9  # the payload a forged header asks for
+        header["n_params"] = n
+        hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path = tmp_path / "forged.ckpt"
+        path.write_bytes(blob[:4] + struct.pack("<I", len(hjson)) + hjson + blob[8 + hlen:])
+        sizes = []
+        real_empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda shape, *a, **k: sizes.append(shape) or real_empty(shape, *a, **k))
+        with pytest.raises(CheckpointError, match="parameters"):
+            load(path)
+        assert n not in sizes
 
 
 @st.composite
@@ -512,12 +568,13 @@ class TestLayout:
     @settings(max_examples=30, deadline=None)
     def test_views_and_frozen_spans_follow_layout(self, cfg):
         params = init_glorot(cfg, 0)
+        before = params.copy()  # apply_update works in place
         updated = apply_update(params, np.ones(params.n_params), 0.5)
         frozen = np.zeros(params.n_params, bool)
         for start, stop in valuenet._layout(cfg).frozen:
             frozen[start:stop] = True
-        assert (updated.theta[frozen] == params.theta[frozen]).all()
-        assert (updated.theta[~frozen] == params.theta[~frozen] - 0.5).all()
+        assert (updated.theta[frozen] == before.theta[frozen]).all()
+        assert (updated.theta[~frozen] == before.theta[~frozen] - 0.5).all()
         for ly in updated.lstm:  # the initial states are exactly the frozen span
             for vec in (ly.h0, ly.c0):
                 offset = (vec.__array_interface__["data"][0]
@@ -615,3 +672,54 @@ class TestScoringWorkspace:
             values = _score_in_workspace(p, prefix, proj, rows, query, ws)
             assert np.isfinite(values).all()
             assert values.tobytes() == forward_candidates(p, prefix, proj.T[rows], query).tobytes()
+
+
+class TestInPlaceStep:
+    @given(net_cases(), st.sampled_from([0.0, 1e-3, 0.3, 7.0]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_update_bits_match_out_of_place_formula(self, case, lr, seed):
+        params, _ = case
+        rng = np.random.default_rng(seed)
+        n = params.n_params
+        theta = params.theta
+        theta[rng.random(n) < 0.2] = -0.0  # negative zeros in frozen and trainable spans
+        grad = rng.standard_normal(n)
+        grad[rng.random(n) < 0.2] = 0.0
+        frozen = np.zeros(n, bool)
+        for start, stop in valuenet._layout(params.config).frozen:
+            frozen[start:stop] = True
+        expected = -lr * grad + theta
+        before = theta.copy()
+        version = params.version
+        assert apply_update(params, grad, lr) is params
+        assert params.theta is theta and params.version != version
+        assert theta[~frozen].tobytes() == expected[~frozen].tobytes()
+        assert theta[frozen].tobytes() == before[frozen].tobytes()
+
+    @given(net_cases(), st.floats(-2.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_backward_into_buffer_matches_fresh(self, case, target):
+        params, xs = case
+        _, cache = forward(params, xs, mode="train")
+        buf = np.full(params.n_params, np.nan)
+        assert backward(params, cache, target, out=buf) is buf
+        assert buf.tobytes() == backward(params, cache, target).tobytes()
+
+    def test_backward_rejects_cache_from_older_version(self):
+        params = tiny_params()
+        _, cache = forward(params, [np.zeros(2)], mode="train")
+        apply_update(params, np.ones(params.n_params), 0.1)
+        with pytest.raises(ValueError):
+            backward(params, cache, 0.0)
+
+    @given(net_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_memo_misses_after_update(self, case):
+        params, xs = case
+        forward_candidates(params, xs[:-1], project_docs(params, xs[-1][None]), np.zeros(0))
+        apply_update(params, np.full(params.n_params, 0.25), 0.1)
+        got, cache = forward(params, xs, mode="train")
+        want, fresh = forward(params.copy(), xs, mode="train")
+        assert got == want
+        for a, b in zip(cache.layers, fresh.layers):
+            assert a.h.tobytes() == b.h.tobytes() and a.c.tobytes() == b.c.tobytes()
