@@ -5,15 +5,15 @@
 Commands: train, evaluate, ablate, sweep-layers, metrics. Without --config,
 ``ablate`` runs ``harness.trend_config``, ``sweep-layers`` runs
 ``harness.sweep_config`` and the others ``harness.default_config``.
-Exit codes: 0 success, 2 config error, 3 data error, 4 runtime failure.
+Exit codes: 0 success, 2 config or usage error, 3 data error, 4 runtime
+failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import sys
-
-import click
 
 from dynrank import harness
 from dynrank.data import DataError
@@ -57,31 +57,44 @@ def _apply_overrides(config: RunConfig, opts: dict) -> RunConfig:
 # the built-in profile each command runs without --config
 _PROFILES = {"ablate": harness.trend_config, "sweep-layers": harness.sweep_config}
 
-
-def _common_options(fn):
-    opts = [
-        click.option("--config", "config_path", type=click.Path(), default=None,
-                     help="JSON run config; defaults to the command's built-in profile."),
-        click.option("--seed", type=int, default=None),
-        click.option("--folds", type=int, default=None),
-        click.option("--layers", type=int, default=None),
-        click.option("--epsilon0", type=float, default=None),
-        click.option("--alpha", type=float, default=None),
-        click.option("--gamma", type=float, default=None),
-        click.option("--b", type=float, default=None),
-        click.option("--c", type=float, default=None),
-        click.option("--window", type=int, default=None),
-        click.option("--docs-per-iter", type=int, default=None),
-        click.option("--iterations", type=int, default=None),
-        click.option("--metric", type=click.Choice(["alpha-ndcg", "ndcg", "nsdcg"]), default=None),
-        click.option("--out", type=click.Path(), default=None),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+_COMMANDS = {
+    "train": "Train one value network per fold and write checkpoints.",
+    "evaluate": "Evaluate fold checkpoints; writes the per-iteration metric table.",
+    "ablate": "Train and evaluate every feedback variant, all else fixed.",
+    "sweep-layers": "Repeat training across stack depths and compare final metrics.",
+    "metrics": "Score an existing run file offline.",
+}
 
 
-def _run(command: str, config_path, run_path=None, **opts):
+def _parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: "--it" is not "--iterations"
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    common.add_argument("--config", dest="config_path", metavar="PATH",
+                        help="JSON run config; defaults to the command's built-in profile.")
+    for flag in ("--seed", "--folds", "--layers"):
+        common.add_argument(flag, type=int)
+    for flag in ("--epsilon0", "--alpha", "--gamma", "--b", "--c"):
+        common.add_argument(flag, type=float)
+    for flag in ("--window", "--docs-per-iter", "--iterations"):
+        common.add_argument(flag, type=int)
+    common.add_argument("--metric", choices=["alpha-ndcg", "ndcg", "nsdcg"])
+    common.add_argument("--out", metavar="DIR")
+    parser = argparse.ArgumentParser(prog="dynrank", allow_abbrev=False,
+                                     description="Dynamic-search ranking experiments.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, doc in _COMMANDS.items():
+        sub = commands.add_parser(name, parents=[common], allow_abbrev=False,
+                                  help=doc, description=doc)
+        if name == "metrics":
+            sub.add_argument("--run", dest="run_path", metavar="PATH",
+                             help="Run file to score; defaults to <out_dir>/run.jsonl.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    opts = vars(_parser().parse_args(argv))
+    command, config_path = opts.pop("command"), opts.pop("config_path")
+    run_path = opts.pop("run_path", None)
     try:
         if config_path:
             config = harness.load_config(config_path)
@@ -90,65 +103,22 @@ def _run(command: str, config_path, run_path=None, **opts):
         config = _apply_overrides(config, opts)
         report = harness.run(config, command, run_path=run_path)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
     except DataError as exc:
-        click.echo(f"data error: {exc}", err=True)
+        print(f"data error: {exc}", file=sys.stderr)
         sys.exit(3)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        click.echo(f"runtime failure: {exc}", err=True)
+        print(f"runtime failure: {exc}", file=sys.stderr)
         sys.exit(4)
-    click.echo(f"{command}: report written to {config.out_dir}")
+    print(f"{command}: report written to {config.out_dir}")
     for name, rows in sorted(report.tables.items()):
         if name in ("evaluation", "sweep", "ablation"):
-            click.echo(f"[{name}]")
+            print(f"[{name}]")
             for row in rows:
-                click.echo("  " + ", ".join(str(c) for c in row))
+                print("  " + ", ".join(str(c) for c in row))
     for note in report.notes:
-        click.echo(f"note: {note}")
-    return report
-
-
-@click.group()
-def main():
-    """Dynamic-search ranking experiments."""
-
-
-@main.command()
-@_common_options
-def train(config_path, **opts):
-    """Train one value network per fold and write checkpoints."""
-    _run("train", config_path, **opts)
-
-
-@main.command()
-@_common_options
-def evaluate(config_path, **opts):
-    """Evaluate fold checkpoints; writes the per-iteration metric table."""
-    _run("evaluate", config_path, **opts)
-
-
-@main.command()
-@_common_options
-def ablate(config_path, **opts):
-    """Train and evaluate every feedback variant, all else fixed."""
-    _run("ablate", config_path, **opts)
-
-
-@main.command(name="sweep-layers")
-@_common_options
-def sweep_layers(config_path, **opts):
-    """Repeat training across stack depths and compare final metrics."""
-    _run("sweep-layers", config_path, **opts)
-
-
-@main.command()
-@click.option("--run", "run_path", type=click.Path(), default=None,
-              help="Run file to score; defaults to <out_dir>/run.jsonl.")
-@_common_options
-def metrics(config_path, run_path, **opts):
-    """Score an existing run file offline."""
-    _run("metrics", config_path, run_path=run_path, **opts)
+        print(f"note: {note}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -107,8 +106,10 @@ def _read_qrels(path) -> tuple[JudgmentSet, list[tuple[int, str, str, str, float
     return judgments, rows
 
 
-def _read_topics_jsonl(path) -> dict[str, str]:
-    topics: dict[str, str] = {}
+def _read_jsonl_map(path, key: str, value: str, noun: str, plural: str) -> dict[str, str]:
+    """``str(row[key]) -> str(row[value])`` over the rows of a JSONL file;
+    ``noun`` and ``plural`` name a row in the errors."""
+    out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -117,36 +118,15 @@ def _read_topics_jsonl(path) -> dict[str, str]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
-            if "topic_id" not in row or "query" not in row:
-                raise DataError(f"{path}: line {lineno}: expected keys 'topic_id' and 'query'")
-            tid = str(row["topic_id"])
-            if tid in topics:
-                raise DataError(f"{path}: line {lineno}: duplicate topic {tid!r}")
-            topics[tid] = str(row["query"])
-    if not topics:
-        raise DataError(f"{path}: no topics found")
-    return topics
-
-
-def _read_docs_jsonl(path) -> dict[str, str]:
-    texts: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            if "doc_id" not in row or "text" not in row:
-                raise DataError(f"{path}: line {lineno}: expected keys 'doc_id' and 'text'")
-            did = str(row["doc_id"])
-            if did in texts:
-                raise DataError(f"{path}: line {lineno}: duplicate doc {did!r}")
-            texts[did] = str(row["text"])
-    if not texts:
-        raise DataError(f"{path}: no documents found")
-    return texts
+            if key not in row or value not in row:
+                raise DataError(f"{path}: line {lineno}: expected keys {key!r} and {value!r}")
+            k = str(row[key])
+            if k in out:
+                raise DataError(f"{path}: line {lineno}: duplicate {noun} {k!r}")
+            out[k] = str(row[value])
+    if not out:
+        raise DataError(f"{path}: no {plural} found")
+    return out
 
 
 def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, seed: int = 0) -> Dataset:
@@ -156,7 +136,7 @@ def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, 
     fallback at ``dim``) or a precomputed-embeddings TSV whose header
     fixes the dimension.
     """
-    topics = _read_topics_jsonl(topics_path)
+    topics = _read_jsonl_map(topics_path, "topic_id", "query", "topic", "topics")
     judgments, qrel_rows = _read_qrels(qrels_path)
 
     with open(docs_or_vectors_path, "r", encoding="utf-8") as fh:
@@ -168,7 +148,7 @@ def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, 
         except ValueError as exc:
             raise DataError(f"{docs_or_vectors_path}: {exc}") from None
     else:
-        texts = _read_docs_jsonl(docs_or_vectors_path)
+        texts = _read_jsonl_map(docs_or_vectors_path, "doc_id", "text", "doc", "documents")
         corpus = EmbeddedCorpus(
             dim=dim,
             vectors={doc_id: embed_text(text, dim, seed) for doc_id, text in texts.items()},
@@ -356,20 +336,13 @@ def gen_synthetic(
         docs = []
         for di in range(docs_per_topic):
             doc_id = f"{topic}-d{id_perm[di]:04d}"
-            if di < n_rel:
-                centroid = centroids[di % subtopics_per_topic]
-                target_cos = (
-                    rng.uniform(0.91, 0.98) if di < n_high else rng.uniform(0.78, 0.87)
-                )
-                raw = rng.standard_normal(dim)
-                ortho = _unit(raw - np.dot(raw, centroid) * centroid)
-                vec = target_cos * centroid + np.sqrt(1.0 - target_cos**2) * ortho
-            elif di < n_rel + n_decoy:
+            if di < n_rel + n_decoy:
+                # relevant documents near a subtopic centroid, decoys near a
+                # fake facet; the first part of each group in the high band
                 k = di - n_rel
-                anchor = decoys[k % len(decoys)]
-                target_cos = (
-                    rng.uniform(0.91, 0.98) if k < n_decoy // 2 else rng.uniform(0.78, 0.87)
-                )
+                anchor, high = ((centroids[di % subtopics_per_topic], di < n_high) if k < 0
+                                else (decoys[k % len(decoys)], k < n_decoy // 2))
+                target_cos = rng.uniform(0.91, 0.98) if high else rng.uniform(0.78, 0.87)
                 raw = rng.standard_normal(dim)
                 ortho = _unit(raw - np.dot(raw, anchor) * anchor)
                 vec = target_cos * anchor + np.sqrt(1.0 - target_cos**2) * ortho
@@ -412,9 +385,4 @@ def split_folds(dataset: Dataset, k: int = 5, seed: int = 0) -> list[tuple[list[
         raise ValueError(f"k={k} exceeds the number of topics ({len(topics)})")
     order = [topics[i] for i in np.random.default_rng(seed).permutation(len(topics))]
     parts = [list(p) for p in np.array_split(order, k)]
-    folds = []
-    for i in range(k):
-        test = parts[i]
-        train = [t for j, p in enumerate(parts) if j != i for t in p]
-        folds.append((train, test))
-    return folds
+    return [([t for j, p in enumerate(parts) if j != i for t in p], parts[i]) for i in range(k)]

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -36,19 +37,13 @@ def embed_text(text: str, dim: int = 512, seed: int = 0) -> np.ndarray:
     Deterministic in (text, dim, seed). Empty or whitespace-only text
     yields the zero vector.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
-    for token in tokenize(text):
-        vec[token_bucket(token, dim, seed)] += 1.0
-    norm = np.linalg.norm(vec)
-    if norm > 0.0:
-        vec /= norm
-    return vec
+    return embed_term_weights(Counter(tokenize(text)), dim, seed)
 
 
 def embed_term_weights(weights: Mapping[str, float], dim: int, seed: int = 0) -> np.ndarray:
     """Embed a sparse term-weight map into the hashed space, L2-normalized."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     vec = np.zeros(dim, dtype=np.float64)
     for term, w in weights.items():
         vec[token_bucket(term, dim, seed)] += float(w)
@@ -120,9 +115,6 @@ class EmbeddedCorpus:
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 def write_vectors_tsv(path, corpus: EmbeddedCorpus) -> None:

@@ -206,8 +206,6 @@ def nqe_expand(
 class EmbedRocchioFeedback:
     """Embedding-space Rocchio reformulator over a fixed corpus."""
 
-    name = "embed-rocchio"
-
     def __init__(self, corpus, params: RocchioParams = RocchioParams()):
         self.vectors = _vector_map(corpus)
         self.params = params
@@ -221,8 +219,6 @@ class ClassicRocchioFeedback:
 
     Tracks the current term map per topic across iterations.
     """
-
-    name = "classic-rocchio"
 
     def __init__(
         self,
@@ -256,8 +252,6 @@ class ClassicRocchioFeedback:
 
 class NQEFeedback:
     """Naive query expansion; the expanded text is re-embedded by hashing."""
-
-    name = "nqe"
 
     def __init__(
         self,

@@ -139,9 +139,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return config_from_dict(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except OSError as exc:
+    except (json.JSONDecodeError, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -209,26 +207,8 @@ _SCHEMA = "dynrank-report/1"
 
 
 def report_to_dict(report: RunReport) -> dict:
-    return {
-        "schema": _SCHEMA,
-        "command": report.command,
-        "config": report.config,
-        "folds": report.folds,
-        "tables": report.tables,
-        "notes": report.notes,
-    }
-
-
-def report_from_dict(d: dict) -> RunReport:
-    if d.get("schema") != _SCHEMA:
-        raise ValueError(f"unsupported report schema {d.get('schema')!r}")
-    return RunReport(
-        command=d["command"],
-        config=d["config"],
-        folds=d["folds"],
-        tables=d["tables"],
-        notes=d["notes"],
-    )
+    fields = ("command", "config", "folds", "tables", "notes")
+    return {"schema": _SCHEMA, **{k: getattr(report, k) for k in fields}}
 
 
 def _fmt(x) -> str:
@@ -282,11 +262,6 @@ def _ckpt_path(out: Path, fold: int) -> Path:
     return out / "checkpoints" / f"fold{fold}.ckpt"
 
 
-def _write_train_log(out: Path, fold: int, log) -> None:
-    rows = [(s.epoch, float(s.mean_loss), float(s.epsilon)) for s in log]
-    _write_csv(out / f"train_fold{fold}.csv", ("epoch", "mean_loss", "epsilon"), rows)
-
-
 def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     """Train one network per fold; writes checkpoints and training logs."""
     if dataset is None:
@@ -315,7 +290,8 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
                                "loss or weights); no checkpoint written")
         valuenet.save(params, _ckpt_path(out, i))
         params = None  # one fold's weights at a time: drop them before the next fold's exist
-        _write_train_log(out, i, log)
+        _write_csv(out / f"train_fold{i}.csv", ("epoch", "mean_loss", "epsilon"),
+                   [(s.epoch, float(s.mean_loss), float(s.epsilon)) for s in log])
         report.folds.append({
             "fold": i,
             "train_topics": list(train_topics),
@@ -526,20 +502,15 @@ def default_config(out_dir: str = "runs/default", seed: int = 0) -> RunConfig:
 
 
 def sanity_config(out_dir: str = "runs/sanity", seed: int = 0, folds: int = 5) -> RunConfig:
-    """One-shot ranking profile on the desk corpus (no feedback, 1 iteration)."""
-    return RunConfig(
-        dataset=DatasetSpec(kind="synthetic", num_topics=20, docs_per_topic=200,
-                            subtopics_per_topic=3, dim=64),
-        net=NetConfig(layers=3, input_dim=128, hidden_dims=(64, 64, 64),
-                      dense_dims=(32, 16), window=5, dropout=0.0,
-                      learning_rate=0.3, output="sigmoid", input_scale=16.0),
-        policy=PolicyConfig(epsilon=0.5, docs_per_iteration=5, iterations=1,
-                            selection="sample", seed=seed, epoch_cap=40, stop_tol=0.0),
+    """One-shot ranking profile on the desk corpus and net of
+    :func:`default_config` (no feedback, 1 iteration)."""
+    base = default_config(out_dir, seed)
+    return dataclasses.replace(
+        base,
+        policy=dataclasses.replace(base.policy, iterations=1, epoch_cap=40, stop_tol=0.0),
         metric=MetricSpec(target="ndcg", report=("ndcg@5",)),
         feedback="no-feedback",
         folds=folds,
-        seed=seed,
-        out_dir=out_dir,
     )
 
 

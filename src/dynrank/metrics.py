@@ -118,13 +118,6 @@ class JudgmentSet:
         subsets = self._pool(topic)[1]
         return _alpha_dcg((subsets.get(d, _NO_SUBTOPICS) for d in doc_ids[:k]), alpha)
 
-    @classmethod
-    def from_triples(cls, triples: Iterable[tuple[str, str, str, float]]) -> "JudgmentSet":
-        js = cls()
-        for topic, subtopic, doc, grade in triples:
-            js.add(topic, subtopic, doc, grade)
-        return js
-
     def topics(self) -> list[str]:
         return sorted(self._docs)
 
@@ -133,9 +126,6 @@ class JudgmentSet:
 
     def subtopics(self, topic: str) -> set[str]:
         return set(self._subtopics.get(topic, ()))
-
-    def judged_docs(self, topic: str) -> set[str]:
-        return set(self._docs.get(topic, ()))
 
     def positive_docs(self, topic: str) -> set[str]:
         return set(self._pool(topic)[0])
@@ -174,23 +164,15 @@ class RankedList:
     def __post_init__(self):
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValueError("duplicate doc ids in ranked list")
-        prev = 0
-        for b in self.boundaries:
-            if b <= prev:
-                raise ValueError(f"boundaries must be strictly increasing, got {self.boundaries}")
-            prev = b
+        if any(b <= a for a, b in zip([0, *self.boundaries], self.boundaries)):
+            raise ValueError(f"boundaries must be strictly increasing, got {self.boundaries}")
         if self.boundaries and self.boundaries[-1] != len(self.doc_ids):
             raise ValueError("last boundary must equal the list length")
         if not self.boundaries and self.doc_ids:
             raise ValueError("non-empty list requires boundaries")
 
     def iteration_blocks(self) -> list[list[str]]:
-        blocks = []
-        start = 0
-        for b in self.boundaries:
-            blocks.append(self.doc_ids[start:b])
-            start = b
-        return blocks
+        return [self.doc_ids[a:b] for a, b in zip([0, *self.boundaries], self.boundaries)]
 
 
 def dcg_at_k(rels: Sequence[float], k: int) -> float:

@@ -124,20 +124,22 @@ class _PoolCache:
     (dim, pool) matrix, and the scoring workspace the session's picks reuse.
 
     Each pick's first-layer document projections go into the workspace's
-    gate block, gate-major (4H, N). While the weights change between picks,
-    as in training, only the live candidates' columns are gathered and
-    projected. Once one version of the weights scores a second time, as in
-    evaluation, the whole pool's projection is built for that version and
-    each pick gathers from it."""
+    gate block, gate-major (4H, N). Evaluation, whose weights are frozen,
+    passes ``params``: the whole pool's projection is built once, up front,
+    and each pick gathers its candidates' columns from it while the weights
+    keep that version. Training, whose weights change between picks, passes
+    none, and each pick projects only the live candidates' columns."""
 
     __slots__ = ("ids", "row_of", "docs", "version", "proj", "workspace")
 
-    def __init__(self, vectors: Mapping[str, np.ndarray]):
+    def __init__(self, vectors: Mapping[str, np.ndarray], params: ValueNetParams | None = None):
         self.ids = sorted(vectors)
         self.row_of = {d: i for i, d in enumerate(self.ids)}
         self.docs = np.stack([vectors[d] for d in self.ids], axis=1)
-        self.version = None  # params version of the previous pick
-        self.proj = None  # the pool projection at that version, once built
+        self.version = self.proj = None  # the pool projection and its params version
+        if params is not None:
+            # the transpose of the C-contiguous matrix keeps the matmul copy-free
+            self.version, self.proj = params.version, valuenet.project_docs(params, self.docs.T).T
         self.workspace = valuenet.ScoringWorkspace()
 
     def gate_block(self, params: ValueNetParams, idx: np.ndarray) -> np.ndarray:
@@ -145,16 +147,13 @@ class _PoolCache:
         ws = self.workspace
         gates = ws.gates(4 * params.lstm[0].H, len(idx))
         # "clip": "raise" would buffer the output
-        if params.version != self.version:
-            self.version, self.proj = params.version, None
+        if params.version == self.version:
+            np.take(self.proj, idx, axis=1, out=gates, mode="clip")
+        else:
+            self.version = self.proj = None  # never gather a stale projection
             docs = ws.docs(len(self.docs), len(idx))
             np.take(self.docs, idx, axis=1, out=docs, mode="clip")
             valuenet.project_docs(params, docs.T, out=gates.T)
-        else:
-            if self.proj is None:
-                # the transpose of the C-contiguous matrix keeps the matmul copy-free
-                self.proj = valuenet.project_docs(params, self.docs.T).T
-            np.take(self.proj, idx, axis=1, out=gates, mode="clip")
         return gates
 
 
@@ -181,6 +180,13 @@ def score_candidates(params: ValueNetParams, state: SessionState) -> dict[str, f
     return dict(zip([ids[i] for i in idx.tolist()], values.tolist()))
 
 
+def best_action(scores: Mapping[str, float]) -> str:
+    """The best-scoring candidate, ties broken by ascending doc id."""
+    ids = sorted(scores)
+    vals = np.fromiter(map(scores.__getitem__, ids), np.float64, len(ids))
+    return ids[int(np.argmax(vals))]  # first maximum: the smallest id
+
+
 def select_action(
     scores: Mapping[str, float],
     epsilon: float,
@@ -190,20 +196,20 @@ def select_action(
     """Epsilon-greedy pick over candidate scores.
 
     With probability epsilon a uniformly random candidate is returned.
-    Otherwise 'sample' mode draws proportionally to the scores (shifted
-    into the positive range when any score is <= 0) and 'argmax' returns
-    the best score, ties broken by ascending doc id.
+    Otherwise 'argmax' returns :func:`best_action` and 'sample' draws
+    proportionally to the scores (shifted into the positive range when any
+    score is <= 0).
     """
     if not scores:
         raise ValueError("empty score map")
     ids = sorted(scores)
     if rng.random() < epsilon:
         return ids[rng.integers(len(ids))]
-    vals = np.fromiter(map(scores.__getitem__, ids), np.float64, len(ids))
     if mode == "argmax":
-        return ids[int(np.argmax(vals))]  # first maximum: the smallest id
+        return best_action(scores)
     if mode != "sample":
         raise ValueError(f"unknown selection mode {mode!r}")
+    vals = np.fromiter(map(scores.__getitem__, ids), np.float64, len(ids))
     total = vals.sum()
     if not math.isfinite(total):
         raise FloatingPointError("non-finite candidate scores")
@@ -407,10 +413,11 @@ def evaluate_session(
     """
     metric = metric or MetricSpec()
     topic_list = _check_topics(dataset, topics, "evaluation")
-    rng = np.random.default_rng(config.seed)  # unused at epsilon=0, kept for the API
 
     def pick(state: SessionState) -> SessionState:
-        return step_transition(state, select_action(score_candidates(params, state), 0.0, "argmax", rng))
+        if state._pool is None:  # frozen weights: project the session's pool once
+            state._pool = _PoolCache(state.vectors, params)
+        return step_transition(state, best_action(score_candidates(params, state)))
 
     ranked_lists: dict[str, RankedList] = {}
     values: dict[tuple[str, int], dict[str, float]] = {}

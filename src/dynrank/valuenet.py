@@ -18,12 +18,11 @@ Conventions:
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -91,17 +90,11 @@ class NetConfig:
 
 
 def config_to_dict(config: NetConfig) -> dict:
-    return {
-        "layers": config.layers,
-        "input_dim": config.input_dim,
-        "hidden_dims": list(config.hidden_dims) if config.hidden_dims is not None else None,
-        "dense_dims": list(config.dense_dims) if config.dense_dims is not None else None,
-        "window": config.window,
-        "dropout": config.dropout,
-        "learning_rate": config.learning_rate,
-        "output": config.output,
-        "input_scale": config.input_scale,
-    }
+    d = asdict(config)
+    for key in ("hidden_dims", "dense_dims"):
+        if d[key] is not None:
+            d[key] = list(d[key])
+    return d
 
 
 def config_from_dict(d: dict) -> NetConfig:
@@ -630,7 +623,11 @@ _MAGIC = b"DVNK"
 _VERSION = 1
 
 
-def _write(params: ValueNetParams, fh) -> None:
+def save(params: ValueNetParams, path) -> None:
+    """Write a versioned, self-describing checkpoint atomically (``path``
+    holds the old or the new one): magic, header length, JSON header, then
+    theta as little-endian float64, written from theta itself, so saving
+    copies nothing parameter-sized."""
     header = {
         "format": "dynrank-valuenet",
         "version": _VERSION,
@@ -638,67 +635,10 @@ def _write(params: ValueNetParams, fh) -> None:
         "n_params": int(params.theta.size),
     }
     hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    fh.write(_MAGIC + struct.pack("<I", len(hjson)) + hjson)
-    # theta's own buffer: no copy on a little-endian host
-    fh.write(memoryview(np.asarray(params.theta, dtype="<f8")).cast("B"))
-
-
-def _read(fh) -> ValueNetParams:
-    head = fh.read(8)
-    if len(head) < 8:
-        raise CheckpointError("truncated checkpoint: missing header")
-    if head[:4] != _MAGIC:
-        raise CheckpointError(f"bad magic {head[:4]!r}, expected {_MAGIC!r}")
-    (hlen,) = struct.unpack("<I", head[4:])
-    hbytes = fh.read(hlen)
-    if len(hbytes) < hlen:
-        raise CheckpointError("truncated checkpoint: incomplete header")
-    try:
-        header = json.loads(hbytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt header: {exc}") from None
-    if not isinstance(header, dict):
-        raise CheckpointError("corrupt header: not a JSON object")
-    if header.get("format") != "dynrank-valuenet":
-        raise CheckpointError(f"unexpected format {header.get('format')!r}")
-    if header.get("version") != _VERSION:
-        raise CheckpointError(f"unsupported version {header.get('version')!r}")
-    try:
-        config = config_from_dict(header["config"])
-        n = int(header["n_params"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"invalid header: {exc}") from None
-    if n != param_count(config):  # checked before anything parameter-sized exists
-        raise CheckpointError(f"header declares {n} parameters, its config has {param_count(config)}")
-    theta = np.empty(n, dtype="<f8")
-    got = fh.readinto(memoryview(theta).cast("B"))
-    if got != 8 * n:
-        raise CheckpointError(f"parameter payload has {got} bytes, expected {8 * n}")
-    if fh.read(1):
-        raise CheckpointError(f"trailing bytes after the {8 * n}-byte parameter payload")
-    return ValueNetParams(config, theta)
-
-
-def serialize(params: ValueNetParams) -> bytes:
-    """Versioned, self-describing checkpoint: magic, header length, JSON
-    header, then theta as little-endian float64; the bytes :func:`save`
-    writes."""
-    buf = io.BytesIO()
-    _write(params, buf)
-    return buf.getvalue()
-
-
-def deserialize(blob: bytes) -> ValueNetParams:
-    """Parse the bytes of :func:`serialize`; see :func:`load`."""
-    return _read(io.BytesIO(blob))
-
-
-def save(params: ValueNetParams, path) -> None:
-    """Write the checkpoint atomically: ``path`` holds the old or the new one.
-    The payload is written from theta itself, so saving copies nothing
-    parameter-sized."""
     with atomic_open(path, "wb") as fh:
-        _write(params, fh)
+        fh.write(_MAGIC + struct.pack("<I", len(hjson)) + hjson)
+        # theta's own buffer: no copy on a little-endian host
+        fh.write(memoryview(np.asarray(params.theta, dtype="<f8")).cast("B"))
 
 
 def load(path) -> ValueNetParams:
@@ -706,4 +646,36 @@ def load(path) -> ValueNetParams:
     a bad header, a header whose parameter count disagrees with its config
     (before allocating), a short payload or trailing bytes."""
     with open(path, "rb") as fh:
-        return _read(fh)
+        head = fh.read(8)
+        if len(head) < 8:
+            raise CheckpointError("truncated checkpoint: missing header")
+        if head[:4] != _MAGIC:
+            raise CheckpointError(f"bad magic {head[:4]!r}, expected {_MAGIC!r}")
+        (hlen,) = struct.unpack("<I", head[4:])
+        hbytes = fh.read(hlen)
+        if len(hbytes) < hlen:
+            raise CheckpointError("truncated checkpoint: incomplete header")
+        try:
+            header = json.loads(hbytes.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"corrupt header: {exc}") from None
+        if not isinstance(header, dict):
+            raise CheckpointError("corrupt header: not a JSON object")
+        if header.get("format") != "dynrank-valuenet":
+            raise CheckpointError(f"unexpected format {header.get('format')!r}")
+        if header.get("version") != _VERSION:
+            raise CheckpointError(f"unsupported version {header.get('version')!r}")
+        try:
+            config = config_from_dict(header["config"])
+            n = int(header["n_params"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"invalid header: {exc}") from None
+        if n != param_count(config):  # checked before anything parameter-sized exists
+            raise CheckpointError(f"header declares {n} parameters, its config has {param_count(config)}")
+        theta = np.empty(n, dtype="<f8")
+        got = fh.readinto(memoryview(theta).cast("B"))
+        if got != 8 * n:
+            raise CheckpointError(f"parameter payload has {got} bytes, expected {8 * n}")
+        if fh.read(1):
+            raise CheckpointError(f"trailing bytes after the {8 * n}-byte parameter payload")
+    return ValueNetParams(config, theta)

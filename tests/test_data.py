@@ -42,7 +42,7 @@ class TestLoadTrecDD:
     def test_two_topic_fixture(self, tmp_path):
         ds = load_trec_dd(*write_trec_fixture(tmp_path), dim=16, seed=0)
         assert ds.topic_ids() == ["t1", "t2"]
-        assert ds.judgments.judged_docs("t1") == {"d1", "d2"}
+        assert {d for d in ds.pools["t1"] if ds.judgments.coverage("t1", d)} == {"d1", "d2"}
         assert ds.kind == "embedded"
         assert ds.dim == 16
         assert ds.input_dim() == 32

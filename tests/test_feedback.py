@@ -19,12 +19,12 @@ from dynrank.metrics import JudgmentSet
 
 
 def judgments():
-    return JudgmentSet.from_triples([
-        ("t1", "s1", "d1", 2.0),
-        ("t1", "s2", "d1", 1.0),
-        ("t1", "s1", "d2", 4.0),
-        ("t1", "s3", "d5", 1.0),
-    ])
+    return JudgmentSet({
+        ("t1", "s1", "d1"): 2.0,
+        ("t1", "s2", "d1"): 1.0,
+        ("t1", "s1", "d2"): 4.0,
+        ("t1", "s3", "d5"): 1.0,
+    })
 
 
 class TestSimulateFeedback:

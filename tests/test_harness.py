@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from dynrank import fileio, harness, valuenet
 from dynrank.cli import main
@@ -29,7 +28,6 @@ from dynrank.harness import (
     load_dataset,
     make_feedback,
     metrics_run,
-    report_from_dict,
     report_to_dict,
     run,
     sweep_config,
@@ -39,6 +37,17 @@ from dynrank.harness import (
 from dynrank.metrics import MetricSpec
 from dynrank.policy import PolicyConfig
 from dynrank.valuenet import NetConfig
+
+
+def invoke(capsys, args) -> tuple[int, str]:
+    """Run the CLI in-process; returns its exit code and its stdout + stderr."""
+    try:
+        main(args)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out + captured.err
 
 
 def tiny_config(out_dir, **kw) -> RunConfig:
@@ -97,7 +106,7 @@ class TestConfig:
 
 
 class TestReportSerialization:
-    def test_round_trip_equality(self):
+    def test_round_trip_equality(self, tmp_path):
         report = RunReport(
             command="evaluate",
             config={"seed": 0},
@@ -106,7 +115,10 @@ class TestReportSerialization:
             notes=["n"],
             wall_time=1.23,
         )
-        back = report_from_dict(report_to_dict(report))
+        emit_report(report, tmp_path)
+        d = json.loads((tmp_path / "report.json").read_text())
+        assert d == report_to_dict(report)
+        back = RunReport(**{k: v for k, v in d.items() if k != "schema"})
         assert back == report  # wall_time excluded from comparison
         assert back.wall_time is None
 
@@ -285,7 +297,7 @@ class TestTrainEvaluate:
         with pytest.raises(ConfigError):
             run(tiny_config(tmp_path), "explode")
 
-    def test_checkpoint_config_mismatch_rejected(self, tmp_path):
+    def test_checkpoint_config_mismatch_rejected(self, tmp_path, capsys):
         trained = tiny_config(tmp_path / "out", net=dataclasses.replace(tiny_config(tmp_path).net, window=5))
         train_run(trained)
         other = dataclasses.replace(trained, net=dataclasses.replace(trained.net, window=3))
@@ -296,9 +308,9 @@ class TestTrainEvaluate:
         assert "input_dim" not in str(info.value)  # only the differing fields
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config_to_dict(trained)))
-        res = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path), "--window", "3"])
-        assert res.exit_code == 2
-        assert "window" in res.output
+        code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path), "--window", "3"])
+        assert code == 2
+        assert "window" in output
 
 
 class TestDeterminism:
@@ -405,40 +417,51 @@ class TestBaselines:
 
 
 class TestCli:
-    def test_train_then_evaluate(self, tmp_path):
+    def test_train_then_evaluate(self, tmp_path, capsys):
         config = tiny_config(tmp_path / "out")
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config_to_dict(config)))
-        runner = CliRunner()
-        res = runner.invoke(main, ["train", "--config", str(cfg_path)])
-        assert res.exit_code == 0, res.output
-        res = runner.invoke(main, ["evaluate", "--config", str(cfg_path)])
-        assert res.exit_code == 0, res.output
-        assert "iteration" not in res.output or res.output  # table printed
+        code, output = invoke(capsys, ["train", "--config", str(cfg_path)])
+        assert code == 0, output
+        code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
+        assert code == 0, output
+        assert "iteration" not in output or output  # table printed
         assert (tmp_path / "out" / "evaluation.csv").exists()
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"policy": {"epsilon": 5.0}}))
-        res = CliRunner().invoke(main, ["train", "--config", str(bad)])
-        assert res.exit_code == 2
+        code, _ = invoke(capsys, ["train", "--config", str(bad)])
+        assert code == 2
 
-    def test_data_error_exit_code(self, tmp_path):
+    def test_data_error_exit_code(self, tmp_path, capsys):
         config = tiny_config(tmp_path / "out")
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config_to_dict(config)))
-        res = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path)])
-        assert res.exit_code == 3  # no checkpoints yet
+        code, _ = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
+        assert code == 3  # no checkpoints yet
 
-    def test_overrides_apply(self, tmp_path):
+    @pytest.mark.parametrize("args", [
+        ["train", "--metric", "dcg"],  # not a --metric choice
+        ["train", "--bogus"],  # unknown flag
+        ["train", "--it", "3"],  # abbreviations are not accepted
+    ], ids=["bad-metric", "unknown-flag", "abbreviation"])
+    def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("usage error ran"))
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert args[1] in capsys.readouterr().err
+
+    def test_overrides_apply(self, tmp_path, capsys):
         config = tiny_config(tmp_path / "out")
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config_to_dict(config)))
         out2 = tmp_path / "other"
-        res = CliRunner().invoke(main, [
+        code, output = invoke(capsys, [
             "train", "--config", str(cfg_path), "--out", str(out2), "--seed", "3",
         ])
-        assert res.exit_code == 0, res.output
+        assert code == 0, output
         echo = json.loads((out2 / "report.json").read_text())["config"]
         assert echo["seed"] == 3
         assert echo["out_dir"] == str(out2)
@@ -446,7 +469,7 @@ class TestCli:
     @pytest.mark.parametrize("command, profile", [
         ("ablate", trend_config), ("sweep-layers", sweep_config), ("train", default_config),
     ])
-    def test_default_profile_per_command(self, tmp_path, monkeypatch, command, profile):
+    def test_default_profile_per_command(self, tmp_path, monkeypatch, command, profile, capsys):
         seen = []
 
         def fake_run(config, command, run_path=None):
@@ -454,18 +477,18 @@ class TestCli:
             return RunReport(command=command, config={})
 
         monkeypatch.setattr(harness, "run", fake_run)
-        res = CliRunner().invoke(main, [command, "--out", str(tmp_path)])
-        assert res.exit_code == 0, res.output
+        code, output = invoke(capsys, [command, "--out", str(tmp_path)])
+        assert code == 0, output
         assert seen == [profile(out_dir=str(tmp_path))]
 
-    def test_metric_override_sets_target(self, tmp_path):
+    def test_metric_override_sets_target(self, tmp_path, capsys):
         config = tiny_config(tmp_path / "out")
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config_to_dict(config)))
-        res = CliRunner().invoke(main, [
+        code, output = invoke(capsys, [
             "train", "--config", str(cfg_path), "--metric", "alpha-ndcg",
         ])
-        assert res.exit_code == 0, res.output
+        assert code == 0, output
         echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
         assert echo["metric"]["report"] == ["alpha-ndcg"]
         assert echo["metric"]["target"] == "alpha-ndcg"
@@ -473,32 +496,32 @@ class TestCli:
     @pytest.mark.parametrize("metric, target", [
         ("alpha-ndcg", "alpha-ndcg"), ("ndcg", "ndcg"), ("nsdcg", "ndcg"),
     ])
-    def test_metric_override_maps_to_normalized_target(self, tmp_path, monkeypatch, metric, target):
+    def test_metric_override_maps_to_normalized_target(self, tmp_path, monkeypatch, metric, target, capsys):
         seen = []
         monkeypatch.setattr(harness, "run", lambda config, command, run_path=None:
                             seen.append(config) or RunReport(command=command, config={}))
-        res = CliRunner().invoke(main, ["train", "--out", str(tmp_path), "--metric", metric])
-        assert res.exit_code == 0, res.output
+        code, output = invoke(capsys, ["train", "--out", str(tmp_path), "--metric", metric])
+        assert code == 0, output
         assert seen[0].metric.report == (metric,) and seen[0].metric.target == target
 
-    def test_seed_override_sets_run_and_policy_seed(self, tmp_path, monkeypatch):
+    def test_seed_override_sets_run_and_policy_seed(self, tmp_path, monkeypatch, capsys):
         seen = []
         monkeypatch.setattr(harness, "run", lambda config, command, run_path=None:
                             seen.append(config) or RunReport(command=command, config={}))
-        res = CliRunner().invoke(main, ["ablate", "--out", str(tmp_path), "--seed", "3"])
-        assert res.exit_code == 0, res.output
+        code, output = invoke(capsys, ["ablate", "--out", str(tmp_path), "--seed", "3"])
+        assert code == 0, output
         assert (seen[0].seed, seen[0].policy.seed) == (3, 3)
 
     @pytest.mark.parametrize("target", ["dcg", "alpha-dcg"])
-    def test_sigmoid_head_with_unnormalized_target_exits_2(self, tmp_path, target):
+    def test_sigmoid_head_with_unnormalized_target_exits_2(self, tmp_path, target, capsys):
         d = config_to_dict(tiny_config(tmp_path / "out"))
         assert d["net"]["output"] == "sigmoid"
         d["metric"]["target"] = target
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(d))
-        res = CliRunner().invoke(main, ["train", "--config", str(cfg_path)])
-        assert res.exit_code == 2
-        assert "sigmoid" in res.output and target in res.output
+        code, output = invoke(capsys, ["train", "--config", str(cfg_path)])
+        assert code == 2
+        assert "sigmoid" in output and target in output
         assert not (tmp_path / "out").exists()
         with pytest.raises(ConfigError):
             tiny_config(tmp_path, metric=MetricSpec(target=target))
@@ -561,16 +584,16 @@ class TestNonFiniteTraining:
             train_run(config)
         assert not list((tmp_path / "out" / "checkpoints").iterdir())
 
-    def test_cli_exits_4(self, tmp_path, monkeypatch):
+    def test_cli_exits_4(self, tmp_path, monkeypatch, capsys):
         from dynrank import harness
 
         config = self.config(tmp_path)
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config_to_dict(config)))
         monkeypatch.setattr(harness, "load_dataset", lambda spec, seed: nan_query_dataset(config))
-        res = CliRunner().invoke(main, ["train", "--config", str(cfg_path)])
-        assert res.exit_code == 4
-        assert "fold 0" in res.output and "epoch 1" in res.output
+        code, output = invoke(capsys, ["train", "--config", str(cfg_path)])
+        assert code == 4
+        assert "fold 0" in output and "epoch 1" in output
         assert not list((tmp_path / "out" / "checkpoints").iterdir())
 
 
@@ -610,6 +633,8 @@ def test_runs_hold_few_copies_of_the_weights(tmp_path):
 
 
 def test_package_does_not_import_scipy():
+    """Neither scipy (test-only) nor click (no longer a dependency) is
+    imported by any dynrank module, the CLI included."""
     import dynrank
 
     code = (
@@ -617,7 +642,7 @@ def test_package_does_not_import_scipy():
         "for m in pkgutil.iter_modules(dynrank.__path__):\n"
         "    __import__('dynrank.' + m.name)\n"
         "assert 'dynrank.cli' in sys.modules\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'click')))\n"
     )
     src = str(Path(dynrank.__file__).resolve().parent.parent)
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

@@ -167,13 +167,13 @@ class TestCachedGreedyIdeal:
                            min_size=1))
     @settings(max_examples=80, deadline=None)
     def test_matches_greedy_reference_bitwise(self, docs):
-        js = JudgmentSet.from_triples(
-            ("t", sub, doc, g) for doc, cov in docs.items() for sub, g in cov.items()
+        js = JudgmentSet(
+            {("t", sub, doc): g for doc, cov in docs.items() for sub, g in cov.items()}
         )
 
         def check():
             # built from the judgments, not from the cached pool under test
-            coverage = {d: js.coverage("t", d) for d in sorted(js.judged_docs("t"))}
+            coverage = {d: js.coverage("t", d) for d in "abcdefg" if js.coverage("t", d)}
             pool = [(d, cov) for d, cov in coverage.items() if any(g > 0 for g in cov.values())]
             for alpha in (0.5, 0.2):
                 for k in range(1, len(pool) + 3):
@@ -184,7 +184,7 @@ class TestCachedGreedyIdeal:
         check()
 
     def test_add_invalidates(self):
-        js = JudgmentSet.from_triples([("t", "s1", "a", 1.0)])
+        js = JudgmentSet({("t", "s1", "a"): 1.0})
         assert js.ideal_alpha_dcg("t", 2, 0.5) == 1.0
         js.add("t", "s2", "b", 1.0)
         assert js.ideal_alpha_dcg("t", 2, 0.5) == 1.0 + 1.0 / math.log2(3)
@@ -199,14 +199,14 @@ class TestCachedRealizedAlphaDcg:
            st.integers(1, 8), st.sampled_from([0.0, 0.2, 0.5, 0.9]))
     @settings(max_examples=100, deadline=None)
     def test_targets_and_reports_match_reference_bitwise(self, docs, order, length, alpha):
-        js = JudgmentSet.from_triples(
-            ("t", sub, doc, g) for doc, cov in docs.items() for sub, g in cov.items()
+        js = JudgmentSet(
+            {("t", sub, doc): g for doc, cov in docs.items() for sub, g in cov.items()}
         )
         ranked = order[:length]  # judged, grade-0 and unjudged ("u*") documents
 
         def check():
             # built from the judgments, not from the cached pool under test
-            pool = [(d, js.coverage("t", d)) for d in sorted(js.judged_docs("t"))]
+            pool = [(d, js.coverage("t", d)) for d in sorted(order)]
             pool = [(d, cov) for d, cov in pool if any(g > 0 for g in cov.values())]
 
             def normalized(k):
@@ -265,12 +265,12 @@ class TestSessionNdcg:
 
 class TestJudgments:
     def make(self):
-        return JudgmentSet.from_triples([
-            ("t1", "s1", "d1", 2.0),
-            ("t1", "s2", "d1", 1.0),
-            ("t1", "s1", "d2", 4.0),
-            ("t2", "s1", "d3", 1.0),
-        ])
+        return JudgmentSet({
+            ("t1", "s1", "d1"): 2.0,
+            ("t1", "s2", "d1"): 1.0,
+            ("t1", "s1", "d2"): 4.0,
+            ("t2", "s1", "d3"): 1.0,
+        })
 
     def test_doc_relevance_sums_subtopics(self):
         js = self.make()
@@ -282,13 +282,14 @@ class TestJudgments:
 
     def test_negative_grade_rejected(self):
         with pytest.raises(ValueError):
-            JudgmentSet.from_triples([("t", "s", "d", -1.0)])
+            JudgmentSet({("t", "s", "d"): -1.0})
 
     def test_topic_indexes(self):
         js = self.make()
         assert js.topics() == ["t1", "t2"]
         assert js.subtopics("t1") == {"s1", "s2"}
-        assert js.judged_docs("t1") == {"d1", "d2"}
+        assert len(js) == 4
+        assert {d for d in ("d1", "d2", "d3") if js.coverage("t1", d)} == {"d1", "d2"}
         assert js.positive_docs("t2") == {"d3"}
         assert js.grade("t1", "s1", "d1") == 2.0
         assert js.grade("t1", "s9", "d1") == 0.0
@@ -314,11 +315,11 @@ class TestRankedList:
 
 class TestTargets:
     def make(self):
-        return JudgmentSet.from_triples([
-            ("t1", "s1", "d1", 3.0),
-            ("t1", "s2", "d2", 1.0),
-            ("t1", "s1", "d3", 1.0),
-        ])
+        return JudgmentSet({
+            ("t1", "s1", "d1"): 3.0,
+            ("t1", "s2", "d2"): 1.0,
+            ("t1", "s1", "d3"): 1.0,
+        })
 
     def test_dcg_target_matches_direct(self):
         js = self.make()

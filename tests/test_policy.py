@@ -144,20 +144,23 @@ class TestScoringFastPath:
     @given(scoring_cases())
     @settings(max_examples=150, deadline=None)
     def test_matches_per_candidate_forward(self, case):
-        params, state, keep = case
-        for _ in range(2):  # the second pick reuses the session's projection
-            scores = score_candidates(params, state)
-            assert list(scores) == sorted(state.candidates)
-            expected = reference_scores(params, state)
-            for doc, value in scores.items():
-                assert abs(value - expected[doc]) <= 1e-12
-            subset = dataclasses.replace(state, candidates=keep & state.candidates or state.candidates)
-            sub_scores = score_candidates(params, subset)
-            assert list(sub_scores) == sorted(subset.candidates)
-            assert all(abs(sub_scores[d] - expected[d]) <= 1e-12 for d in sub_scores)
-            if len(state.candidates) == 1:
-                break
-            state = step_transition(state, max(scores, key=scores.get))
+        params, start, keep = case
+        # training's direct projection, then evaluation's whole-pool projection
+        for frozen in (None, params):
+            state = dataclasses.replace(start, _pool=_PoolCache(start.vectors, frozen))
+            for _ in range(2):
+                scores = score_candidates(params, state)
+                assert list(scores) == sorted(state.candidates)
+                expected = reference_scores(params, state)
+                for doc, value in scores.items():
+                    assert abs(value - expected[doc]) <= 1e-12
+                subset = dataclasses.replace(state, candidates=keep & state.candidates or state.candidates)
+                sub_scores = score_candidates(params, subset)
+                assert list(sub_scores) == sorted(subset.candidates)
+                assert all(abs(sub_scores[d] - expected[d]) <= 1e-12 for d in sub_scores)
+                if len(state.candidates) == 1:
+                    break
+                state = step_transition(state, max(scores, key=scores.get))
 
     def test_scoring_follows_updated_weights(self):
         ds = tiny_dataset()
@@ -177,8 +180,8 @@ class TestInPlaceUpdateScoring:
     @settings(max_examples=80, deadline=None)
     def test_scores_and_train_forward_follow_in_place_update(self, case, seed):
         params, state, _ = case
-        score_candidates(params, state)
-        score_candidates(params, state)  # the same weights twice: the pool projection is cached
+        state = dataclasses.replace(state, _pool=_PoolCache(state.vectors, params))
+        score_candidates(params, state)  # gathered from the pool projection at this version
         grad = np.random.default_rng(seed).standard_normal(params.n_params)
         apply_update(params, grad, 0.1)
         fresh = params.copy()
@@ -196,14 +199,16 @@ class TestInPlaceUpdateScoring:
         params, state, keep = case
         pool = _PoolCache(state.vectors)
         idx = np.array(sorted(pool.row_of[d] for d in keep))
-        direct = pool.gate_block(params, idx).copy()  # first call at this version
-        assert pool.proj is None
-        cached = pool.gate_block(params, idx)  # second call: gathered from the pool projection
-        assert pool.proj is not None
+        direct = pool.gate_block(params, idx).copy()
+        pool.gate_block(params, idx)
+        assert pool.proj is None  # unless its caller asks, a pool is never projected whole
+        frozen = _PoolCache(state.vectors, params)
+        assert frozen.proj is not None
+        cached = frozen.gate_block(params, idx)  # gathered from the pool projection
         np.testing.assert_allclose(direct, cached, rtol=0, atol=1e-12)
         apply_update(params, np.ones(params.n_params), 0.1)
-        pool.gate_block(params, idx)
-        assert pool.proj is None  # new weights project directly again
+        frozen.gate_block(params, idx)
+        assert frozen.proj is None  # new weights project directly again
 
 
 class TestSelectAction:
@@ -366,7 +371,7 @@ class TestStepReward:
     def test_unjudged_first_step_is_zero(self):
         ds = tiny_dataset()
         topic = "t000"
-        unjudged = sorted(set(ds.pools[topic]) - ds.judgments.judged_docs(topic))[0]
+        unjudged = next(d for d in sorted(ds.pools[topic]) if not ds.judgments.coverage(topic, d))
         state = self.make_state(ds, topic, [unjudged])
         assert step_reward(MetricSpec(target="dcg"), state, ds.judgments) == 0.0
 
@@ -537,6 +542,23 @@ def test_session_loop_feedback_contract(pool, iterations, expected_calls):
             assert len(record.returned) == min(2, pool - 2 * (n - 1))
             assert record.returned == ranked[ranked_before:]  # the block just ranked
             ranked_before = len(ranked)
+
+
+def test_pool_projections_per_session_and_step(monkeypatch):
+    """Evaluation projects each session's pool once, at its first pick;
+    training projects the live candidates once per step."""
+    from dynrank import valuenet
+
+    calls = []
+    real = valuenet.project_docs
+    monkeypatch.setattr(valuenet, "project_docs", lambda *a, **k: calls.append(1) or real(*a, **k))
+    ds = tiny_dataset()
+    config = quick_policy(iterations=3, docs_per_iteration=2, epoch_cap=2)
+    evaluate_session(init_glorot(NET, 0), ds, None, config)
+    assert len(calls) == len(ds.topic_ids())
+    calls.clear()
+    _, log = train_session(init_glorot(NET, 0), ds, None, config)
+    assert len(calls) == len(log) * len(ds.topic_ids()) * 3 * 2  # one per gradient step
 
 
 def test_session_end_drops_scoring_cache():

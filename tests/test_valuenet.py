@@ -13,7 +13,6 @@ from dynrank.valuenet import (
     ValueNetParams,
     apply_update,
     backward,
-    deserialize,
     forward,
     forward_candidates,
     init_glorot,
@@ -21,7 +20,6 @@ from dynrank.valuenet import (
     param_count,
     project_docs,
     save,
-    serialize,
 )
 
 TINY = NetConfig(
@@ -336,49 +334,61 @@ class TestBatchedScoring:
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 
+def save_bytes(params: ValueNetParams, tmp_path) -> bytes:
+    save(params, tmp_path / "p.ckpt")
+    return (tmp_path / "p.ckpt").read_bytes()
+
+
+def load_bytes(blob: bytes, tmp_path) -> ValueNetParams:
+    (tmp_path / "blob.ckpt").write_bytes(blob)
+    return load(tmp_path / "blob.ckpt")
+
+
 class TestSerialization:
-    def test_round_trip_bitwise(self):
+    def test_round_trip_bitwise(self, tmp_path):
         params = tiny_params(7)
-        clone = deserialize(serialize(params))
+        save(params, tmp_path / "p.ckpt")
+        clone = load(tmp_path / "p.ckpt")
         assert clone.config == params.config
         assert clone.theta.tobytes() == params.theta.tobytes()
 
-    def test_round_trip_preserves_forward_values(self):
+    def test_round_trip_preserves_forward_values(self, tmp_path):
         params = init_glorot(TINY, 7)
         xs = [np.array([0.3, 0.1]), np.array([-0.4, 0.9])]
         before, _ = forward(params, xs)
-        after, _ = forward(deserialize(serialize(params)), xs)
+        save(params, tmp_path / "p.ckpt")
+        after, _ = forward(load(tmp_path / "p.ckpt"), xs)
         assert before == after
 
-    def test_corrupt_magic_rejected(self):
-        blob = bytearray(serialize(tiny_params()))
+    def test_corrupt_magic_rejected(self, tmp_path):
+        blob = bytearray(save_bytes(tiny_params(), tmp_path))
         blob[0] ^= 0xFF
         with pytest.raises(CheckpointError):
-            deserialize(bytes(blob))
+            load_bytes(bytes(blob), tmp_path)
 
-    def test_corrupt_header_rejected(self):
-        blob = bytearray(serialize(tiny_params()))
+    def test_corrupt_header_rejected(self, tmp_path):
+        blob = bytearray(save_bytes(tiny_params(), tmp_path))
         blob[10] = 0x00
         with pytest.raises(CheckpointError):
-            deserialize(bytes(blob))
+            load_bytes(bytes(blob), tmp_path)
 
-    def test_truncation_rejected(self):
-        blob = serialize(tiny_params())
+    def test_truncation_rejected(self, tmp_path):
+        blob = save_bytes(tiny_params(), tmp_path)
         with pytest.raises(CheckpointError):
-            deserialize(blob[:-8])
+            load_bytes(blob[:-8], tmp_path)
 
-    def test_version_mismatch_rejected(self):
+    def test_version_mismatch_rejected(self, tmp_path):
         import json
         import struct
 
-        blob = serialize(tiny_params())
+        blob = save_bytes(tiny_params(), tmp_path)
         hlen = struct.unpack("<I", blob[4:8])[0]
         header = json.loads(blob[8:8 + hlen])
         header["version"] = 99
         hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         forged = blob[:4] + struct.pack("<I", len(hjson)) + hjson + blob[8 + hlen:]
         with pytest.raises(CheckpointError):
-            deserialize(forged)
+            load_bytes(forged, tmp_path)
 
 
 # written by the checkpoint code before save/load streamed: init_glorot(FIXTURE_NET, 2021)
@@ -395,8 +405,7 @@ class TestCheckpointFile:
         assert params.theta.tobytes() == init_glorot(FIXTURE_NET, 2021).theta.tobytes()
         save(params, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == blob
-        assert serialize(params) == blob
-        assert deserialize(blob) == params
+        assert load(tmp_path / "again.ckpt") == params
 
     def test_short_payload_rejected(self, tmp_path):
         path = tmp_path / "short.ckpt"
