@@ -373,28 +373,68 @@ def with_layers(net: NetConfig, layers: int) -> NetConfig:
     return dataclasses.replace(net, layers=layers, hidden_dims=hidden)
 
 
+def _copy_files(src: Path, dst: Path) -> None:
+    """Copy every file under ``src`` (temporary files aside) to the same
+    place under ``dst``, each written atomically."""
+    for path in sorted(src.rglob("*")):
+        if path.is_file() and not path.name.startswith("."):
+            target = dst / path.relative_to(src)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            with atomic_open(target, "wb") as fh:
+                fh.write(path.read_bytes())
+
+
 def _run_arms(command: str, config: RunConfig, arms, dataset: Dataset | None) -> RunReport:
-    """Train, evaluate and emit each ``(label, sub-config)`` arm on one
-    dataset; the report holds each arm's table as ``evaluation:<label>``
-    and the notes of every arm."""
+    """Train, evaluate and emit each ``(label, sub-config, same_as)`` arm on
+    one dataset; the report holds each arm's table as ``evaluation:<label>``
+    and the notes of every arm.
+
+    An arm whose ``same_as`` names an earlier arm would run exactly as that
+    one did, so it is not run again: it gets copies of that arm's files and
+    its evaluation report, with its own config echo and notes."""
     if dataset is None:
         dataset = load_dataset(config.dataset, config.seed)
     report = RunReport(command=command, config=config_to_dict(config))
-    for label, sub in arms:
-        train_rep = train_run(sub, dataset)
-        eval_rep = evaluate_run(sub, dataset)
+    runs: dict[str, tuple[RunConfig, RunReport]] = {}
+    for label, sub, same_as in arms:
+        if same_as is None:
+            notes = train_run(sub, dataset).notes
+            eval_rep = evaluate_run(sub, dataset)
+            runs[label] = (sub, eval_rep)
+        else:
+            first, shared = runs[same_as]
+            _copy_files(Path(first.out_dir), Path(sub.out_dir))
+            notes = make_feedback(sub, dataset)[1]
+            eval_rep = dataclasses.replace(shared, config=config_to_dict(sub), notes=notes)
         emit_report(eval_rep, sub.out_dir)
-        report.notes.extend(n for n in train_rep.notes + eval_rep.notes if n not in report.notes)
+        report.notes.extend(n for n in notes + eval_rep.notes if n not in report.notes)
         report.tables[f"evaluation:{label}"] = eval_rep.tables["evaluation"]
     return report
 
 
 def ablate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
-    """Train and evaluate all feedback variants, everything else fixed."""
+    """Train and evaluate all feedback variants, everything else fixed.
+
+    The variants that get no query reformulator on the dataset (no-feedback,
+    the term-space ones on vector-only corpora, all of them in feature mode)
+    rank identically, so the first of them is trained and evaluated once
+    for all of them."""
+    if dataset is None:
+        dataset = load_dataset(config.dataset, config.seed)
     out = Path(config.out_dir) / "ablate"
-    report = _run_arms("ablate", config, [
-        (v, dataclasses.replace(config, feedback=v, out_dir=str(out / v))) for v in ABLATION_VARIANTS
-    ], dataset)
+    arms, plain = [], []  # plain: the variants without a reformulator
+    for v in ABLATION_VARIANTS:
+        sub = dataclasses.replace(config, feedback=v, out_dir=str(out / v))
+        same_as = None
+        if make_feedback(sub, dataset)[0] is None:
+            same_as = plain[0] if plain else None
+            plain.append(v)
+        arms.append((v, sub, same_as))
+    report = _run_arms("ablate", config, arms, dataset)
+    if len(plain) > 1:
+        report.notes.append(f"variants {', '.join(plain[1:])} rank exactly as {plain[0]} does "
+                            f"(no query reformulator): they were trained and evaluated once, as "
+                            f"{plain[0]}, and their files are copies of its files")
     report.tables["ablation"] = [
         (v, *row) for v in ABLATION_VARIANTS for row in report.tables[f"evaluation:{v}"]
     ]
@@ -405,7 +445,8 @@ def sweep_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     """Repeat training for each stack depth and report the final metric."""
     out = Path(config.out_dir) / "sweep"
     report = _run_arms("sweep-layers", config, [
-        (f"J{n}", dataclasses.replace(config, net=with_layers(config.net, n), out_dir=str(out / f"J{n}")))
+        (f"J{n}", dataclasses.replace(config, net=with_layers(config.net, n), out_dir=str(out / f"J{n}")),
+         None)
         for n in SWEEP_LAYERS
     ], dataset)
     primary = config.metric.report[0]

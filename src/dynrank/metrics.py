@@ -57,6 +57,8 @@ class JudgmentSet:
         self._subtopics: dict[str, set[str]] = {}
         self._docs: dict[str, set[str]] = {}
         self._pool_cache: dict[str, tuple] = {}
+        # the last realized alpha-DCG: (topic, alpha, doc ids, counts, total)
+        self._realized: tuple | None = None
         if grades:
             for (topic, subtopic, doc), grade in grades.items():
                 self.add(topic, subtopic, doc, grade)
@@ -70,16 +72,17 @@ class JudgmentSet:
         self._subtopics.setdefault(topic, set()).add(subtopic)
         self._docs.setdefault(topic, set()).add(doc)
         self._pool_cache.pop(topic, None)
+        self._realized = None
 
     def _pool(self, topic: str) -> tuple:
-        """Memoized per-topic pool: positive docs, each judged doc's set of
+        """Memoized per-topic pool: positive docs, each judged doc's sorted
         positive subtopics, descending relevance values and the greedy
         alpha-DCG ideals by alpha (filled by ``ideal_alpha_dcg``). Recomputed
         whenever the topic changes."""
         cached = self._pool_cache.get(topic)
         if cached is None:
             subsets = {
-                doc: _as_subtopic_set(self._coverage[(topic, doc)])
+                doc: _positive_subtopics(self._coverage[(topic, doc)])
                 for doc in self._docs.get(topic, ())
             }
             docs = sorted(doc for doc, subs in subsets.items() if subs)
@@ -110,13 +113,26 @@ class JudgmentSet:
 
     def alpha_dcg(self, topic: str, doc_ids: Sequence[str], k: int, alpha: float) -> float:
         """``alpha_dcg_at_k(ranked_coverage(...), k, alpha)``, bit for bit,
-        from the cached positive-subtopic sets (unjudged docs cover none)."""
+        from the cached sorted positive subtopics (unjudged docs cover none).
+
+        When the previous call summed a prefix of this list, at the same
+        topic and alpha, its sum is extended by the new documents' terms in
+        the same order, so a session's growing list costs one document per
+        call."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if not 0.0 <= alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {alpha}")
         subsets = self._pool(topic)[1]
-        return _alpha_dcg((subsets.get(d, _NO_SUBTOPICS) for d in doc_ids[:k]), alpha)
+        ids = list(doc_ids[:k])
+        last = self._realized
+        if last is not None and last[:2] == (topic, alpha) and ids[:len(last[2])] == last[2]:
+            done, counts, total = len(last[2]), last[3], last[4]
+        else:
+            done, counts, total = 0, Counter(), 0.0
+        total = _extend_alpha_dcg(total, counts, (subsets.get(d, ()) for d in ids[done:]), done, alpha)
+        self._realized = (topic, alpha, ids, counts, total)
+        return total
 
     def topics(self) -> list[str]:
         return sorted(self._docs)
@@ -197,10 +213,12 @@ def ndcg_at_k(rels: Sequence[float], k: int) -> float:
     return dcg_at_k(rels, k) / ideal
 
 
-def _as_subtopic_set(item) -> frozenset:
+def _positive_subtopics(item) -> tuple:
+    """A document's covered subtopics, sorted: gains are summed in this
+    order, so no total depends on the process's string hash seed."""
     if isinstance(item, Mapping):
-        return frozenset(s for s, g in item.items() if g > 0)
-    return frozenset(item)
+        return tuple(sorted(s for s, g in item.items() if g > 0))
+    return tuple(sorted(set(item)))
 
 
 def alpha_dcg_at_k(coverage: Sequence, k: int, alpha: float = 0.5) -> float:
@@ -215,17 +233,16 @@ def alpha_dcg_at_k(coverage: Sequence, k: int, alpha: float = 0.5) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    return _alpha_dcg(map(_as_subtopic_set, coverage[:k]), alpha)
+    return _extend_alpha_dcg(0.0, Counter(), map(_positive_subtopics, coverage[:k]), 0, alpha)
 
 
-_NO_SUBTOPICS = frozenset()
-
-
-def _alpha_dcg(subsets: Iterable[frozenset], alpha: float) -> float:
-    """alpha-DCG of the ranked documents' positive-subtopic sets, in order."""
-    counts: Counter = Counter()
-    total = 0.0
-    for rank, subs in enumerate(subsets, start=1):
+def _extend_alpha_dcg(total: float, counts: Counter, subsets: Iterable[tuple], done: int,
+                      alpha: float) -> float:
+    """``total``, the alpha-DCG of the first ``done`` ranked documents whose
+    subtopic coverage ``counts`` holds, plus the terms of the documents
+    ranked next, given by their sorted positive subtopics; ``counts`` is
+    updated in place."""
+    for rank, subs in enumerate(subsets, start=done + 1):
         gain = sum((1.0 - alpha) ** counts[s] for s in subs)
         total += gain / math.log2(rank + 1)
         for s in subs:
@@ -233,13 +250,13 @@ def _alpha_dcg(subsets: Iterable[frozenset], alpha: float) -> float:
     return total
 
 
-def _normalize_pool(pool: Sequence) -> list[tuple[str, frozenset]]:
+def _normalize_pool(pool: Sequence) -> list[tuple[str, tuple]]:
     items = []
     for idx, item in enumerate(pool):
         if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str):
-            items.append((item[0], _as_subtopic_set(item[1])))
+            items.append((item[0], _positive_subtopics(item[1])))
         else:
-            items.append((f"{idx:09d}", _as_subtopic_set(item)))
+            items.append((f"{idx:09d}", _positive_subtopics(item)))
     return items
 
 

@@ -12,7 +12,7 @@ squared-loss gradient step per ranked document, evaluation picks greedily.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
@@ -67,13 +67,19 @@ def epsilon_schedule(
 
 @dataclass
 class SessionState:
-    """Search context: current query, ranked list and remaining candidates."""
+    """Search context: current query, ranked list and remaining candidates.
+
+    The candidates are rows of ``ids``, the session's pool in ascending id
+    order: ``live`` holds the rows not ranked yet, ascending. Transitions
+    share ``ids`` and never modify a state's arrays, so every state of a
+    session stays valid."""
 
     topic_id: str
     query: np.ndarray
     vectors: Mapping[str, np.ndarray]
+    ids: tuple[str, ...] = ()
+    live: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
     ranked: tuple[tuple[str, np.ndarray], ...] = ()
-    candidates: frozenset[str] = frozenset()
     n: int = 1
     # scoring cache shared by the states of one session, built lazily
     _pool: _PoolCache | None = field(default=None, repr=False, compare=False)
@@ -84,24 +90,42 @@ class SessionState:
         ranked_ids = [d for d, _ in self.ranked]
         if len(set(ranked_ids)) != len(ranked_ids):
             raise ValueError("duplicate documents in ranked list")
-        if set(ranked_ids) & self.candidates:
+        live = self.live = np.asarray(self.live, dtype=np.intp)
+        if live.ndim != 1 or (np.diff(live) <= 0).any():
+            raise ValueError("live rows must be one ascending array")
+        if live.size and (live[0] < 0 or live[-1] >= len(self.ids)):
+            raise ValueError(f"live rows must index the {len(self.ids)} pool ids")
+        if not set(ranked_ids).isdisjoint(self.candidates()):
             raise ValueError("ranked list and candidate set overlap")
 
     def ranked_ids(self) -> list[str]:
         return [d for d, _ in self.ranked]
+
+    def candidates(self) -> list[str]:
+        """The ids of the candidates not ranked yet, ascending."""
+        ids = self.ids
+        return [ids[i] for i in self.live.tolist()]
+
+
+def _evolve(state: SessionState, **changes) -> SessionState:
+    """``dataclasses.replace`` without re-validating: transitions keep the
+    invariants that ``__post_init__`` checks, which cost O(pool) per pick."""
+    new = copy.copy(state)
+    new.__dict__.update(changes)
+    return new
 
 
 def new_session(dataset: Dataset, topic: str) -> SessionState:
     """Fresh state for one topic: empty ranked list, full candidate pool."""
     if topic not in dataset.topics:
         raise ValueError(f"unknown topic {topic!r}")
-    pool = dataset.pools[topic]
-    vectors = {d: dataset.doc_vector(topic, d) for d in pool}
+    vectors = {d: dataset.doc_vector(topic, d) for d in dataset.pools[topic]}
     return SessionState(
         topic_id=topic,
         query=dataset.query_vector(topic),
         vectors=vectors,
-        candidates=frozenset(pool),
+        ids=tuple(sorted(vectors)),
+        live=np.arange(len(vectors), dtype=np.intp),
     )
 
 
@@ -120,96 +144,113 @@ def forward_inputs(state: SessionState, window: int | None = None) -> list[np.nd
 
 
 class _PoolCache:
-    """The session's pool in sorted-id order, stored as the columns of one
-    (dim, pool) matrix, and the scoring workspace the session's picks reuse.
+    """The session's pool as the columns of one (dim, pool) matrix, in the
+    order of ``SessionState.ids``, and the scoring workspace the session's
+    picks reuse.
 
-    Each pick's first-layer document projections go into the workspace's
-    gate block, gate-major (4H, N). Evaluation, whose weights are frozen,
-    passes ``params``: the whole pool's projection is built once, up front,
-    and each pick gathers its candidates' columns from it while the weights
-    keep that version. Training, whose weights change between picks, passes
-    none, and each pick projects only the live candidates' columns."""
+    Each pick's first-layer document projections are gate-major (4H, N)
+    blocks, one column per live candidate. Training, whose weights change
+    between picks, projects the live candidates' columns straight into the
+    workspace's gate block at every pick. Evaluation, whose weights are
+    ``frozen``, projects the pool once, at the first pick, and keeps that
+    projection compacted to the live candidates.
+    After each pick, ``drop`` copies it, minus the ranked column, into the
+    workspace's gate block and swaps the two buffers, so a pick neither
+    allocates nor gathers."""
 
-    __slots__ = ("ids", "row_of", "docs", "version", "proj", "workspace")
+    __slots__ = ("docs", "frozen", "version", "live", "proj", "buf", "workspace")
 
-    def __init__(self, vectors: Mapping[str, np.ndarray], params: ValueNetParams | None = None):
-        self.ids = sorted(vectors)
-        self.row_of = {d: i for i, d in enumerate(self.ids)}
-        self.docs = np.stack([vectors[d] for d in self.ids], axis=1)
-        self.version = self.proj = None  # the pool projection and its params version
-        if params is not None:
-            # the transpose of the C-contiguous matrix keeps the matmul copy-free
-            self.version, self.proj = params.version, valuenet.project_docs(params, self.docs.T).T
+    def __init__(self, state: SessionState, frozen: bool = False):
+        self.docs = np.stack([state.vectors[d] for d in state.ids], axis=1)
+        self.frozen = frozen
+        # the kept projection (a view of ``buf``), its weights version and
+        # the live rows it holds
+        self.version = self.live = self.proj = self.buf = None
         self.workspace = valuenet.ScoringWorkspace()
 
-    def gate_block(self, params: ValueNetParams, idx: np.ndarray) -> np.ndarray:
-        """The candidates ``idx``'s document projections in the gate block."""
+    def gate_block(self, params: ValueNetParams, live: np.ndarray) -> np.ndarray:
+        """The live candidates' document projections, (4H, len(live)):
+        the kept projection, or the workspace's gate block."""
+        if self.proj is not None and self.version == params.version and self.live is live:
+            return self.proj
+        self.version = self.live = self.proj = self.buf = None  # never read a stale projection
+        if self.frozen:
+            # at a session's first pick every row is live; the transpose of
+            # the C-contiguous matrix keeps the matmul copy-free
+            docs = self.docs if live.size == self.docs.shape[1] else self.docs[:, live]
+            self.proj = valuenet.project_docs(params, docs.T).T
+            self.version, self.live, self.buf = params.version, live, self.proj.reshape(-1)
+            return self.proj
         ws = self.workspace
-        gates = ws.gates(4 * params.lstm[0].H, len(idx))
-        # "clip": "raise" would buffer the output
-        if params.version == self.version:
-            np.take(self.proj, idx, axis=1, out=gates, mode="clip")
-        else:
-            self.version = self.proj = None  # never gather a stale projection
-            docs = ws.docs(len(self.docs), len(idx))
-            np.take(self.docs, idx, axis=1, out=docs, mode="clip")
-            valuenet.project_docs(params, docs.T, out=gates.T)
+        gates = ws.gates(4 * params.lstm[0].H, len(live))
+        docs = ws.docs(len(self.docs), len(live))
+        np.take(self.docs, live, axis=1, out=docs, mode="clip")  # "raise" would buffer the output
+        valuenet.project_docs(params, docs.T, out=gates.T)
         return gates
 
+    def drop(self, live: np.ndarray, pos: int, rest: np.ndarray) -> None:
+        """Follow the transition from ``live`` to ``rest``, which ranked the
+        candidate at ``pos``: compact the kept projection if it holds
+        ``live``."""
+        if self.live is not live:
+            return
+        rows, n = self.proj.shape
+        out = self.workspace.gates(rows, n - 1)
+        out[:, :pos] = self.proj[:, :pos]
+        out[:, pos:] = self.proj[:, pos + 1:]
+        self.buf = self.workspace.swap_gates(self.buf)
+        self.proj, self.live = out, rest
 
-def score_candidates(params: ValueNetParams, state: SessionState) -> dict[str, float]:
+
+def score_candidates(params: ValueNetParams, state: SessionState) -> np.ndarray:
     """Value of appending each candidate to the current ranked list.
 
     Pure eval-mode scoring; candidates share the ranked prefix, so the
     final network step runs batched across them, in the session's
-    workspace. Returns the scores in ascending doc-id order.
+    workspace. Returns a new array of the scores in the order of
+    ``state.live``, which is ascending doc id.
     """
-    if not state.candidates:
+    if not state.live.size:
         raise ValueError("no candidates to score")
     if state._pool is None:
-        state._pool = _PoolCache(state.vectors)
+        state._pool = _PoolCache(state)
     pool = state._pool
-    idx = np.fromiter(map(pool.row_of.__getitem__, state.candidates), np.intp, len(state.candidates))
-    idx.sort()
     window = params.config.window
     prefix = forward_inputs(state, window - 1) if window > 1 else []
-    gates = pool.gate_block(params, idx)
-    values = valuenet.forward_candidates(params, prefix, gates.T, state.query,
-                                         workspace=pool.workspace)
-    ids = pool.ids
-    return dict(zip([ids[i] for i in idx.tolist()], values.tolist()))
+    gates = pool.gate_block(params, state.live)
+    return valuenet.forward_candidates(params, prefix, gates.T, state.query,
+                                       workspace=pool.workspace)
 
 
-def best_action(scores: Mapping[str, float]) -> str:
-    """The best-scoring candidate, ties broken by ascending doc id."""
-    ids = sorted(scores)
-    vals = np.fromiter(map(scores.__getitem__, ids), np.float64, len(ids))
-    return ids[int(np.argmax(vals))]  # first maximum: the smallest id
+def best_action(scores: np.ndarray) -> int:
+    """Position of the best score; ties go to the first, which is the
+    smallest doc id."""
+    return int(np.argmax(scores))
 
 
 def select_action(
-    scores: Mapping[str, float],
+    scores: np.ndarray,
     epsilon: float,
     mode: str,
     rng: np.random.Generator,
-) -> str:
-    """Epsilon-greedy pick over candidate scores.
+) -> int:
+    """Epsilon-greedy pick over candidate scores; returns a position.
 
-    With probability epsilon a uniformly random candidate is returned.
+    With probability epsilon a uniformly random position is returned.
     Otherwise 'argmax' returns :func:`best_action` and 'sample' draws
     proportionally to the scores (shifted into the positive range when any
     score is <= 0).
     """
-    if not scores:
-        raise ValueError("empty score map")
-    ids = sorted(scores)
+    vals = np.asarray(scores, dtype=np.float64)
+    n = len(vals)
+    if not n:
+        raise ValueError("no candidate scores")
     if rng.random() < epsilon:
-        return ids[rng.integers(len(ids))]
+        return int(rng.integers(n))
     if mode == "argmax":
-        return best_action(scores)
+        return best_action(vals)
     if mode != "sample":
         raise ValueError(f"unknown selection mode {mode!r}")
-    vals = np.fromiter(map(scores.__getitem__, ids), np.float64, len(ids))
     total = vals.sum()
     if not math.isfinite(total):
         raise FloatingPointError("non-finite candidate scores")
@@ -217,18 +258,22 @@ def select_action(
     if lo <= 0.0:
         vals = vals - lo + 1e-6
         total = vals.sum()
-    return ids[rng.choice(len(ids), p=vals / total)]
+    return int(rng.choice(n, p=vals / total))
 
 
-def step_transition(state: SessionState, doc_id: str) -> SessionState:
-    """Append a candidate to the ranked list and drop it from the pool."""
-    if doc_id not in state.candidates:
-        raise ValueError(f"{doc_id!r} is not an available candidate")
-    return dataclasses.replace(
-        state,
-        ranked=state.ranked + ((doc_id, state.vectors[doc_id]),),
-        candidates=state.candidates - {doc_id},
-    )
+def step_transition(state: SessionState, pos: int) -> SessionState:
+    """Rank the candidate at position ``pos`` of ``state.live``: append it
+    to the ranked list and drop it from the candidates."""
+    live = state.live
+    if not 0 <= pos < live.size:
+        raise ValueError(f"candidate position {pos} out of range for {live.size} candidates")
+    doc = state.ids[live[pos]]
+    rest = np.empty(live.size - 1, np.intp)
+    rest[:pos] = live[:pos]
+    rest[pos:] = live[pos + 1:]
+    if state._pool is not None:
+        state._pool.drop(live, pos, rest)
+    return _evolve(state, ranked=state.ranked + ((doc, state.vectors[doc]),), live=rest)
 
 
 def session_transition(state: SessionState, new_query: np.ndarray) -> SessionState:
@@ -236,7 +281,7 @@ def session_transition(state: SessionState, new_query: np.ndarray) -> SessionSta
     new_query = np.asarray(new_query, dtype=np.float64)
     if new_query.shape != state.query.shape:
         raise ValueError(f"query dimension mismatch: {new_query.shape} vs {state.query.shape}")
-    return dataclasses.replace(state, query=new_query, n=state.n + 1)
+    return _evolve(state, query=new_query, n=state.n + 1)
 
 
 def step_reward(metric: MetricSpec, state: SessionState, judgments: JudgmentSet) -> float:
@@ -268,7 +313,7 @@ def run_session(
     for it in range(1, config.iterations + 1):
         start = len(state.ranked)
         for _ in range(config.docs_per_iteration):
-            if not state.candidates:
+            if not state.live.size:
                 break
             state = pick(state)
         block = [d for d, _ in state.ranked[start:]]
@@ -343,10 +388,10 @@ def train_session(
         def pick(state: SessionState) -> SessionState:
             scores = score_candidates(params, state)
             try:
-                action = select_action(scores, eps, config.selection, rng)
+                pos = select_action(scores, eps, config.selection, rng)
             except FloatingPointError as exc:
                 raise _diverged(epoch, exc) from None
-            state = step_transition(state, action)
+            state = step_transition(state, pos)
             target = step_reward(metric, state, dataset.judgments)
             value, cache = valuenet.forward(params, forward_inputs(state, window), mode="train", rng=rng)
             err = value - target
@@ -416,7 +461,7 @@ def evaluate_session(
 
     def pick(state: SessionState) -> SessionState:
         if state._pool is None:  # frozen weights: project the session's pool once
-            state._pool = _PoolCache(state.vectors, params)
+            state._pool = _PoolCache(state, frozen=True)
         return step_transition(state, best_action(score_candidates(params, state)))
 
     ranked_lists: dict[str, RankedList] = {}

@@ -558,6 +558,12 @@ class ScoringWorkspace:
         ``doc_proj``."""
         return self._block(0, rows, n)
 
+    def swap_gates(self, flat: np.ndarray) -> np.ndarray:
+        """Make the flat array ``flat`` the gate block's storage; returns
+        the storage it replaces."""
+        old, self._flat[0] = self._flat[0], flat
+        return old
+
     def docs(self, dim: int, n: int) -> np.ndarray:
         """The (dim, n) document block: candidates' document columns, which
         :func:`project_docs` (given its transpose) scales in place."""

@@ -142,18 +142,18 @@ def test_criterion_3_rocchio_algebra():
 def test_criterion_4_policy_distributions():
     start = time.time()
     rng = np.random.default_rng(0)
-    scores = {c: float(i) for i, c in enumerate("abcde")}
-    counts = {c: 0 for c in scores}
+    scores = np.arange(5.0)  # candidate i scores i
+    counts = [0] * len(scores)
     n = 10_000
     for _ in range(n):
         counts[select_action(scores, 1.0, "argmax", rng)] += 1
     expected = n / len(scores)
-    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    stat = sum((c - expected) ** 2 / expected for c in counts)
     band = chi2.ppf(0.99, df=len(scores) - 1)
     assert stat < band
 
     rng = np.random.default_rng(123)
-    hits = sum(select_action({"a": 1.0, "b": 3.0}, 0.0, "sample", rng) == "b" for _ in range(n))
+    hits = sum(select_action(np.array([1.0, 3.0]), 0.0, "sample", rng) == 1 for _ in range(n))
     freq = hits / n
     assert freq == pytest.approx(0.75, abs=0.02)
     elapsed = time.time() - start

@@ -366,6 +366,33 @@ class TestAblate:
         }
         assert diff_keys == {"feedback", "out_dir"}
 
+    def test_arms_without_reformulator_run_once(self, tmp_path, monkeypatch):
+        trained = []
+        real = harness.train_run
+        monkeypatch.setattr(harness, "train_run", lambda c, d=None: trained.append(c.feedback) or real(c, d))
+        config = tiny_config(tmp_path / "grid")
+        report = run(config, "ablate")
+        # on a vector-only corpus the term-space variants fall back to no reformulator
+        assert trained == ["embed-rocchio", "classic-rocchio"]
+        assert any("nqe, no-feedback rank exactly as classic-rocchio" in n for n in report.notes)
+        # a run of its own gives an alias arm the bytes it got as copies
+        alone = dataclasses.replace(config, feedback="no-feedback", out_dir=str(tmp_path / "alone"))
+        real(alone)
+        emit_report(evaluate_run(alone), alone.out_dir)
+        files = sorted(p.relative_to(alone.out_dir) for p in Path(alone.out_dir).rglob("*"))
+        assert Path("checkpoints/fold0.ckpt") in files and Path("run.jsonl") in files
+        ds = load_dataset(config.dataset, config.seed)
+        for variant in ("classic-rocchio", "nqe", "no-feedback"):
+            arm = tmp_path / "grid" / "ablate" / variant
+            assert sorted(p.relative_to(arm) for p in arm.rglob("*")) == files
+            for name in files:
+                if name.name != "report.json" and (arm / name).is_file():
+                    assert (arm / name).read_bytes() == (Path(alone.out_dir) / name).read_bytes()
+            sub = json.loads((arm / "report.json").read_text())
+            assert sub["config"] == config_to_dict(
+                dataclasses.replace(config, feedback=variant, out_dir=str(arm)))
+            assert sub["notes"] == make_feedback(dataclasses.replace(config, feedback=variant), ds)[1]
+
     def test_vector_corpus_notes_term_fallback(self, tmp_path):
         config = tiny_config(tmp_path, feedback="classic-rocchio")
         ds = load_dataset(config.dataset, config.seed)
@@ -677,8 +704,8 @@ class TestFeatureMode:
         ds = load_dataset(config.dataset, config.seed)
         state = new_session(ds, "1")
         assert state.query.size == 0
-        doc = sorted(state.candidates)[0]
-        state = step_transition(state, doc)
+        doc = state.candidates()[0]
+        state = step_transition(state, 0)
         (unit,) = forward_inputs(state)
         np.testing.assert_array_equal(unit, ds.doc_vector("1", doc))
 

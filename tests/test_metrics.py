@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynrank import metrics
 from dynrank.metrics import (
     JudgmentSet,
     MetricSpec,
@@ -228,6 +233,74 @@ class TestCachedRealizedAlphaDcg:
         check()
         js.add("t", "s5", ranked[0], 1.0)  # must invalidate the cached subtopic sets
         check()
+
+
+class TestIncrementalRealizedAlphaDcg:
+    COVERAGE = {  # multi-subtopic documents, so alpha != 0.5 rounds per order
+        "t": {"a": {"s1": 1, "s2": 2}, "b": {"s1": 1, "s2": 1, "s3": 1}, "c": {"s3": 2},
+              "d": {"s1": 1, "s2": 1, "s3": 1, "s4": 1}, "e": {"s4": 1}, "f": {"s2": 0}},
+        "u": {"a": {"x": 1}, "b": {"x": 1, "y": 1}, "c": {"y": 1, "z": 2}},
+    }
+    ORDER = {"t": ["d", "b", "u1", "a", "f", "c", "e"], "u": ["b", "a", "c", "u2"]}
+
+    @given(st.lists(st.tuples(st.sampled_from(["t", "u"]), st.integers(1, 7),
+                              st.sampled_from([0.5, 0.3, 0.0]), st.integers(1, 8)),
+                    min_size=1, max_size=15))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_alpha_dcg_at_k_bitwise(self, calls):
+        """Each call may grow the list, change the topic, shorten the list,
+        change alpha or cut it: the extended sum keeps the reference's bits."""
+        js = JudgmentSet({(t, sub, d): g for t, docs in self.COVERAGE.items()
+                          for d, cov in docs.items() for sub, g in cov.items()})
+        for topic, length, alpha, cut in calls:
+            ranked = self.ORDER[topic][:length]
+            for k in (len(ranked), cut):
+                want = alpha_dcg_at_k(ranked_coverage(js, topic, ranked), k, alpha)
+                assert repr(js.alpha_dcg(topic, ranked, k, alpha)) == repr(want)
+            spec = MetricSpec(target="alpha-dcg", alpha=alpha)
+            want = alpha_dcg_at_k(ranked_coverage(js, topic, ranked), len(ranked), alpha)
+            assert repr(target_value(js, topic, ranked, spec)) == repr(want)
+
+    def test_growing_list_extends_the_previous_sum(self, monkeypatch):
+        summed = []  # documents summed per call
+        real = metrics._extend_alpha_dcg
+
+        def counting(total, counts, subsets, done, alpha):
+            subsets = list(subsets)
+            summed.append(len(subsets))
+            return real(total, counts, subsets, done, alpha)
+
+        monkeypatch.setattr(metrics, "_extend_alpha_dcg", counting)
+        js = JudgmentSet({("t", sub, d): g for d, cov in self.COVERAGE["t"].items()
+                          for sub, g in cov.items()})
+        ranked = self.ORDER["t"]
+        for n in range(1, len(ranked) + 1):
+            js.alpha_dcg("t", ranked[:n], n, 0.3)
+        js.alpha_dcg("t", ranked[:2], 2, 0.3)  # a shorter list starts over
+        js.alpha_dcg("t", ranked[:3], 3, 0.5)  # and so does another alpha
+        assert summed == [1] * len(ranked) + [2, 3]
+
+
+def test_alpha_dcg_does_not_depend_on_hash_seed():
+    """Gains are summed in sorted subtopic order, not in set order, which
+    depends on the process's string hash seed."""
+    code = (
+        "from dynrank.metrics import JudgmentSet, alpha_dcg_at_k, ideal_alpha_dcg_at_k\n"
+        "cov = [{'a'}, {'a', 'b'}, {'a', 'b', 'c'}, {'a', 'b', 'c', 'd'}]\n"
+        "js = JudgmentSet({('t', s, f'd{i}'): 1.0 for i, c in enumerate(cov) for s in c})\n"
+        "print(repr(alpha_dcg_at_k(cov, 4, 0.3)), repr(ideal_alpha_dcg_at_k(cov[::-1], 4, 0.3)),\n"
+        "      repr(js.alpha_dcg('t', ['d0', 'd1', 'd2', 'd3'], 4, 0.3)))\n"
+    )
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                   text=True, check=True, timeout=60).stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].split()[0] == repr(alpha_dcg_at_k(
+        [{"a"}, {"a", "b"}, {"a", "b", "c"}, {"a", "b", "c", "d"}], 4, 0.3))
 
 
 class TestSessionNdcg:

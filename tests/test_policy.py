@@ -14,6 +14,7 @@ from dynrank.policy import (
     PolicyConfig,
     SessionState,
     _PoolCache,
+    best_action,
     epsilon_schedule,
     evaluate_session,
     forward_inputs,
@@ -29,11 +30,14 @@ from dynrank.policy import (
 )
 from dynrank.valuenet import (
     NetConfig,
+    ScoringWorkspace,
     ValueNetParams,
     apply_update,
     forward,
+    forward_candidates,
     init_glorot,
     param_count,
+    project_docs,
 )
 
 NET = NetConfig(layers=2, input_dim=8, hidden_dims=(5, 5), dense_dims=(4,),
@@ -42,6 +46,23 @@ NET = NetConfig(layers=2, input_dim=8, hidden_dims=(5, 5), dense_dims=(4,),
 
 def tiny_dataset(num_topics=2, docs=12, subtopics=2, seed=0):
     return gen_synthetic(num_topics, docs, subtopics, dim=4, seed=seed)
+
+
+def rank(state, doc):
+    """``step_transition`` by doc id."""
+    return step_transition(state, state.candidates().index(doc))
+
+
+def with_candidates(state, docs):
+    """``state`` with only ``docs`` left to rank."""
+    return dataclasses.replace(state, live=sorted(state.ids.index(d) for d in docs))
+
+
+def score_map(params, state):
+    """``score_candidates`` as a doc id -> score map."""
+    values = score_candidates(params, state)
+    assert values.shape == (len(state.live),)
+    return dict(zip(state.candidates(), values.tolist()))
 
 
 def test_epsilon_schedule_exact_values():
@@ -60,20 +81,20 @@ class TestScoreCandidates:
         ds = tiny_dataset()
         state = new_session(ds, "t000")
         params = ValueNetParams(NET, np.zeros(param_count(NET)))
-        scores = score_candidates(params, state)
-        assert set(scores) == set(ds.pools["t000"])
+        scores = score_map(params, state)
+        assert list(scores) == sorted(ds.pools["t000"])
         assert all(v == 0.0 for v in scores.values())
 
     def test_single_candidate(self):
         ds = tiny_dataset()
         state = new_session(ds, "t000")
-        keep = sorted(state.candidates)[0]
+        keep = state.candidates()[0]
         state = SessionState(
             topic_id=state.topic_id, query=state.query, vectors=state.vectors,
-            candidates=frozenset({keep}),
+            ids=state.ids, live=[0],
         )
         params = init_glorot(NET, 0)
-        scores = score_candidates(params, state)
+        scores = score_map(params, state)
         assert list(scores) == [keep]
 
     def test_matches_independent_forward_calls(self):
@@ -81,10 +102,10 @@ class TestScoreCandidates:
         params = init_glorot(NET, 1)
         state = new_session(ds, "t000")
         # rank two docs first so the prefix is non-trivial
-        for doc in sorted(state.candidates)[:2]:
-            state = step_transition(state, doc)
-        scores = score_candidates(params, state)
-        for doc in sorted(state.candidates)[:3]:
+        for doc in state.candidates()[:2]:
+            state = rank(state, doc)
+        scores = score_map(params, state)
+        for doc in state.candidates()[:3]:
             inputs = forward_inputs(state) + [np.concatenate([state.vectors[doc], state.query])]
             expected, _ = forward(params, inputs, mode="eval")
             assert scores[doc] == pytest.approx(expected, abs=1e-12)
@@ -93,7 +114,7 @@ class TestScoreCandidates:
         ds = tiny_dataset()
         state = new_session(ds, "t000")
         state = SessionState(topic_id=state.topic_id, query=state.query,
-                             vectors=state.vectors, candidates=frozenset())
+                             vectors=state.vectors, ids=state.ids)
         with pytest.raises(ValueError):
             score_candidates(init_glorot(NET, 0), state)
 
@@ -122,12 +143,11 @@ def scoring_cases(draw):
     vectors = {f"d{i:02d}": rng.standard_normal(dim) for i in range(n_docs)}
     query = np.zeros(0) if feature_mode else rng.standard_normal(dim)
     state = SessionState(topic_id="t", query=query, vectors=vectors,
-                         candidates=frozenset(vectors))
+                         ids=tuple(sorted(vectors)), live=range(n_docs))
     order = rng.permutation(sorted(vectors))
     for doc in order[: draw(st.integers(0, n_docs - 1))]:
-        state = step_transition(state, str(doc))
-    remaining = sorted(state.candidates)
-    keep = draw(st.lists(st.sampled_from(remaining), min_size=1, unique=True))
+        state = rank(state, str(doc))
+    keep = draw(st.lists(st.sampled_from(state.candidates()), min_size=1, unique=True))
     return init_glorot(net, seed), state, frozenset(keep)
 
 
@@ -136,7 +156,7 @@ def reference_scores(params, state):
     prefix = forward_inputs(state)
     return {
         doc: forward(params, prefix + [pair_input(state.vectors[doc], state.query)], mode="eval")[0]
-        for doc in state.candidates
+        for doc in state.candidates()
     }
 
 
@@ -146,30 +166,28 @@ class TestScoringFastPath:
     def test_matches_per_candidate_forward(self, case):
         params, start, keep = case
         # training's direct projection, then evaluation's whole-pool projection
-        for frozen in (None, params):
-            state = dataclasses.replace(start, _pool=_PoolCache(start.vectors, frozen))
+        for frozen in (False, True):
+            state = dataclasses.replace(start, _pool=_PoolCache(start, frozen))
             for _ in range(2):
-                scores = score_candidates(params, state)
-                assert list(scores) == sorted(state.candidates)
+                scores = score_map(params, state)
                 expected = reference_scores(params, state)
                 for doc, value in scores.items():
                     assert abs(value - expected[doc]) <= 1e-12
-                subset = dataclasses.replace(state, candidates=keep & state.candidates or state.candidates)
-                sub_scores = score_candidates(params, subset)
-                assert list(sub_scores) == sorted(subset.candidates)
+                subset = with_candidates(state, keep & set(state.candidates()) or state.candidates())
+                sub_scores = score_map(params, subset)
                 assert all(abs(sub_scores[d] - expected[d]) <= 1e-12 for d in sub_scores)
-                if len(state.candidates) == 1:
+                if len(state.live) == 1:
                     break
-                state = step_transition(state, max(scores, key=scores.get))
+                state = rank(state, max(scores, key=scores.get))
 
     def test_scoring_follows_updated_weights(self):
         ds = tiny_dataset()
         params = init_glorot(NET, 1)
-        state = step_transition(new_session(ds, "t000"), "t000-d0003")
-        before = score_candidates(params, state)
+        state = rank(new_session(ds, "t000"), "t000-d0003")
+        before = score_map(params, state)
         grad = np.random.default_rng(0).standard_normal(params.n_params)
         updated = apply_update(params, grad, 0.1)
-        after = score_candidates(updated, state)
+        after = score_map(updated, state)
         expected = reference_scores(updated, state)
         assert all(abs(after[d] - expected[d]) <= 1e-12 for d in after)
         assert all(after[d] != before[d] for d in after)
@@ -180,16 +198,15 @@ class TestInPlaceUpdateScoring:
     @settings(max_examples=80, deadline=None)
     def test_scores_and_train_forward_follow_in_place_update(self, case, seed):
         params, state, _ = case
-        state = dataclasses.replace(state, _pool=_PoolCache(state.vectors, params))
-        score_candidates(params, state)  # gathered from the pool projection at this version
+        state = dataclasses.replace(state, _pool=_PoolCache(state, frozen=True))
+        score_candidates(params, state)  # from the kept projection at this version
         grad = np.random.default_rng(seed).standard_normal(params.n_params)
         apply_update(params, grad, 0.1)
         fresh = params.copy()
         after = score_candidates(params, state)
         want = score_candidates(fresh, dataclasses.replace(state, _pool=None))
-        assert list(after) == list(want)
-        assert np.array(list(after.values())).tobytes() == np.array(list(want.values())).tobytes()
-        nxt = step_transition(state, max(sorted(after), key=after.__getitem__))
+        assert after.tobytes() == want.tobytes()
+        nxt = step_transition(state, best_action(after))
         inputs = forward_inputs(nxt, params.config.window)
         assert forward(params, inputs, mode="train")[0] == forward(fresh, inputs, mode="train")[0]
 
@@ -197,18 +214,51 @@ class TestInPlaceUpdateScoring:
     @settings(max_examples=80, deadline=None)
     def test_direct_projection_matches_cached_gather(self, case):
         params, state, keep = case
-        pool = _PoolCache(state.vectors)
-        idx = np.array(sorted(pool.row_of[d] for d in keep))
-        direct = pool.gate_block(params, idx).copy()
-        pool.gate_block(params, idx)
-        assert pool.proj is None  # unless its caller asks, a pool is never projected whole
-        frozen = _PoolCache(state.vectors, params)
-        assert frozen.proj is not None
-        cached = frozen.gate_block(params, idx)  # gathered from the pool projection
+        sub = with_candidates(state, keep)
+        pool = _PoolCache(state)
+        direct = pool.gate_block(params, sub.live).copy()
+        pool.gate_block(params, sub.live)
+        assert pool.proj is None  # unless its caller asks, a pool keeps no projection
+        frozen = _PoolCache(state, frozen=True)
+        kept = frozen.gate_block(params, state.live)
+        assert frozen.proj is kept and frozen.gate_block(params, state.live) is kept
+        cached = kept[:, np.searchsorted(state.live, sub.live)]
         np.testing.assert_allclose(direct, cached, rtol=0, atol=1e-12)
         apply_update(params, np.ones(params.n_params), 0.1)
-        frozen.gate_block(params, idx)
-        assert frozen.proj is None  # new weights project directly again
+        again = frozen.gate_block(params, state.live)  # new weights: projected again
+        fresh = _PoolCache(state, frozen=True).gate_block(params, state.live)
+        assert again.tobytes() == fresh.tobytes()
+
+
+def reference_best_action(scores):
+    """The dict-based argmax: the best-scoring id, ties to the smallest id."""
+    ids = sorted(scores)
+    vals = np.fromiter(map(scores.__getitem__, ids), np.float64, len(ids))
+    return ids[int(np.argmax(vals))]
+
+
+def reference_select_action(scores, epsilon, mode, rng):
+    """The dict-based epsilon-greedy pick over an id -> score map."""
+    ids = sorted(scores)
+    if rng.random() < epsilon:
+        return ids[rng.integers(len(ids))]
+    if mode == "argmax":
+        return reference_best_action(scores)
+    vals = np.fromiter(map(scores.__getitem__, ids), np.float64, len(ids))
+    total = vals.sum()
+    if not math.isfinite(total):
+        raise FloatingPointError("non-finite candidate scores")
+    lo = vals.min()
+    if lo <= 0.0:
+        vals = vals - lo + 1e-6
+        total = vals.sum()
+    return ids[rng.choice(len(ids), p=vals / total)]
+
+
+def pick_id(scores, epsilon, mode, rng):
+    """``select_action`` over an id -> score map, returning the id."""
+    ids = sorted(scores)
+    return ids[select_action(np.array([scores[d] for d in ids]), epsilon, mode, rng)]
 
 
 class TestSelectAction:
@@ -217,7 +267,24 @@ class TestSelectAction:
     @settings(max_examples=200, deadline=None)
     def test_argmax_ties_go_to_smallest_id(self, scores):
         best = min(scores, key=lambda d: (-scores[d], d))
-        assert select_action(scores, 0.0, "argmax", np.random.default_rng(0)) == best
+        assert pick_id(scores, 0.0, "argmax", np.random.default_rng(0)) == best
+
+    @pytest.mark.parametrize("mode", ["argmax", "sample"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+    def test_matches_dict_reference(self, mode, epsilon):
+        # exact ties (scores drawn from a few values) and negative scores
+        data = np.random.default_rng(17)
+        for case in range(200):
+            n = int(data.integers(1, 9))
+            ids = [f"d{i:02d}" for i in data.permutation(n)]  # inserted out of order
+            scores = dict(zip(ids, data.choice([-0.5, 0.0, 0.25, 1.0, 3.0], n).tolist()))
+            rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+            for _ in range(5):
+                assert pick_id(scores, epsilon, mode, rng) == reference_select_action(
+                    scores, epsilon, mode, ref_rng)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert sorted(scores)[best_action(np.array([scores[d] for d in sorted(scores)]))] \
+                == reference_best_action(scores)
 
     def test_epsilon_one_is_uniform(self):
         rng = np.random.default_rng(0)
@@ -225,7 +292,7 @@ class TestSelectAction:
         counts = {c: 0 for c in scores}
         n = 10_000
         for _ in range(n):
-            counts[select_action(scores, 1.0, "argmax", rng)] += 1
+            counts[pick_id(scores, 1.0, "argmax", rng)] += 1
         expected = n / len(scores)
         stat = sum((c - expected) ** 2 / expected for c in counts.values())
         assert stat < chi2.ppf(0.99, df=len(scores) - 1)
@@ -233,18 +300,18 @@ class TestSelectAction:
     def test_epsilon_zero_argmax(self):
         rng = np.random.default_rng(0)
         scores = {"a": 0.2, "b": 0.9}
-        assert all(select_action(scores, 0.0, "argmax", rng) == "b" for _ in range(50))
+        assert all(pick_id(scores, 0.0, "argmax", rng) == "b" for _ in range(50))
 
     def test_argmax_tie_breaks_ascending(self):
         rng = np.random.default_rng(0)
         scores = {"b": 1.0, "a": 1.0, "c": 0.5}
-        assert select_action(scores, 0.0, "argmax", rng) == "a"
+        assert pick_id(scores, 0.0, "argmax", rng) == "a"
 
     def test_proportional_sampling_frequency(self):
         rng = np.random.default_rng(123)
         scores = {"a": 1.0, "b": 3.0}
         n = 10_000
-        hits = sum(select_action(scores, 0.0, "sample", rng) == "b" for _ in range(n))
+        hits = sum(pick_id(scores, 0.0, "sample", rng) == "b" for _ in range(n))
         assert hits / n == pytest.approx(0.75, abs=0.02)
 
     def test_sampling_kl_convergence(self):
@@ -254,7 +321,7 @@ class TestSelectAction:
         n = 100_000
         counts = {k: 0 for k in scores}
         for _ in range(n):
-            counts[select_action(scores, 0.0, "sample", rng)] += 1
+            counts[pick_id(scores, 0.0, "sample", rng)] += 1
         kl = sum(
             (counts[k] / n) * math.log((counts[k] / n) / (scores[k] / total))
             for k in scores if counts[k] > 0
@@ -265,72 +332,82 @@ class TestSelectAction:
         # after the shift the lowest score keeps only the tiny delta mass
         rng = np.random.default_rng(5)
         scores = {"a": -2.0, "b": 0.0}
-        picks = [select_action(scores, 0.0, "sample", rng) for _ in range(200)]
+        picks = [pick_id(scores, 0.0, "sample", rng) for _ in range(200)]
         assert picks.count("b") >= 199
         # equal non-positive scores become uniform
         rng = np.random.default_rng(6)
         even = {"a": -1.0, "b": -1.0}
-        hits = sum(select_action(even, 0.0, "sample", rng) == "a" for _ in range(2000))
+        hits = sum(pick_id(even, 0.0, "sample", rng) == "a" for _ in range(2000))
         assert hits / 2000 == pytest.approx(0.5, abs=0.05)
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError):
-            select_action({}, 0.5, "argmax", np.random.default_rng(0))
+            select_action(np.zeros(0), 0.5, "argmax", np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scores_rejected_in_sample_mode(self, bad):
         with pytest.raises(FloatingPointError, match="non-finite candidate scores"):
-            select_action({"a": bad, "b": 1.0}, 0.0, "sample", np.random.default_rng(0))
+            select_action(np.array([bad, 1.0]), 0.0, "sample", np.random.default_rng(0))
 
 
 class TestTransitions:
     def test_step_moves_doc(self):
         ds = tiny_dataset()
         state = new_session(ds, "t000")
-        n_ranked, n_cand = len(state.ranked), len(state.candidates)
-        doc = sorted(state.candidates)[0]
-        nxt = step_transition(state, doc)
+        n_ranked, n_cand = len(state.ranked), len(state.live)
+        doc = state.candidates()[0]
+        nxt = step_transition(state, 0)
         assert len(nxt.ranked) == n_ranked + 1
-        assert len(nxt.candidates) == n_cand - 1
+        assert len(nxt.live) == n_cand - 1
         assert nxt.ranked[-1][0] == doc
+        assert len(state.live) == n_cand  # the old state is untouched
 
     def test_repeat_doc_rejected(self):
         ds = tiny_dataset()
         state = new_session(ds, "t000")
-        doc = sorted(state.candidates)[0]
-        state = step_transition(state, doc)
-        with pytest.raises(ValueError):
-            step_transition(state, doc)
+        doc = state.candidates()[0]
+        state = step_transition(state, 0)
+        assert doc not in state.candidates()
+        for pos in (-1, len(state.live)):  # positions index only the live rows
+            with pytest.raises(ValueError):
+                step_transition(state, pos)
+        with pytest.raises(ValueError, match="overlap"):  # the ranked doc made live again
+            dataclasses.replace(state, live=range(len(state.ids)))
+
+    @pytest.mark.parametrize("live", [[1, 0], [0, 0], [-1, 2], [0, 12], [[0, 1]]])
+    def test_bad_live_rows_rejected(self, live):
+        state = new_session(tiny_dataset(), "t000")  # a pool of 12
+        with pytest.raises(ValueError, match="live rows"):
+            dataclasses.replace(state, live=live)
 
     def test_prefix_preserved(self):
         ds = tiny_dataset()
         state = new_session(ds, "t000")
-        docs = sorted(state.candidates)[:3]
+        docs = state.candidates()[:3]
         for d in docs:
-            state = step_transition(state, d)
+            state = rank(state, d)
         assert state.ranked_ids() == docs
 
     def test_invariant_after_many_steps(self):
         ds = tiny_dataset()
         state = new_session(ds, "t000")
-        total = len(state.candidates)
+        total = len(state.live)
         rng = np.random.default_rng(0)
         for _ in range(6):
-            doc = sorted(state.candidates)[rng.integers(len(state.candidates))]
-            state = step_transition(state, doc)
-            assert not (set(state.ranked_ids()) & state.candidates)
-            assert len(state.ranked) + len(state.candidates) == total
+            state = step_transition(state, int(rng.integers(len(state.live))))
+            assert not (set(state.ranked_ids()) & set(state.candidates()))
+            assert len(state.ranked) + len(state.live) == total
+            assert (np.diff(state.live) > 0).all()
 
     def test_session_transition_replaces_query_only(self):
         ds = tiny_dataset()
         state = new_session(ds, "t000")
-        doc = sorted(state.candidates)[0]
-        state = step_transition(state, doc)
+        state = step_transition(state, 0)
         new_q = state.query + 1.0
         nxt = session_transition(state, new_q)
         assert nxt.n == state.n + 1
         assert nxt.ranked == state.ranked
-        assert nxt.candidates == state.candidates
+        assert nxt.candidates() == state.candidates()
         np.testing.assert_array_equal(nxt.query, new_q)
 
     def test_session_transition_dim_mismatch(self):
@@ -342,8 +419,8 @@ class TestTransitions:
     def test_inputs_pair_ranked_docs_with_new_query(self):
         ds = tiny_dataset()
         state = new_session(ds, "t000")
-        for d in sorted(state.candidates)[:2]:
-            state = step_transition(state, d)
+        for _ in range(2):
+            state = step_transition(state, 0)
         new_q = state.query * 2.0 + 0.5
         state = session_transition(state, new_q)
         for unit, (_, vec) in zip(forward_inputs(state), state.ranked):
@@ -355,7 +432,7 @@ class TestStepReward:
     def make_state(self, ds, topic, docs):
         state = new_session(ds, topic)
         for d in docs:
-            state = step_transition(state, d)
+            state = rank(state, d)
         return state
 
     def test_first_step_grade(self):
@@ -390,8 +467,8 @@ class TestStepReward:
         state = new_session(ds, topic)
         spec = MetricSpec(target="dcg")
         last = 0.0
-        for d in sorted(state.candidates)[:6]:
-            state = step_transition(state, d)
+        for _ in range(6):
+            state = step_transition(state, 0)
             val = step_reward(spec, state, ds.judgments)
             assert val >= last - 1e-12
             last = val
@@ -399,9 +476,7 @@ class TestStepReward:
     def test_unknown_topic_rejected(self):
         ds = tiny_dataset()
         state = new_session(ds, "t000")
-        state = step_transition(state, sorted(state.candidates)[0])
-        import dataclasses
-
+        state = step_transition(state, 0)
         broken = dataclasses.replace(state, topic_id="nope")
         with pytest.raises(ValueError):
             step_reward(MetricSpec(), broken, ds.judgments)
@@ -481,9 +556,9 @@ class TestEvaluateSession:
             state = new_session(ds, topic)
             picks = []
             for _ in range(3):
-                scores = score_candidates(params, state)
+                scores = score_map(params, state)
                 doc = min(sorted(scores), key=lambda d: (-scores[d], d))
-                state = step_transition(state, doc)
+                state = rank(state, doc)
                 picks.append(doc)
             assert result.ranked[topic].iteration_blocks()[0] == picks
 
@@ -561,15 +636,47 @@ def test_pool_projections_per_session_and_step(monkeypatch):
     assert len(calls) == len(log) * len(ds.topic_ids()) * 3 * 2  # one per gradient step
 
 
+def test_compacted_projection_matches_fresh_gather():
+    """Evaluation scores every pick of whole sessions, across query changes,
+    from its kept projection, compacted pick by pick between two buffers,
+    and gets the bits of a gather from a fresh whole-pool projection."""
+    ds = tiny_dataset(docs=30)
+    params = init_glorot(NET, 4)
+    fb = EmbedRocchioFeedback(ds.corpus, RocchioParams())
+    window = params.config.window
+    sizes = []  # candidates scored at each pick
+
+    def pick(state):
+        if state._pool is None:
+            state._pool = _PoolCache(state, frozen=True)
+        pool = state._pool
+        values = score_candidates(params, state)
+        assert pool.live is state.live  # scored from the kept projection
+        buffers = {id(pool.buf), id(pool.workspace._flat[0])}
+        whole = project_docs(params, pool.docs.T).T
+        want = forward_candidates(params, forward_inputs(state, window - 1), whole[:, state.live].T,
+                                  state.query, workspace=ScoringWorkspace())
+        assert values.tobytes() == want.tobytes()
+        nxt = step_transition(state, best_action(values))
+        assert {id(pool.buf), id(pool.workspace._flat[0])} == buffers  # swapped, not allocated
+        sizes.append(len(state.live))
+        return nxt
+
+    config = quick_policy(iterations=4, docs_per_iteration=8)  # the pool of 30 runs out
+    for topic in ds.topic_ids():
+        for _ in run_session(ds, topic, fb, config, pick):
+            pass
+    assert sizes == list(range(30, 0, -1)) * len(ds.topic_ids())
+
+
 def test_session_end_drops_scoring_cache():
     ds = tiny_dataset()
     params = init_glorot(NET, 0)
 
     def pick(state):
-        scores = score_candidates(params, state)
-        return step_transition(state, max(sorted(scores), key=scores.__getitem__))
+        return step_transition(state, best_action(score_candidates(params, state)))
 
     states = [state for _, state, _ in run_session(ds, "t000", None, quick_policy(), pick)]
     assert states[0]._pool is not None
     assert states[-1]._pool is None  # the next session never holds two caches
-    assert len(score_candidates(params, states[-1])) == len(states[-1].candidates)  # rebuilt
+    assert len(score_candidates(params, states[-1])) == len(states[-1].live)  # rebuilt

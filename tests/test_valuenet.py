@@ -644,8 +644,9 @@ def scoring_sequences(draw):
 
 
 def _score_in_workspace(params, prefix, proj, rows, query, ws):
-    """Score the way ``policy.score_candidates`` does: gather the candidates'
-    columns of the gate-major projection into the workspace's gate block."""
+    """Score with the candidates' columns of the gate-major projection in
+    the workspace's gate block, so the first layer runs in place there, as
+    it does after training's direct projection."""
     gates = ws.gates(len(proj), len(rows))
     np.take(proj, rows, axis=1, out=gates, mode="clip")
     return forward_candidates(params, prefix, gates.T, query, workspace=ws)
