@@ -99,6 +99,8 @@ def _read_qrels(path) -> tuple[JudgmentSet, list[tuple[int, str, str, str, float
                 grade = float(cells[3])
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: malformed grade {cells[3]!r}") from None
+            if not math.isfinite(grade):
+                raise DataError(f"{path}: line {lineno}: non-finite grade {cells[3]!r}")
             if grade < 0:
                 raise DataError(f"{path}: line {lineno}: negative grade {grade}")
             judgments.add(topic, subtopic, doc, grade)

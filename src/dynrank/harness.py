@@ -11,7 +11,6 @@ and lands in a separate ``timing.json``.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -22,7 +21,6 @@ import numpy as np
 
 from dynrank import valuenet
 from dynrank.data import DataError, Dataset, gen_synthetic, load_letor, load_trec_dd, split_folds
-from dynrank.embedspace import cosine
 from dynrank.feedback import (
     ClassicRocchioFeedback,
     EmbedRocchioFeedback,
@@ -30,8 +28,16 @@ from dynrank.feedback import (
     RocchioParams,
 )
 from dynrank.fileio import atomic_open
-from dynrank.metrics import MetricSpec, RankedList, report_value
-from dynrank.policy import PolicyConfig, evaluate_session, iteration_values, train_session
+from dynrank.metrics import MetricSpec, RankedList
+from dynrank.policy import (
+    PolicyConfig,
+    cosine_pick,
+    evaluate_session,
+    greedy_pick,
+    iteration_values,
+    random_pick,
+    train_session,
+)
 from dynrank.valuenet import NetConfig, init_glorot
 
 
@@ -85,52 +91,33 @@ class RunConfig:
     def __post_init__(self):
         if self.feedback not in ABLATION_VARIANTS:
             raise ConfigError(f"unknown feedback variant {self.feedback!r}")
-        if self.folds < 1:
-            raise ConfigError(f"folds must be >= 1, got {self.folds}")
+        if self.folds < 2:  # one fold would train on no topics
+            raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.net.output == "sigmoid" and self.metric.target in ("dcg", "alpha-dcg"):
             raise ConfigError(f"a sigmoid head cannot fit the unnormalized {self.metric.target!r} "
                               "target; use a normalized target or net.output 'linear'")
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    return {
-        "dataset": dataclasses.asdict(config.dataset),
-        "net": valuenet.config_to_dict(config.net),
-        "policy": dataclasses.asdict(config.policy),
-        "rocchio": dataclasses.asdict(config.rocchio),
-        "metric": {
-            "target": config.metric.target,
-            "report": list(config.metric.report),
-            "alpha": config.metric.alpha,
-            "bq": config.metric.bq,
-        },
-        "feedback": config.feedback,
-        "folds": config.folds,
-        "seed": config.seed,
-        "out_dir": config.out_dir,
-    }
+    return valuenet.config_to_dict(config)
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    known = {"dataset", "net", "policy", "rocchio", "metric", "feedback", "folds", "seed", "out_dir"}
-    unknown = set(d) - known
+    unknown = set(d) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         metric_d = dict(d.get("metric", {}))
         if "report" in metric_d:
             metric_d["report"] = tuple(metric_d["report"])
-        return RunConfig(
-            dataset=DatasetSpec(**d.get("dataset", {})),
-            net=valuenet.config_from_dict({**valuenet.config_to_dict(NetConfig()), **d.get("net", {})}),
-            policy=PolicyConfig(**d.get("policy", {})),
-            rocchio=RocchioParams(**d.get("rocchio", {})),
-            metric=MetricSpec(**metric_d),
-            feedback=d.get("feedback", "embed-rocchio"),
-            folds=d.get("folds", 5),
-            seed=d.get("seed", 0),
-            out_dir=d.get("out_dir", "runs/out"),
-        )
+        return RunConfig(**{
+            **d,
+            "dataset": DatasetSpec(**d.get("dataset", {})),
+            "net": valuenet.config_from_dict(d.get("net", {})),
+            "policy": PolicyConfig(**d.get("policy", {})),
+            "rocchio": RocchioParams(**d.get("rocchio", {})),
+            "metric": MetricSpec(**metric_d),
+        })
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -155,7 +142,10 @@ def load_dataset(spec: DatasetSpec, seed: int = 0) -> Dataset:
     return load_letor(spec.letor_path)
 
 
-def _check_dims(config: RunConfig, dataset: Dataset) -> None:
+def _check_config(config: RunConfig, dataset: Dataset) -> None:
+    """Reject a config the dataset cannot train or evaluate."""
+    if config.folds > len(dataset.topics):
+        raise ConfigError(f"folds={config.folds} exceeds the dataset's {len(dataset.topics)} topics")
     expected = dataset.input_dim()
     if config.net.input_dim != expected:
         raise ConfigError(
@@ -266,7 +256,7 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     """Train one network per fold; writes checkpoints and training logs."""
     if dataset is None:
         dataset = load_dataset(config.dataset, config.seed)
-    _check_dims(config, dataset)
+    _check_config(config, dataset)
     out = Path(config.out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     report = RunReport(command="train", config=config_to_dict(config))
@@ -326,7 +316,7 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
     """Greedy evaluation of every fold's test topics using its checkpoint."""
     if dataset is None:
         dataset = load_dataset(config.dataset, config.seed)
-    _check_dims(config, dataset)
+    _check_config(config, dataset)
     out = Path(config.out_dir)
     report = RunReport(command="evaluate", config=config_to_dict(config))
     fb, report.notes = make_feedback(config, dataset)
@@ -346,7 +336,7 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
                              for k in trained if trained[k] != wanted[k])
             raise ConfigError(f"checkpoint {path} does not match the run's net config: {diff}")
         result = evaluate_session(
-            params, dataset, fb, config.policy, config.metric, topics=test_topics
+            greedy_pick(params), dataset, fb, config.policy, config.metric, topics=test_topics
         )
         for key, by_topic in result.values.items():
             values.setdefault(key, {}).update(by_topic)
@@ -384,7 +374,7 @@ def _copy_files(src: Path, dst: Path) -> None:
                 fh.write(path.read_bytes())
 
 
-def _run_arms(command: str, config: RunConfig, arms, dataset: Dataset | None) -> RunReport:
+def _run_arms(command: str, config: RunConfig, arms, dataset: Dataset) -> RunReport:
     """Train, evaluate and emit each ``(label, sub-config, same_as)`` arm on
     one dataset; the report holds each arm's table as ``evaluation:<label>``
     and the notes of every arm.
@@ -392,8 +382,6 @@ def _run_arms(command: str, config: RunConfig, arms, dataset: Dataset | None) ->
     An arm whose ``same_as`` names an earlier arm would run exactly as that
     one did, so it is not run again: it gets copies of that arm's files and
     its evaluation report, with its own config echo and notes."""
-    if dataset is None:
-        dataset = load_dataset(config.dataset, config.seed)
     report = RunReport(command=command, config=config_to_dict(config))
     runs: dict[str, tuple[RunConfig, RunReport]] = {}
     for label, sub, same_as in arms:
@@ -412,15 +400,13 @@ def _run_arms(command: str, config: RunConfig, arms, dataset: Dataset | None) ->
     return report
 
 
-def ablate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
+def ablate_run(config: RunConfig, dataset: Dataset) -> RunReport:
     """Train and evaluate all feedback variants, everything else fixed.
 
     The variants that get no query reformulator on the dataset (no-feedback,
     the term-space ones on vector-only corpora, all of them in feature mode)
     rank identically, so the first of them is trained and evaluated once
     for all of them."""
-    if dataset is None:
-        dataset = load_dataset(config.dataset, config.seed)
     out = Path(config.out_dir) / "ablate"
     arms, plain = [], []  # plain: the variants without a reformulator
     for v in ABLATION_VARIANTS:
@@ -441,7 +427,7 @@ def ablate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     return report
 
 
-def sweep_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
+def sweep_run(config: RunConfig, dataset: Dataset) -> RunReport:
     """Repeat training for each stack depth and report the final metric."""
     out = Path(config.out_dir) / "sweep"
     report = _run_arms("sweep-layers", config, [
@@ -583,22 +569,6 @@ def sweep_config(out_dir: str = "runs/sweep", seed: int = 0) -> RunConfig:
 
 # --- Trivial baselines ----------------------------------------------------
 
-def baseline_ranking(dataset: Dataset, topic: str, method: str, k: int, seed: int = 0) -> RankedList:
-    """One-shot ranking by a trivial baseline: 'random' or 'cosine'."""
-    pool = sorted(dataset.pools[topic])
-    if method == "random":
-        topic_key = int.from_bytes(hashlib.blake2b(topic.encode("utf-8"), digest_size=4).digest(), "little")
-        rng = np.random.default_rng([seed, topic_key])
-        order = [pool[i] for i in rng.permutation(len(pool))]
-    elif method == "cosine":
-        q = dataset.query_vector(topic)
-        order = sorted(pool, key=lambda d: (-cosine(dataset.doc_vector(topic, d), q), d))
-    else:
-        raise ValueError(f"unknown baseline {method!r}")
-    top = order[:k]
-    return RankedList(topic, top, [len(top)] if top else [])
-
-
 def evaluate_baseline(
     dataset: Dataset,
     topics: Sequence[str],
@@ -608,9 +578,13 @@ def evaluate_baseline(
     k: int,
     seed: int = 0,
 ) -> list[float]:
-    """Per-topic values of one report metric for a trivial baseline."""
-    out = []
-    for topic in topics:
-        ranked = baseline_ranking(dataset, topic, method, k, seed)
-        out.append(report_value(dataset.judgments, topic, ranked, metric_name, spec, k_per_iteration=k))
-    return out
+    """Per-topic values of one report metric for a one-shot top-``k``
+    ranking by a trivial baseline: 'random' or 'cosine'."""
+    picks = {"random": random_pick(seed), "cosine": cosine_pick}
+    if method not in picks:
+        raise ValueError(f"unknown baseline {method!r}")
+    result = evaluate_session(picks[method], dataset, None,
+                              PolicyConfig(iterations=1, docs_per_iteration=k),
+                              dataclasses.replace(spec, report=(metric_name,)), topics)
+    by_topic = result.values[(metric_name, 1)]
+    return [by_topic[t] for t in topics]

@@ -7,12 +7,14 @@ value network on the list ranked so far), then the simulated user judges
 the block and the query is reformulated before the next iteration.
 Training and evaluation run the same session loop (``run_session``) and
 differ only in how a document is picked: training performs one
-squared-loss gradient step per ranked document, evaluation picks greedily.
+squared-loss gradient step per ranked document, evaluation picks greedily,
+and the random and cosine baselines run the same loop with their own picks.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
@@ -21,6 +23,7 @@ import numpy as np
 
 from dynrank import valuenet
 from dynrank.data import Dataset
+from dynrank.embedspace import cosine
 from dynrank.feedback import FeedbackRecord, simulate_feedback
 from dynrank.metrics import JudgmentSet, MetricSpec, RankedList, report_value, target_value
 from dynrank.valuenet import ValueNetParams
@@ -290,6 +293,7 @@ def step_reward(metric: MetricSpec, state: SessionState, judgments: JudgmentSet)
 
 
 FeedbackFn = Callable[[SessionState, FeedbackRecord], np.ndarray]
+Pick = Callable[[SessionState], SessionState]
 
 
 def run_session(
@@ -297,7 +301,7 @@ def run_session(
     topic: str,
     feedback_fn: FeedbackFn | None,
     config: PolicyConfig,
-    pick: Callable[[SessionState], SessionState],
+    pick: Pick,
 ) -> Iterator[tuple[int, SessionState, list[int]]]:
     """One search session: the episode training and evaluation share.
 
@@ -442,15 +446,49 @@ class EvalResult:
     values: dict[tuple[str, int], dict[str, float]]  # (metric, iteration) -> topic -> value
 
 
+def greedy_pick(params: ValueNetParams) -> Pick:
+    """The learned ranker: the argmax of the network's scores (epsilon 0,
+    no random draws), on a pool projected once per session."""
+    def pick(state: SessionState) -> SessionState:
+        if state._pool is None:  # frozen weights: project the session's pool once
+            state._pool = _PoolCache(state, frozen=True)
+        return step_transition(state, best_action(score_candidates(params, state)))
+    return pick
+
+
+def random_pick(seed: int) -> Pick:
+    """A uniform ranker: a session's n-th pick is row n of the topic's pool
+    permutation from ``default_rng([seed, blake2b(topic)])``, whatever the query."""
+    perms: dict[str, np.ndarray] = {}
+
+    def pick(state: SessionState) -> SessionState:
+        perm = perms.get(state.topic_id)
+        if perm is None:
+            key = hashlib.blake2b(state.topic_id.encode("utf-8"), digest_size=4).digest()
+            rng = np.random.default_rng([seed, int.from_bytes(key, "little")])
+            perm = perms[state.topic_id] = rng.permutation(len(state.ids))
+        return step_transition(state, int(np.searchsorted(state.live, perm[len(state.ranked)])))
+    return pick
+
+
+def cosine_pick(state: SessionState) -> SessionState:
+    """A ranker without parameters: the candidate most similar to the
+    current query; ties go to the smallest id."""
+    ids, vectors, query = state.ids, state.vectors, state.query
+    sims = [cosine(vectors[ids[i]], query) for i in state.live.tolist()]
+    return step_transition(state, int(np.argmax(sims)))
+
+
 def evaluate_session(
-    params: ValueNetParams,
+    pick: Pick,
     dataset: Dataset,
     feedback_fn: FeedbackFn | None,
     config: PolicyConfig,
     metric: MetricSpec | None = None,
     topics: Sequence[str] | None = None,
 ) -> EvalResult:
-    """Greedy (epsilon = 0, argmax) sessions with per-iteration metrics.
+    """Sessions ranked by ``pick`` (:func:`greedy_pick`, :func:`random_pick`
+    or :func:`cosine_pick`) with per-iteration metrics.
 
     Iteration 1 is a pure one-shot ranking; feedback only applies between
     iterations. Cumulative report metrics are snapshotted after every
@@ -458,12 +496,6 @@ def evaluate_session(
     """
     metric = metric or MetricSpec()
     topic_list = _check_topics(dataset, topics, "evaluation")
-
-    def pick(state: SessionState) -> SessionState:
-        if state._pool is None:  # frozen weights: project the session's pool once
-            state._pool = _PoolCache(state, frozen=True)
-        return step_transition(state, best_action(score_candidates(params, state)))
-
     ranked_lists: dict[str, RankedList] = {}
     values: dict[tuple[str, int], dict[str, float]] = {}
     for topic in topic_list:

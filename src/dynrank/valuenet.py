@@ -89,12 +89,10 @@ class NetConfig:
         return (h, max(h // 2, 1), max(h // 4, 1), max(h // 64, 4), max(h // 128, 4))
 
 
-def config_to_dict(config: NetConfig) -> dict:
-    d = asdict(config)
-    for key in ("hidden_dims", "dense_dims"):
-        if d[key] is not None:
-            d[key] = list(d[key])
-    return d
+def config_to_dict(config) -> dict:
+    """A config dataclass, nested ones included, as JSON data: tuples become lists."""
+    return asdict(config, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items})
 
 
 def config_from_dict(d: dict) -> NetConfig:

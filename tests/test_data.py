@@ -85,6 +85,13 @@ class TestLoadTrecDD:
         with pytest.raises(DataError, match="line 1"):
             load_trec_dd(topics, qrels, docs)
 
+    @pytest.mark.parametrize("grade", ["nan", "inf"])
+    def test_non_finite_grade_rejected(self, tmp_path, grade):
+        topics, qrels, docs = write_trec_fixture(tmp_path)
+        qrels.write_text(qrels.read_text() + f"t2\ts2\td3\t{grade}\n")
+        with pytest.raises(DataError, match=f"qrels.tsv: line 5: non-finite grade '{grade}'"):
+            load_trec_dd(topics, qrels, docs)
+
     def test_pools_cover_whole_corpus(self, tmp_path):
         ds = load_trec_dd(*write_trec_fixture(tmp_path), dim=8)
         assert ds.pools["t1"] == ["d1", "d2", "d3"]

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -17,7 +18,6 @@ from dynrank.harness import (
     DatasetSpec,
     RunConfig,
     RunReport,
-    baseline_ranking,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -34,8 +34,10 @@ from dynrank.harness import (
     train_run,
     trend_config,
 )
-from dynrank.metrics import MetricSpec
-from dynrank.policy import PolicyConfig
+from dynrank.embedspace import cosine
+from dynrank.feedback import EmbedRocchioFeedback, RocchioParams
+from dynrank.metrics import MetricSpec, RankedList, report_value
+from dynrank.policy import PolicyConfig, cosine_pick, evaluate_session, random_pick, run_session
 from dynrank.valuenet import NetConfig
 
 
@@ -419,20 +421,39 @@ class TestSweep:
         assert json.loads((tmp_path / "report.json").read_text())["notes"] == arm["notes"]
 
 
+def reference_baseline(dataset, topic, method, k, seed=0) -> list[str]:
+    """The top ``k`` of a one-shot baseline, by the sort the baselines used
+    before they ran as session picks: the reference the picks must match."""
+    pool = sorted(dataset.pools[topic])
+    if method == "random":
+        topic_key = int.from_bytes(hashlib.blake2b(topic.encode("utf-8"), digest_size=4).digest(), "little")
+        rng = np.random.default_rng([seed, topic_key])
+        order = [pool[i] for i in rng.permutation(len(pool))]
+    else:
+        q = dataset.query_vector(topic)
+        order = sorted(pool, key=lambda d: (-cosine(dataset.doc_vector(topic, d), q), d))
+    return order[:k]
+
+
+def baseline_lists(dataset, pick, k, feedback_fn=None, iterations=1) -> dict[str, list[str]]:
+    """Each topic's list from sessions ranked by ``pick``."""
+    config = PolicyConfig(iterations=iterations, docs_per_iteration=k)
+    result = evaluate_session(pick, dataset, feedback_fn, config)
+    return {t: r.doc_ids for t, r in result.ranked.items()}
+
+
 class TestBaselines:
     def test_random_deterministic(self):
         ds = gen_synthetic(3, 12, 2, 8, seed=0)
-        a = baseline_ranking(ds, "t000", "random", 5, seed=1)
-        b = baseline_ranking(ds, "t000", "random", 5, seed=1)
-        assert a.doc_ids == b.doc_ids
+        a = baseline_lists(ds, random_pick(1), 5)["t000"]
+        b = baseline_lists(ds, random_pick(1), 5)["t000"]
+        assert a == b
 
     def test_cosine_orders_by_similarity(self):
         ds = gen_synthetic(1, 20, 1, 8, seed=0)
-        from dynrank.embedspace import cosine
-
-        ranked = baseline_ranking(ds, "t000", "cosine", 20, seed=0)
+        ranked = baseline_lists(ds, cosine_pick, 20)["t000"]
         q = ds.query_vector("t000")
-        sims = [cosine(ds.corpus.vectors[d], q) for d in ranked.doc_ids]
+        sims = [cosine(ds.corpus.vectors[d], q) for d in ranked]
         assert all(a >= b - 1e-12 for a, b in zip(sims, sims[1:]))
 
     def test_evaluate_baseline_values(self):
@@ -441,6 +462,50 @@ class TestBaselines:
                                  MetricSpec(), k=5, seed=0)
         assert len(vals) == 3
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("k", [1, 5, 12, 30])  # 30 is above the pool size
+    def test_picks_match_reference(self, seed, k):
+        ds = gen_synthetic(4, 12, 2, 8, seed=seed)
+        tied = sorted(ds.pools["t001"])
+        ds.corpus.vectors[tied[5]] = ds.corpus.vectors[tied[9]].copy()  # an exact cosine tie
+        for method, pick in (("random", random_pick(seed)), ("cosine", cosine_pick)):
+            want = {t: reference_baseline(ds, t, method, k, seed) for t in ds.topic_ids()}
+            assert baseline_lists(ds, pick, k) == want, method
+
+    @pytest.mark.parametrize("method", ["random", "cosine"])
+    def test_evaluate_baseline_matches_reference(self, method):
+        ds = gen_synthetic(4, 12, 2, 8, seed=3)
+        spec = MetricSpec(report=("alpha-ndcg",))
+        topics = ["t002", "t000", "t003"]  # values come back in this order
+        for k in (3, 5, 20):
+            want = []
+            for t in topics:
+                top = reference_baseline(ds, t, method, k, seed=2)
+                want.append(report_value(ds.judgments, t, RankedList(t, top, [len(top)]), "ndcg@5",
+                                         spec, k_per_iteration=k))
+            assert evaluate_baseline(ds, topics, method, "ndcg@5", spec, k=k, seed=2) == want
+
+    def test_unknown_baseline_rejected(self):
+        ds = gen_synthetic(1, 5, 1, 4, seed=0)
+        with pytest.raises(ValueError, match="unknown baseline"):
+            evaluate_baseline(ds, ["t000"], "bm25", "ndcg@5", MetricSpec(), k=5)
+
+    @pytest.mark.parametrize("method", ["random", "cosine"])
+    def test_sessions_with_rocchio_feedback(self, method):
+        ds = gen_synthetic(3, 30, 2, 8, seed=0)
+        fb = EmbedRocchioFeedback(ds.corpus, RocchioParams())
+        pick = random_pick(4) if method == "random" else cosine_pick
+        config = PolicyConfig(iterations=3, docs_per_iteration=4)
+        for topic in ds.topic_ids():
+            queries = [state.query for _, state, _ in run_session(ds, topic, fb, config, pick)]
+            assert not np.array_equal(queries[0], queries[1])
+            assert not np.array_equal(queries[1], queries[2])
+        lists = baseline_lists(ds, pick, 4, fb, iterations=3)
+        for topic, docs in lists.items():
+            assert len(docs) == 12 and len(set(docs)) == 12
+        if method == "random":  # the query does not steer a random ranker
+            assert lists == baseline_lists(ds, pick, 12)
 
 
 class TestCli:
@@ -467,6 +532,30 @@ class TestCli:
         cfg_path.write_text(json.dumps(config_to_dict(config)))
         code, _ = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
         assert code == 3  # no checkpoints yet
+
+    @pytest.mark.parametrize("folds, message", [(1, "folds must be >= 2"), (5, "exceeds the dataset's 4")])
+    def test_untrainable_fold_count_exits_2(self, tmp_path, capsys, folds, message):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(tiny_config(tmp_path / "out"))))
+        for command in ("train", "evaluate"):
+            code, output = invoke(capsys, [command, "--config", str(cfg_path), "--folds", str(folds)])
+            assert code == 2, output
+            assert message in output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grade", ["nan", "inf"])
+    def test_non_finite_qrels_grade_exits_3(self, tmp_path, capsys, grade):
+        (tmp_path / "topics.jsonl").write_text(json.dumps({"topic_id": "t1", "query": "ice"}) + "\n")
+        (tmp_path / "docs.jsonl").write_text(json.dumps({"doc_id": "d1", "text": "ice sheet"}) + "\n")
+        qrels = tmp_path / "qrels.tsv"
+        qrels.write_text(f"t1\ts1\td1\t1\nt1\ts2\td1\t{grade}\n")
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"dataset": {
+            "kind": "trec_dd", "topics_path": str(tmp_path / "topics.jsonl"),
+            "qrels_path": str(qrels), "docs_path": str(tmp_path / "docs.jsonl")}}))
+        code, output = invoke(capsys, ["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 3, output
+        assert f"{qrels}: line 2: non-finite grade" in output
 
     @pytest.mark.parametrize("args", [
         ["train", "--metric", "dcg"],  # not a --metric choice

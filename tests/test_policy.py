@@ -18,6 +18,7 @@ from dynrank.policy import (
     epsilon_schedule,
     evaluate_session,
     forward_inputs,
+    greedy_pick,
     new_session,
     pair_input,
     run_session,
@@ -541,8 +542,8 @@ class TestEvaluateSession:
         params = init_glorot(NET, 0)
         config = quick_policy(iterations=3)
         spec = MetricSpec(report=("alpha-ndcg", "ndcg@5"))
-        a = evaluate_session(params, ds, None, config, spec)
-        b = evaluate_session(params, ds, None, config, spec)
+        a = evaluate_session(greedy_pick(params), ds, None, config, spec)
+        b = evaluate_session(greedy_pick(params), ds, None, config, spec)
         assert a.values == b.values
         assert {t: r.doc_ids for t, r in a.ranked.items()} == {t: r.doc_ids for t, r in b.ranked.items()}
 
@@ -550,7 +551,7 @@ class TestEvaluateSession:
         ds = tiny_dataset()
         params = init_glorot(NET, 3)
         config = quick_policy(iterations=2, docs_per_iteration=3)
-        result = evaluate_session(params, ds, None, config, MetricSpec(report=("ndcg",)))
+        result = evaluate_session(greedy_pick(params), ds, None, config, MetricSpec(report=("ndcg",)))
         # replay iteration 1 by hand: greedy argmax picks without feedback
         for topic in result.topics:
             state = new_session(ds, topic)
@@ -566,7 +567,7 @@ class TestEvaluateSession:
         ds = tiny_dataset()
         params = init_glorot(NET, 0)
         config = quick_policy(iterations=3, docs_per_iteration=2)
-        result = evaluate_session(params, ds, None, config)
+        result = evaluate_session(greedy_pick(params), ds, None, config)
         for topic in result.topics:
             blocks = result.ranked[topic].iteration_blocks()
             assert len(blocks) == 3
@@ -578,7 +579,7 @@ class TestEvaluateSession:
                         window=2, dropout=0.0)
         params = init_glorot(net, 0)
         config = quick_policy(iterations=4, docs_per_iteration=2)
-        result = evaluate_session(params, ds, None, config)
+        result = evaluate_session(greedy_pick(params), ds, None, config)
         ranked = result.ranked["t000"]
         assert len(ranked.doc_ids) == 3  # pool exhausted
         assert ("alpha-ndcg", 4) in result.values
@@ -608,7 +609,7 @@ def test_session_loop_feedback_contract(pool, iterations, expected_calls):
     config = quick_policy(iterations=iterations, docs_per_iteration=2, epoch_cap=1)
     train_fb, eval_fb = _RecordingFeedback(), _RecordingFeedback()
     train_session(init_glorot(net, 0), ds, train_fb, config)
-    evaluate_session(init_glorot(net, 0), ds, eval_fb, config)
+    evaluate_session(greedy_pick(init_glorot(net, 0)), ds, eval_fb, config)
     for calls in (train_fb.calls, eval_fb.calls):
         assert [n for n, _, _ in calls] == expected_calls
         ranked_before = 0
@@ -629,7 +630,7 @@ def test_pool_projections_per_session_and_step(monkeypatch):
     monkeypatch.setattr(valuenet, "project_docs", lambda *a, **k: calls.append(1) or real(*a, **k))
     ds = tiny_dataset()
     config = quick_policy(iterations=3, docs_per_iteration=2, epoch_cap=2)
-    evaluate_session(init_glorot(NET, 0), ds, None, config)
+    evaluate_session(greedy_pick(init_glorot(NET, 0)), ds, None, config)
     assert len(calls) == len(ds.topic_ids())
     calls.clear()
     _, log = train_session(init_glorot(NET, 0), ds, None, config)
