@@ -100,7 +100,10 @@ def main(argv: list[str] | None = None) -> None:
             config = harness.load_config(config_path)
         else:
             config = _PROFILES.get(command, harness.default_config)()
-        config = _apply_overrides(config, opts)
+        try:
+            config = _apply_overrides(config, opts)
+        except ValueError as exc:  # an out-of-range override
+            raise ConfigError(str(exc)) from None
         report = harness.run(config, command, run_path=run_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

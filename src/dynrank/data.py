@@ -108,10 +108,13 @@ def _read_qrels(path) -> tuple[JudgmentSet, list[tuple[int, str, str, str, float
     return judgments, rows
 
 
-def _read_jsonl_map(path, key: str, value: str, noun: str, plural: str) -> dict[str, str]:
-    """``str(row[key]) -> str(row[value])`` over the rows of a JSONL file;
-    ``noun`` and ``plural`` name a row in the errors."""
+def _read_jsonl_map(path, key: str, value: str, noun: str,
+                    plural: str) -> tuple[dict[str, str], dict[str, int]]:
+    """``str(row[key]) -> str(row[value])`` over the rows of a JSONL file,
+    and each key's line number; ``noun`` and ``plural`` name a row in the
+    errors."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -125,10 +128,10 @@ def _read_jsonl_map(path, key: str, value: str, noun: str, plural: str) -> dict[
             k = str(row[key])
             if k in out:
                 raise DataError(f"{path}: line {lineno}: duplicate {noun} {k!r}")
-            out[k] = str(row[value])
+            out[k], lines[k] = str(row[value]), lineno
     if not out:
         raise DataError(f"{path}: no {plural} found")
-    return out
+    return out, lines
 
 
 def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, seed: int = 0) -> Dataset:
@@ -138,7 +141,7 @@ def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, 
     fallback at ``dim``) or a precomputed-embeddings TSV whose header
     fixes the dimension.
     """
-    topics = _read_jsonl_map(topics_path, "topic_id", "query", "topic", "topics")
+    topics, topic_lines = _read_jsonl_map(topics_path, "topic_id", "query", "topic", "topics")
     judgments, qrel_rows = _read_qrels(qrels_path)
 
     with open(docs_or_vectors_path, "r", encoding="utf-8") as fh:
@@ -150,7 +153,7 @@ def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, 
         except ValueError as exc:
             raise DataError(f"{docs_or_vectors_path}: {exc}") from None
     else:
-        texts = _read_jsonl_map(docs_or_vectors_path, "doc_id", "text", "doc", "documents")
+        texts = _read_jsonl_map(docs_or_vectors_path, "doc_id", "text", "doc", "documents")[0]
         corpus = EmbeddedCorpus(
             dim=dim,
             vectors={doc_id: embed_text(text, dim, seed) for doc_id, text in texts.items()},
@@ -161,6 +164,9 @@ def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, 
             raise DataError(f"{qrels_path}: line {lineno}: judgment for unknown topic {topic!r}")
         if doc not in corpus:
             raise DataError(f"{qrels_path}: line {lineno}: judgment for missing document {doc!r}")
+    for topic, lineno in topic_lines.items():
+        if not judgments.has_topic(topic):
+            raise DataError(f"{topics_path}: line {lineno}: topic {topic!r} has no judgments in {qrels_path}")
 
     all_docs = sorted(corpus.vectors)
     return Dataset(
@@ -213,6 +219,8 @@ def load_letor(path) -> Dataset:
                     raise DataError(f"{path}: line {lineno}: malformed feature {token!r}") from None
                 if not math.isfinite(value):
                     raise DataError(f"{path}: line {lineno}: non-finite feature {token!r}")
+                if index < 1:
+                    raise DataError(f"{path}: line {lineno}: feature index must be >= 1 in {token!r}")
                 feats[index] = value
             if not feats:
                 raise DataError(f"{path}: line {lineno}: no features")
@@ -386,5 +394,5 @@ def split_folds(dataset: Dataset, k: int = 5, seed: int = 0) -> list[tuple[list[
     if k > len(topics):
         raise ValueError(f"k={k} exceeds the number of topics ({len(topics)})")
     order = [topics[i] for i in np.random.default_rng(seed).permutation(len(topics))]
-    parts = [list(p) for p in np.array_split(order, k)]
+    parts = [p.tolist() for p in np.array_split(order, k)]
     return [([t for j, p in enumerate(parts) if j != i for t in p], parts[i]) for i in range(k)]

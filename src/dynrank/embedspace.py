@@ -117,17 +117,8 @@ class EmbeddedCorpus:
         return doc_id in self.vectors
 
 
-def write_vectors_tsv(path, corpus: EmbeddedCorpus) -> None:
-    """Write embeddings as TSV: header ``#dim=D`` then ``doc_id\\tv1...\\tvD`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#dim={corpus.dim}\n")
-        for doc_id, vec in corpus.vectors.items():
-            cells = "\t".join(repr(float(x)) for x in vec)
-            fh.write(f"{doc_id}\t{cells}\n")
-
-
 def read_vectors_tsv(path) -> EmbeddedCorpus:
-    """Read an embeddings TSV produced by :func:`write_vectors_tsv`.
+    """Read an embeddings TSV: header ``#dim=D`` then ``doc_id\\tv1...\\tvD`` rows.
 
     Raises ValueError with the offending line number on malformed input.
     """

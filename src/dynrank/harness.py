@@ -451,16 +451,29 @@ def metrics_run(config: RunConfig, run_path, dataset: Dataset | None = None) -> 
     if dataset is None:
         dataset = load_dataset(config.dataset, config.seed)
     blocks: dict[str, dict[int, list[str]]] = {}
+    seen: dict[str, set[str]] = {}  # each topic's documents so far
     with open(run_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
-                topic, it, doc_ids = str(row["topic_id"]), int(row["iteration"]), list(row["doc_ids"])
+                topic, it, doc_ids = str(row["topic_id"]), row["iteration"], row["doc_ids"]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{run_path}: line {lineno}: {exc}") from None
-            blocks.setdefault(topic, {})[it] = doc_ids
+            where = f"{run_path}: line {lineno}: topic {topic!r}"
+            if type(it) is not int or it < 1:
+                raise DataError(f"{where}: iteration must be an integer >= 1, got {it!r}")
+            its, docs = blocks.setdefault(topic, {}), seen.setdefault(topic, set())
+            if it in its:
+                raise DataError(f"{where}: iteration {it} repeated")
+            if not doc_ids or not isinstance(doc_ids, list) or not all(isinstance(d, str) for d in doc_ids):
+                raise DataError(f"{where}: doc_ids must be a non-empty list of strings")
+            for doc in doc_ids:
+                if doc in docs:
+                    raise DataError(f"{where}: document {doc!r} repeated")
+                docs.add(doc)
+            its[it] = doc_ids
     if not blocks:
         raise DataError(f"{run_path}: no run rows")
     # iterations after a pool ran out have no run rows but are still reported

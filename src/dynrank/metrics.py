@@ -112,7 +112,7 @@ class JudgmentSet:
         return prefix[min(k, len(prefix) - 1)]
 
     def alpha_dcg(self, topic: str, doc_ids: Sequence[str], k: int, alpha: float) -> float:
-        """``alpha_dcg_at_k(ranked_coverage(...), k, alpha)``, bit for bit,
+        """``alpha_dcg_at_k`` of the documents' coverage maps, bit for bit,
         from the cached sorted positive subtopics (unjudged docs cover none).
 
         When the previous call summed a prefix of this list, at the same
@@ -351,10 +351,6 @@ def session_ndcg(
 
 def ranked_relevances(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str]) -> list[float]:
     return [doc_relevance(judgments, topic, d) for d in doc_ids]
-
-
-def ranked_coverage(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str]) -> list[dict[str, float]]:
-    return [judgments.coverage(topic, d) for d in doc_ids]
 
 
 def _pooled_alpha_ndcg(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str], k: int,

@@ -84,8 +84,6 @@ class SessionState:
     live: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
     ranked: tuple[tuple[str, np.ndarray], ...] = ()
     n: int = 1
-    # scoring cache shared by the states of one session, built lazily
-    _pool: _PoolCache | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -147,49 +145,43 @@ def forward_inputs(state: SessionState, window: int | None = None) -> list[np.nd
 
 
 class _PoolCache:
-    """The session's pool as the columns of one (dim, pool) matrix, in the
-    order of ``SessionState.ids``, and the scoring workspace the session's
-    picks reuse.
+    """A pick's scoring cache: the current session's pool as the columns of
+    one (dim, pool) matrix, in the order of ``SessionState.ids``, the first
+    layer's document projections of the live candidates, and the scoring
+    workspace the picks reuse.
 
-    Each pick's first-layer document projections are gate-major (4H, N)
-    blocks, one column per live candidate. Training, whose weights change
-    between picks, projects the live candidates' columns straight into the
-    workspace's gate block at every pick. Evaluation, whose weights are
-    ``frozen``, projects the pool once, at the first pick, and keeps that
-    projection compacted to the live candidates.
-    After each pick, ``drop`` copies it, minus the ranked column, into the
-    workspace's gate block and swaps the two buffers, so a pick neither
-    allocates nor gathers."""
+    The projection is the workspace's gate-major (4H, N) projection block,
+    one column per live candidate, kept with the weights version and the
+    live rows it holds. A pick at that version and those rows scores from
+    it; any other gathers and projects the live columns afresh, as training
+    does at every pick, since its weights change at every step. ``drop``
+    follows a transition: it copies the projection, minus the ranked
+    column, into the gate block and swaps the two blocks. So evaluation
+    projects each session's pool once, and a pick neither allocates nor
+    gathers."""
 
-    __slots__ = ("docs", "frozen", "version", "live", "proj", "buf", "workspace")
+    __slots__ = ("ids", "docs", "version", "live", "proj", "workspace")
 
-    def __init__(self, state: SessionState, frozen: bool = False):
-        self.docs = np.stack([state.vectors[d] for d in state.ids], axis=1)
-        self.frozen = frozen
-        # the kept projection (a view of ``buf``), its weights version and
-        # the live rows it holds
-        self.version = self.live = self.proj = self.buf = None
+    def __init__(self):
+        self.ids = self.docs = self.version = self.live = self.proj = None
         self.workspace = valuenet.ScoringWorkspace()
 
-    def gate_block(self, params: ValueNetParams, live: np.ndarray) -> np.ndarray:
-        """The live candidates' document projections, (4H, len(live)):
-        the kept projection, or the workspace's gate block."""
-        if self.proj is not None and self.version == params.version and self.live is live:
-            return self.proj
-        self.version = self.live = self.proj = self.buf = None  # never read a stale projection
-        if self.frozen:
-            # at a session's first pick every row is live; the transpose of
-            # the C-contiguous matrix keeps the matmul copy-free
-            docs = self.docs if live.size == self.docs.shape[1] else self.docs[:, live]
-            self.proj = valuenet.project_docs(params, docs.T).T
-            self.version, self.live, self.buf = params.version, live, self.proj.reshape(-1)
+    def gate_block(self, params: ValueNetParams, state: SessionState) -> np.ndarray:
+        """The live candidates' document projections, (4H, len(state.live))."""
+        live = state.live
+        if state.ids is not self.ids:  # a new session: drop the last one's pool first
+            self.ids = self.docs = self.live = self.proj = None
+            self.docs = np.stack([state.vectors[d] for d in state.ids], axis=1)
+            self.ids = state.ids
+        elif self.version == params.version and self.live is live:
             return self.proj
         ws = self.workspace
-        gates = ws.gates(4 * params.lstm[0].H, len(live))
         docs = ws.docs(len(self.docs), len(live))
         np.take(self.docs, live, axis=1, out=docs, mode="clip")  # "raise" would buffer the output
-        valuenet.project_docs(params, docs.T, out=gates.T)
-        return gates
+        self.proj = ws.proj(4 * params.lstm[0].H, len(live))
+        valuenet.project_docs(params, docs.T, out=self.proj.T)
+        self.version, self.live = params.version, live
+        return self.proj
 
     def drop(self, live: np.ndarray, pos: int, rest: np.ndarray) -> None:
         """Follow the transition from ``live`` to ``rest``, which ranked the
@@ -201,26 +193,23 @@ class _PoolCache:
         out = self.workspace.gates(rows, n - 1)
         out[:, :pos] = self.proj[:, :pos]
         out[:, pos:] = self.proj[:, pos + 1:]
-        self.buf = self.workspace.swap_gates(self.buf)
+        self.workspace.swap_gates()
         self.proj, self.live = out, rest
 
 
-def score_candidates(params: ValueNetParams, state: SessionState) -> np.ndarray:
+def score_candidates(params: ValueNetParams, state: SessionState, pool: _PoolCache) -> np.ndarray:
     """Value of appending each candidate to the current ranked list.
 
     Pure eval-mode scoring; candidates share the ranked prefix, so the
-    final network step runs batched across them, in the session's
-    workspace. Returns a new array of the scores in the order of
-    ``state.live``, which is ascending doc id.
+    final network step runs batched across them, in ``pool``'s workspace.
+    Returns a new array of the scores in the order of ``state.live``, which
+    is ascending doc id.
     """
     if not state.live.size:
         raise ValueError("no candidates to score")
-    if state._pool is None:
-        state._pool = _PoolCache(state)
-    pool = state._pool
     window = params.config.window
     prefix = forward_inputs(state, window - 1) if window > 1 else []
-    gates = pool.gate_block(params, state.live)
+    gates = pool.gate_block(params, state)
     return valuenet.forward_candidates(params, prefix, gates.T, state.query,
                                        workspace=pool.workspace)
 
@@ -274,8 +263,6 @@ def step_transition(state: SessionState, pos: int) -> SessionState:
     rest = np.empty(live.size - 1, np.intp)
     rest[:pos] = live[:pos]
     rest[pos:] = live[pos + 1:]
-    if state._pool is not None:
-        state._pool.drop(live, pos, rest)
     return _evolve(state, ranked=state.ranked + ((doc, state.vectors[doc]),), live=rest)
 
 
@@ -329,9 +316,6 @@ def run_session(
             if block and feedback_fn is not None:
                 query = feedback_fn(state, simulate_feedback(dataset.judgments, topic, block, state.n))
             state = session_transition(state, query)
-    # drop the scoring cache now, not when the caller rebinds its last state,
-    # so two sessions' caches are never alive together
-    state._pool = None
 
 
 def _check_topics(dataset: Dataset, topics: Sequence[str] | None, purpose: str) -> list[str]:
@@ -383,6 +367,7 @@ def train_session(
     lr = params.config.learning_rate
     window = params.config.window
     grad = np.empty_like(params.theta)  # every step's gradient, overwritten by backward
+    pool = _PoolCache()
     log: list[EpochStats] = []
     prev_loss: float | None = None
     for epoch in range(1, config.epoch_cap + 1):
@@ -390,7 +375,7 @@ def train_session(
         losses: list[float] = []
 
         def pick(state: SessionState) -> SessionState:
-            scores = score_candidates(params, state)
+            scores = score_candidates(params, state, pool)
             try:
                 pos = select_action(scores, eps, config.selection, rng)
             except FloatingPointError as exc:
@@ -449,10 +434,13 @@ class EvalResult:
 def greedy_pick(params: ValueNetParams) -> Pick:
     """The learned ranker: the argmax of the network's scores (epsilon 0,
     no random draws), on a pool projected once per session."""
+    pool = _PoolCache()
+
     def pick(state: SessionState) -> SessionState:
-        if state._pool is None:  # frozen weights: project the session's pool once
-            state._pool = _PoolCache(state, frozen=True)
-        return step_transition(state, best_action(score_candidates(params, state)))
+        pos = best_action(score_candidates(params, state, pool))
+        nxt = step_transition(state, pos)
+        pool.drop(state.live, pos, nxt.live)
+        return nxt
     return pick
 
 

@@ -499,40 +499,35 @@ def apply_update(params: ValueNetParams, grad: np.ndarray, learning_rate: float)
     return params
 
 
-def project_docs(params: ValueNetParams, docs, out: np.ndarray | None = None) -> np.ndarray:
+def project_docs(params: ValueNetParams, docs, out: np.ndarray) -> np.ndarray:
     """Document half of the first layer's gate pre-activation, one row per
     document: ``(s * D) @ W_d.T``, where ``W_d`` holds the first ``docs``-width
     columns of the first layer's input matrix and ``s`` is ``input_scale``.
 
-    Computed gate-major, as ``W_d @ (s * D).T``: the rows returned are the
-    transpose of a C-contiguous (4H, N) array, the layout
-    :func:`forward_candidates` works in. ``docs`` given as the transpose of a
-    C-contiguous (dim, N) array keeps the matmul free of copies.
-
-    With ``out``, the transpose of a C-contiguous (4H, N) block such as a
-    :class:`ScoringWorkspace` gate block, the rows are written there and
+    Computed gate-major, as ``W_d @ (s * D).T``, into ``out``: the transpose
+    of a C-contiguous (4H, N) block such as a :class:`ScoringWorkspace`
+    projection block, the layout :func:`forward_candidates` works in.
     ``docs`` is the caller's scratch: it is scaled by ``s`` in place, so
-    nothing document-sized is allocated. Returns ``out``.
+    nothing document-sized is allocated, and given as the transpose of a
+    C-contiguous (dim, N) array it keeps the matmul free of copies.
+    Returns ``out``.
     """
     D = np.atleast_2d(np.asarray(docs, dtype=np.float64))
     width = D.shape[1]
     if width > params.config.input_dim:
         raise ValueError(f"document rows have dim {width}, input_dim is {params.config.input_dim}")
-    W_d = params.lstm[0].W[:, :width]
-    if out is None:
-        return (W_d @ (D.T * params.config.input_scale)).T
     scaled = D.T
     scaled *= params.config.input_scale
-    np.matmul(W_d, scaled, out=out.T)
+    np.matmul(params.lstm[0].W[:, :width], scaled, out=out.T)
     return out
 
 
 class ScoringWorkspace:
     """Grow-only scratch buffers for :func:`forward_candidates`: the gate
     block, the cell state and two hidden-state buffers that alternate
-    between layers, plus a document block for :func:`project_docs` to
-    project from, each handed out as a C-contiguous (rows, N) view of a
-    flat array that only ever grows.
+    between layers, plus a document block and a projection block for
+    :func:`project_docs` to project from and into, each handed out as a
+    C-contiguous (rows, N) view of a flat array that only ever grows.
 
     One workspace serves a sequence of calls of any shape (such as the
     picks of one session), so batched scoring allocates nothing
@@ -542,7 +537,7 @@ class ScoringWorkspace:
     __slots__ = ("_flat",)
 
     def __init__(self):
-        self._flat = [np.empty(0) for _ in range(5)]  # gates, c, h, h, docs
+        self._flat = [np.empty(0) for _ in range(6)]  # gates, c, h, h, docs, proj
 
     def _block(self, slot: int, rows: int, n: int) -> np.ndarray:
         size = rows * n
@@ -556,11 +551,15 @@ class ScoringWorkspace:
         ``doc_proj``."""
         return self._block(0, rows, n)
 
-    def swap_gates(self, flat: np.ndarray) -> np.ndarray:
-        """Make the flat array ``flat`` the gate block's storage; returns
-        the storage it replaces."""
-        old, self._flat[0] = self._flat[0], flat
-        return old
+    def proj(self, rows: int, n: int) -> np.ndarray:
+        """The (rows, n) projection block: the first layer's document
+        projections, whose transpose a caller passes as ``doc_proj``."""
+        return self._block(5, rows, n)
+
+    def swap_gates(self) -> None:
+        """Swap the storage of the gate block and the projection block."""
+        flat = self._flat
+        flat[0], flat[5] = flat[5], flat[0]
 
     def docs(self, dim: int, n: int) -> np.ndarray:
         """The (dim, n) document block: candidates' document columns, which

@@ -79,6 +79,13 @@ class TestLoadTrecDD:
         with pytest.raises(DataError, match="line 3"):
             load_trec_dd(topics, qrels, docs)
 
+    def test_topic_without_judgments_rejected_with_line(self, tmp_path):
+        topics, qrels, docs = write_trec_fixture(tmp_path)
+        topics.write_text(topics.read_text() + json.dumps({"topic_id": "t3", "query": "x"}) + "\n")
+        with pytest.raises(DataError) as info:
+            load_trec_dd(topics, qrels, docs)
+        assert str(info.value) == f"{topics}: line 3: topic 't3' has no judgments in {qrels}"
+
     def test_malformed_qrels_line(self, tmp_path):
         topics, qrels, docs = write_trec_fixture(tmp_path)
         qrels.write_text("t1\ts1\td1\n")
@@ -144,6 +151,13 @@ class TestLoadLetor:
         path = tmp_path / "letor.txt"
         path.write_text("1 qid:1 1:zzz\n")
         with pytest.raises(DataError, match="line 1"):
+            load_letor(path)
+
+    @pytest.mark.parametrize("token", ["0:9.0", "-1:9.0"])
+    def test_feature_index_below_one_rejected(self, tmp_path, token):
+        path = tmp_path / "letor.txt"
+        path.write_text(f"1 qid:1 1:0.1 2:0.2\n2 qid:1 {token} 1:0.5 2:0.25\n")
+        with pytest.raises(DataError, match=f"line 2: feature index must be >= 1 in '{token}'"):
             load_letor(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
@@ -250,6 +264,10 @@ class TestSplitFolds:
     def test_same_seed_same_split(self):
         ds = gen_synthetic(7, 5, 1, 8, seed=0)
         assert split_folds(ds, 3, seed=9) == split_folds(ds, 3, seed=9)
+
+    def test_ids_are_plain_str(self):
+        folds = split_folds(gen_synthetic(5, 5, 1, 8, seed=0), 2, seed=1)
+        assert all(type(t) is str for train, test in folds for t in train + test)
 
     def test_too_many_folds_rejected(self):
         ds = gen_synthetic(3, 5, 1, 8, seed=0)

@@ -14,7 +14,6 @@ from dynrank.embedspace import (
     read_vectors_tsv,
     tokenize,
     token_bucket,
-    write_vectors_tsv,
 )
 
 
@@ -149,7 +148,7 @@ class TestCorpusTsv:
             "d2": np.array([1e-9, 0.0, 2.75]),
         })
         path = tmp_path / "vecs.tsv"
-        write_vectors_tsv(path, corpus)
+        path.write_text("#dim=3\nd1\t0.25\t-1.5\t3.0\nd2\t1e-09\t0.0\t2.75\n")
         loaded = read_vectors_tsv(path)
         assert loaded.dim == 3
         assert loaded.doc_ids == ["d1", "d2"]

@@ -286,6 +286,26 @@ class TestTrainEvaluate:
         assert {r[0] for r in eval_report.tables["evaluation"]} == {1, 2, 3, 4}
         assert offline.tables["evaluation"] == eval_report.tables["evaluation"]
 
+    @pytest.mark.parametrize("rows, line, message", [
+        ([(1, ["d1", "d2"]), (2, ["d3", "d1"])], 2, "document 'd1' repeated"),
+        ([(1, ["d1", "d1"])], 1, "document 'd1' repeated"),
+        ([(0, ["d1"])], 1, "iteration must be an integer >= 1, got 0"),
+        ([(2, ["d1"]), (-1, ["d2"])], 2, "iteration must be an integer >= 1, got -1"),
+        ([(1.5, ["d1"])], 1, "iteration must be an integer >= 1, got 1.5"),
+        ([(1, ["d1"]), (1, ["d2"])], 2, "iteration 1 repeated"),
+        ([(1, [])], 1, "doc_ids must be a non-empty list of strings"),
+        ([(1, "d1")], 1, "doc_ids must be a non-empty list of strings"),
+        ([(1, [["d1"]])], 1, "doc_ids must be a non-empty list of strings"),
+    ], ids=["across-iterations", "within-block", "iteration-0", "negative-iteration",
+            "fractional-iteration", "repeated-iteration", "empty-block", "string-block", "nested-block"])
+    def test_bad_run_rows_rejected_with_line(self, tmp_path, rows, line, message):
+        runfile = tmp_path / "run.jsonl"
+        runfile.write_text("".join(json.dumps({"topic_id": "t000", "iteration": it, "doc_ids": docs}) + "\n"
+                                   for it, docs in rows))
+        with pytest.raises(DataError) as info:
+            metrics_run(tiny_config(tmp_path), runfile)
+        assert str(info.value) == f"{runfile}: line {line}: topic 't000': {message}"
+
     def test_run_dispatch_writes_reports(self, tmp_path):
         config = tiny_config(tmp_path)
         report = run(config, "train")
@@ -556,6 +576,48 @@ class TestCli:
         code, output = invoke(capsys, ["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 3, output
         assert f"{qrels}: line 2: non-finite grade" in output
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--layers", "0", "layers must be >= 1, got 0"),
+        ("--window", "0", "window must be >= 1, got 0"),
+        ("--epsilon0", "2", "epsilon must be in [0, 1], got 2.0"),
+        ("--alpha", "1.5", "alpha must be in [0, 1), got 1.5"),
+        ("--gamma", "0", "gamma must be in (0, 1], got 0.0"),
+        ("--iterations", "0", "iterations must be >= 1"),
+        ("--docs-per-iter", "0", "docs_per_iteration and iterations must be >= 1"),
+    ])
+    def test_out_of_range_override_exits_2(self, tmp_path, monkeypatch, capsys, flag, value, message):
+        monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("bad override ran"))
+        code, output = invoke(capsys, ["train", "--out", str(tmp_path / "out"), flag, value])
+        assert code == 2, output
+        assert output.startswith("config error: ") and message in output
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_run_file_exits_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(tiny_config(tmp_path / "out"))))
+        runfile = tmp_path / "run.jsonl"
+        runfile.write_text('{"topic_id": "t000", "iteration": 1, "doc_ids": ["d1"]}\n'
+                           '{"topic_id": "t000", "iteration": 2, "doc_ids": ["d1"]}\n')
+        code, output = invoke(capsys, ["metrics", "--config", str(cfg_path), "--run", str(runfile)])
+        assert code == 3, output
+        assert f"{runfile}: line 2: topic 't000': document 'd1' repeated" in output
+
+    def test_unjudged_trec_topic_exits_3_before_training(self, tmp_path, capsys):
+        topics = tmp_path / "topics.jsonl"
+        topics.write_text(json.dumps({"topic_id": "A", "query": "ice"}) + "\n"
+                          + json.dumps({"topic_id": "C", "query": "ebola"}) + "\n")
+        (tmp_path / "docs.jsonl").write_text(json.dumps({"doc_id": "d1", "text": "ice sheet"}) + "\n")
+        qrels = tmp_path / "qrels.tsv"
+        qrels.write_text("A\ts1\td1\t1\n")
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"dataset": {
+            "kind": "trec_dd", "topics_path": str(topics),
+            "qrels_path": str(qrels), "docs_path": str(tmp_path / "docs.jsonl")}, "folds": 2}))
+        code, output = invoke(capsys, ["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 3, output
+        assert f"{topics}: line 2: topic 'C' has no judgments" in output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args", [
         ["train", "--metric", "dcg"],  # not a --metric choice

@@ -21,7 +21,6 @@ from dynrank.metrics import (
     doc_relevance,
     ideal_alpha_dcg_at_k,
     ndcg_at_k,
-    ranked_coverage,
     report_value,
     session_ndcg,
     target_value,
@@ -215,12 +214,12 @@ class TestCachedRealizedAlphaDcg:
             pool = [(d, cov) for d, cov in pool if any(g > 0 for g in cov.values())]
 
             def normalized(k):
-                realized = alpha_dcg_at_k(ranked_coverage(js, "t", ranked), k, alpha)
+                realized = alpha_dcg_at_k([js.coverage("t", d) for d in ranked], k, alpha)
                 ideal = ideal_alpha_dcg_at_k(pool, k, alpha)
                 return min(realized / ideal, 1.0) if ideal > 0.0 else 0.0
 
             k = len(ranked)
-            realized = alpha_dcg_at_k(ranked_coverage(js, "t", ranked), k, alpha)
+            realized = alpha_dcg_at_k([js.coverage("t", d) for d in ranked], k, alpha)
             spec = MetricSpec(target="alpha-dcg", alpha=alpha)
             assert target_value(js, "t", ranked, spec) == realized
             spec = MetricSpec(target="alpha-ndcg", alpha=alpha)
@@ -255,10 +254,10 @@ class TestIncrementalRealizedAlphaDcg:
         for topic, length, alpha, cut in calls:
             ranked = self.ORDER[topic][:length]
             for k in (len(ranked), cut):
-                want = alpha_dcg_at_k(ranked_coverage(js, topic, ranked), k, alpha)
+                want = alpha_dcg_at_k([js.coverage(topic, d) for d in ranked], k, alpha)
                 assert repr(js.alpha_dcg(topic, ranked, k, alpha)) == repr(want)
             spec = MetricSpec(target="alpha-dcg", alpha=alpha)
-            want = alpha_dcg_at_k(ranked_coverage(js, topic, ranked), len(ranked), alpha)
+            want = alpha_dcg_at_k([js.coverage(topic, d) for d in ranked], len(ranked), alpha)
             assert repr(target_value(js, topic, ranked, spec)) == repr(want)
 
     def test_growing_list_extends_the_previous_sum(self, monkeypatch):

@@ -59,9 +59,10 @@ def with_candidates(state, docs):
     return dataclasses.replace(state, live=sorted(state.ids.index(d) for d in docs))
 
 
-def score_map(params, state):
-    """``score_candidates`` as a doc id -> score map."""
-    values = score_candidates(params, state)
+def score_map(params, state, pool=None):
+    """``score_candidates`` as a doc id -> score map, from a fresh pool
+    unless ``pool`` is given."""
+    values = score_candidates(params, state, pool or _PoolCache())
     assert values.shape == (len(state.live),)
     return dict(zip(state.candidates(), values.tolist()))
 
@@ -117,7 +118,7 @@ class TestScoreCandidates:
         state = SessionState(topic_id=state.topic_id, query=state.query,
                              vectors=state.vectors, ids=state.ids)
         with pytest.raises(ValueError):
-            score_candidates(init_glorot(NET, 0), state)
+            score_candidates(init_glorot(NET, 0), state, _PoolCache())
 
 
 @st.composite
@@ -165,21 +166,27 @@ class TestScoringFastPath:
     @given(scoring_cases())
     @settings(max_examples=150, deadline=None)
     def test_matches_per_candidate_forward(self, case):
-        params, start, keep = case
-        # training's direct projection, then evaluation's whole-pool projection
-        for frozen in (False, True):
-            state = dataclasses.replace(start, _pool=_PoolCache(start, frozen))
-            for _ in range(2):
-                scores = score_map(params, state)
-                expected = reference_scores(params, state)
-                for doc, value in scores.items():
-                    assert abs(value - expected[doc]) <= 1e-12
-                subset = with_candidates(state, keep & set(state.candidates()) or state.candidates())
-                sub_scores = score_map(params, subset)
-                assert all(abs(sub_scores[d] - expected[d]) <= 1e-12 for d in sub_scores)
-                if len(state.live) == 1:
-                    break
-                state = rank(state, max(scores, key=scores.get))
+        params, state, keep = case
+        # one pool: a fresh projection, the kept one, a subset's, then the
+        # kept projection compacted by a transition
+        pool = _PoolCache()
+        for _ in range(2):
+            scores = score_map(params, state, pool)
+            expected = reference_scores(params, state)
+            for doc, value in scores.items():
+                assert abs(value - expected[doc]) <= 1e-12
+            assert score_map(params, state, pool) == scores
+            subset = with_candidates(state, keep & set(state.candidates()) or state.candidates())
+            sub_scores = score_map(params, subset, pool)
+            assert all(abs(sub_scores[d] - expected[d]) <= 1e-12 for d in sub_scores)
+            if len(state.live) == 1:
+                break
+            score_map(params, state, pool)
+            pos = state.candidates().index(max(scores, key=scores.get))
+            nxt = step_transition(state, pos)
+            pool.drop(state.live, pos, nxt.live)
+            assert pool.live is nxt.live
+            state = nxt
 
     def test_scoring_follows_updated_weights(self):
         ds = tiny_dataset()
@@ -199,13 +206,13 @@ class TestInPlaceUpdateScoring:
     @settings(max_examples=80, deadline=None)
     def test_scores_and_train_forward_follow_in_place_update(self, case, seed):
         params, state, _ = case
-        state = dataclasses.replace(state, _pool=_PoolCache(state, frozen=True))
-        score_candidates(params, state)  # from the kept projection at this version
+        pool = _PoolCache()
+        score_candidates(params, state, pool)  # keeps the projection at this version
         grad = np.random.default_rng(seed).standard_normal(params.n_params)
         apply_update(params, grad, 0.1)
         fresh = params.copy()
-        after = score_candidates(params, state)
-        want = score_candidates(fresh, dataclasses.replace(state, _pool=None))
+        after = score_candidates(params, state, pool)
+        want = score_candidates(fresh, state, _PoolCache())
         assert after.tobytes() == want.tobytes()
         nxt = step_transition(state, best_action(after))
         inputs = forward_inputs(nxt, params.config.window)
@@ -216,18 +223,16 @@ class TestInPlaceUpdateScoring:
     def test_direct_projection_matches_cached_gather(self, case):
         params, state, keep = case
         sub = with_candidates(state, keep)
-        pool = _PoolCache(state)
-        direct = pool.gate_block(params, sub.live).copy()
-        pool.gate_block(params, sub.live)
-        assert pool.proj is None  # unless its caller asks, a pool keeps no projection
-        frozen = _PoolCache(state, frozen=True)
-        kept = frozen.gate_block(params, state.live)
-        assert frozen.proj is kept and frozen.gate_block(params, state.live) is kept
+        pool = _PoolCache()
+        kept = pool.gate_block(params, state)
+        assert pool.proj is kept and pool.gate_block(params, state) is kept
         cached = kept[:, np.searchsorted(state.live, sub.live)]
+        direct = pool.gate_block(params, sub)  # other live rows: projected afresh
+        assert pool.live is sub.live and pool.ids is state.ids  # the same session's pool
         np.testing.assert_allclose(direct, cached, rtol=0, atol=1e-12)
         apply_update(params, np.ones(params.n_params), 0.1)
-        again = frozen.gate_block(params, state.live)  # new weights: projected again
-        fresh = _PoolCache(state, frozen=True).gate_block(params, state.live)
+        again = pool.gate_block(params, sub)  # new weights: projected again
+        fresh = _PoolCache().gate_block(params, sub)
         assert again.tobytes() == fresh.tobytes()
 
 
@@ -645,21 +650,23 @@ def test_compacted_projection_matches_fresh_gather():
     params = init_glorot(NET, 4)
     fb = EmbedRocchioFeedback(ds.corpus, RocchioParams())
     window = params.config.window
+    pool = _PoolCache()
+    flat = pool.workspace._flat
     sizes = []  # candidates scored at each pick
 
     def pick(state):
-        if state._pool is None:
-            state._pool = _PoolCache(state, frozen=True)
-        pool = state._pool
-        values = score_candidates(params, state)
+        values = score_candidates(params, state, pool)
         assert pool.live is state.live  # scored from the kept projection
-        buffers = {id(pool.buf), id(pool.workspace._flat[0])}
-        whole = project_docs(params, pool.docs.T).T
+        buffers = {id(flat[0]), id(flat[5])}
+        whole = np.empty((len(pool.proj), len(state.ids)))
+        project_docs(params, pool.docs.copy().T, out=whole.T)
         want = forward_candidates(params, forward_inputs(state, window - 1), whole[:, state.live].T,
                                   state.query, workspace=ScoringWorkspace())
         assert values.tobytes() == want.tobytes()
-        nxt = step_transition(state, best_action(values))
-        assert {id(pool.buf), id(pool.workspace._flat[0])} == buffers  # swapped, not allocated
+        pos = best_action(values)
+        nxt = step_transition(state, pos)
+        pool.drop(state.live, pos, nxt.live)
+        assert {id(flat[0]), id(flat[5])} == buffers  # swapped, not allocated
         sizes.append(len(state.live))
         return nxt
 
@@ -670,14 +677,28 @@ def test_compacted_projection_matches_fresh_gather():
     assert sizes == list(range(30, 0, -1)) * len(ds.topic_ids())
 
 
-def test_session_end_drops_scoring_cache():
+def test_greedy_pick_ranks_sessions_in_a_row(monkeypatch):
+    """One ``greedy_pick`` ranks two topics in a row from one pool: every
+    pick scores the bits of a fresh pool, the pool follows each session,
+    and the workspace's flat buffers are reused, not reallocated."""
+    from dynrank import policy
+
     ds = tiny_dataset()
     params = init_glorot(NET, 0)
+    real = policy.score_candidates
+    seen = []  # (topic, pool, the workspace's flat buffers) at each pick
 
-    def pick(state):
-        return step_transition(state, best_action(score_candidates(params, state)))
+    def checked(p, state, pool):
+        values = real(p, state, pool)
+        assert values.tobytes() == real(p, state, _PoolCache()).tobytes()
+        assert pool.ids is state.ids
+        seen.append((state.topic_id, pool, list(pool.workspace._flat)))
+        return values
 
-    states = [state for _, state, _ in run_session(ds, "t000", None, quick_policy(), pick)]
-    assert states[0]._pool is not None
-    assert states[-1]._pool is None  # the next session never holds two caches
-    assert len(score_candidates(params, states[-1])) == len(states[-1].live)  # rebuilt
+    monkeypatch.setattr(policy, "score_candidates", checked)
+    config = quick_policy(iterations=3, docs_per_iteration=2)
+    evaluate_session(greedy_pick(params), ds, None, config, topics=["t000", "t001"])
+    assert [t for t, _, _ in seen] == ["t000"] * 6 + ["t001"] * 6
+    assert len({id(pool) for _, pool, _ in seen}) == 1
+    first = {id(buf) for buf in seen[0][2]}
+    assert all({id(buf) for buf in bufs} == first for _, _, bufs in seen)

@@ -32,6 +32,14 @@ def tiny_params(seed=42) -> ValueNetParams:
     return init_glorot(TINY, seed)
 
 
+def projected(params, docs):
+    """:func:`project_docs` rows of a copy of ``docs``, which it would scale
+    in place."""
+    docs = np.array(docs, dtype=np.float64, ndmin=2)
+    out = np.empty((4 * params.lstm[0].H, len(docs)))
+    return project_docs(params, docs, out=out.T)
+
+
 def closed_form_count(cfg: NetConfig) -> int:
     hidden = cfg.resolved_hidden()
     total, in_dim = 0, cfg.input_dim
@@ -311,14 +319,14 @@ class TestBatchedScoring:
         rng = np.random.default_rng(2)
         prefix = [rng.standard_normal(2) for _ in range(3)]
         rows = rng.standard_normal((6, 2))
-        batch = forward_candidates(params, prefix, project_docs(params, rows), np.zeros(0))
+        batch = forward_candidates(params, prefix, projected(params, rows), np.zeros(0))
         singles = np.array([forward(params, prefix + [r], mode="eval")[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
     def test_empty_prefix(self):
         params = tiny_params()
         rows = np.array([[0.1, 0.2], [0.5, -0.5]])
-        batch = forward_candidates(params, [], project_docs(params, rows), np.zeros(0))
+        batch = forward_candidates(params, [], projected(params, rows), np.zeros(0))
         singles = np.array([forward(params, [r], mode="eval")[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
@@ -329,7 +337,7 @@ class TestBatchedScoring:
         rng = np.random.default_rng(4)
         prefix = [rng.standard_normal(2) for _ in range(5)]
         rows = rng.standard_normal((2, 2))
-        batch = forward_candidates(params, prefix, project_docs(params, rows), np.zeros(0))
+        batch = forward_candidates(params, prefix, projected(params, rows), np.zeros(0))
         singles = np.array([forward(params, prefix + [r], mode="eval")[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
@@ -502,7 +510,7 @@ class TestUnrollProperties:
         units = [np.concatenate([x[: cfg.input_dim - q_dim], query]) for x in xs]
         prefix, last = units[:-1], units[-1]
         docs = np.stack([last[: cfg.input_dim - q_dim], rng.standard_normal(cfg.input_dim - q_dim)])
-        forward_candidates(params, prefix, project_docs(params, docs), query)
+        forward_candidates(params, prefix, projected(params, docs), query)
 
         def run(p, inputs):
             value, cache = forward(p, inputs, mode="train")
@@ -536,7 +544,7 @@ class TestUnrollProperties:
         cfg = NetConfig(layers=1, input_dim=4, hidden_dims=(3,), dense_dims=(2,), dropout=0.0)
         params = init_glorot(cfg, 0)
         doc, q1, q2 = np.array([0.3, -0.2]), np.array([0.5, 0.1]), np.array([0.5, 0.2])
-        forward_candidates(params, [np.concatenate([doc, q1])], project_docs(params, doc[None]), q1)
+        forward_candidates(params, [np.concatenate([doc, q1])], projected(params, doc[None]), q1)
         calls = []
         real_unroll = valuenet._unroll
         monkeypatch.setattr(valuenet, "_unroll", lambda *a: calls.append(1) or real_unroll(*a))
@@ -645,8 +653,7 @@ def scoring_sequences(draw):
 
 def _score_in_workspace(params, prefix, proj, rows, query, ws):
     """Score with the candidates' columns of the gate-major projection in
-    the workspace's gate block, so the first layer runs in place there, as
-    it does after training's direct projection."""
+    the workspace's gate block, so the first layer runs in place there."""
     gates = ws.gates(len(proj), len(rows))
     np.take(proj, rows, axis=1, out=gates, mode="clip")
     return forward_candidates(params, prefix, gates.T, query, workspace=ws)
@@ -660,7 +667,7 @@ class TestScoringWorkspace:
         ws = valuenet.ScoringWorkspace()
         for which, prefix, rows in calls:
             p = params[which]
-            proj = project_docs(p, pool).T
+            proj = projected(p, pool).T
             shared = _score_in_workspace(p, prefix, proj, rows, query, ws)
             fresh = forward_candidates(p, prefix, proj.T[rows], query)
             assert shared.tobytes() == fresh.tobytes()
@@ -676,7 +683,7 @@ class TestScoringWorkspace:
         ws = valuenet.ScoringWorkspace()
         for which, prefix, rows in calls:
             p = params[which]
-            proj = project_docs(p, pool).T
+            proj = projected(p, pool).T
             for buf in ws._flat:
                 buf.fill(np.nan)
             values = _score_in_workspace(p, prefix, proj, rows, query, ws)
@@ -726,7 +733,7 @@ class TestInPlaceStep:
     @settings(max_examples=40, deadline=None)
     def test_prefix_memo_misses_after_update(self, case):
         params, xs = case
-        forward_candidates(params, xs[:-1], project_docs(params, xs[-1][None]), np.zeros(0))
+        forward_candidates(params, xs[:-1], projected(params, xs[-1][None]), np.zeros(0))
         apply_update(params, np.full(params.n_params, 0.25), 0.1)
         got, cache = forward(params, xs, mode="train")
         want, fresh = forward(params.copy(), xs, mode="train")
