@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dynrank.embedspace import EmbeddedCorpus, embed_text, read_vectors_tsv
+from dynrank.embedspace import embed_text, read_vectors_tsv
 from dynrank.metrics import JudgmentSet
 
 
@@ -28,51 +28,26 @@ class DataError(Exception):
 
 
 @dataclass
-class FeatureCorpus:
-    """Fixed-length query-document feature vectors keyed by (topic, doc)."""
-
-    feature_len: int
-    rows: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key, vec in self.rows.items():
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.shape != (self.feature_len,):
-                raise ValueError(f"row {key}: expected {self.feature_len} features, got {arr.shape}")
-            self.rows[key] = arr
-
-
-@dataclass
 class Dataset:
-    """Topics, hidden judgments and a document representation.
+    """Topics, hidden judgments and the documents' vectors.
 
     ``kind`` is "embedded" (documents and queries share one embedding
     space) or "feature" (precomputed query-document feature vectors; the
-    query has no vector of its own). ``pools`` lists each topic's
-    candidate documents.
+    query has no vector of its own). ``docs`` maps each topic to its
+    candidate documents' vectors; topics that share a pool share one map.
     """
 
     kind: str
     topics: dict[str, str | None]
     query_vectors: dict[str, np.ndarray]
     judgments: JudgmentSet
-    pools: dict[str, list[str]]
-    corpus: EmbeddedCorpus | None = None
-    features: FeatureCorpus | None = None
+    docs: dict[str, dict[str, np.ndarray]]
     texts: dict[str, str] | None = None
     dim: int = 0
     extras: dict = field(default_factory=dict)
 
     def topic_ids(self) -> list[str]:
         return sorted(self.topics)
-
-    def doc_vector(self, topic: str, doc_id: str) -> np.ndarray:
-        if self.kind == "feature":
-            return self.features.rows[(topic, doc_id)]
-        return self.corpus.vectors[doc_id]
-
-    def query_vector(self, topic: str) -> np.ndarray:
-        return self.query_vectors[topic]
 
     def unjudged_topics(self) -> list[str]:
         """Topics without a single positively judged document (flagged, kept)."""
@@ -123,6 +98,8 @@ def _read_jsonl_map(path, key: str, value: str, noun: str,
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
+            if not isinstance(row, dict):
+                raise DataError(f"{path}: line {lineno}: expected a JSON object, got {type(row).__name__}")
             if key not in row or value not in row:
                 raise DataError(f"{path}: line {lineno}: expected keys {key!r} and {value!r}")
             k = str(row[key])
@@ -149,35 +126,30 @@ def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, 
     texts: dict[str, str] | None = None
     if first.startswith("#dim="):
         try:
-            corpus = read_vectors_tsv(docs_or_vectors_path)
+            dim, vectors = read_vectors_tsv(docs_or_vectors_path)
         except ValueError as exc:
             raise DataError(f"{docs_or_vectors_path}: {exc}") from None
     else:
         texts = _read_jsonl_map(docs_or_vectors_path, "doc_id", "text", "doc", "documents")[0]
-        corpus = EmbeddedCorpus(
-            dim=dim,
-            vectors={doc_id: embed_text(text, dim, seed) for doc_id, text in texts.items()},
-        )
+        vectors = {doc_id: embed_text(text, dim, seed) for doc_id, text in texts.items()}
 
     for lineno, topic, _, doc, _ in qrel_rows:
         if topic not in topics:
             raise DataError(f"{qrels_path}: line {lineno}: judgment for unknown topic {topic!r}")
-        if doc not in corpus:
+        if doc not in vectors:
             raise DataError(f"{qrels_path}: line {lineno}: judgment for missing document {doc!r}")
     for topic, lineno in topic_lines.items():
         if not judgments.has_topic(topic):
             raise DataError(f"{topics_path}: line {lineno}: topic {topic!r} has no judgments in {qrels_path}")
 
-    all_docs = sorted(corpus.vectors)
     return Dataset(
         kind="embedded",
         topics=dict(topics),
-        query_vectors={t: embed_text(q, corpus.dim, seed) for t, q in topics.items()},
+        query_vectors={t: embed_text(q, dim, seed) for t, q in topics.items()},
         judgments=judgments,
-        pools={t: list(all_docs) for t in topics},
-        corpus=corpus,
+        docs=dict.fromkeys(topics, vectors),
         texts=texts,
-        dim=corpus.dim,
+        dim=dim,
     )
 
 
@@ -188,9 +160,8 @@ def load_letor(path) -> Dataset:
     0, 1 or 2. Documents keep their ``docid`` from the comment when
     present, otherwise get a per-line identifier.
     """
-    rows: dict[tuple[str, str], np.ndarray] = {}
+    docs: dict[str, dict[str, np.ndarray]] = {}
     judgments = JudgmentSet()
-    pools: dict[str, list[str]] = {}
     feature_len: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -241,23 +212,21 @@ def load_letor(path) -> Dataset:
                     doc_id = tokens[2]
             if doc_id is None:
                 doc_id = f"{qid}-{lineno}"
-            key = (qid, doc_id)
-            if key in rows:
+            pool = docs.setdefault(qid, {})
+            if doc_id in pool:
                 raise DataError(f"{path}: line {lineno}: duplicate document {doc_id!r} for qid {qid!r}")
-            rows[key] = vec
-            pools.setdefault(qid, []).append(doc_id)
+            pool[doc_id] = vec
             # grade 0 is a judgment too: a query judged all-irrelevant stays a
             # known topic (flagged by unjudged_topics) and trains with target 0
             judgments.add(qid, "0", doc_id, float(grade))
-    if not rows:
+    if not docs:
         raise DataError(f"{path}: no data lines")
     return Dataset(
         kind="feature",
-        topics={qid: None for qid in pools},
-        query_vectors={qid: np.zeros(0, dtype=np.float64) for qid in pools},
+        topics={qid: None for qid in docs},
+        query_vectors={qid: np.zeros(0, dtype=np.float64) for qid in docs},
         judgments=judgments,
-        pools=pools,
-        features=FeatureCorpus(feature_len=feature_len, rows=rows),
+        docs=docs,
         dim=feature_len,
     )
 
@@ -305,11 +274,10 @@ def gen_synthetic(
     if frac_high < 0 or frac_mid < 0 or frac_high + frac_mid > 1:
         raise ValueError("relevant fractions must be non-negative and sum to at most 1")
     rng = np.random.default_rng(seed)
-    vectors: dict[str, np.ndarray] = {}
     judgments = JudgmentSet()
     topics: dict[str, str | None] = {}
     query_vectors: dict[str, np.ndarray] = {}
-    pools: dict[str, list[str]] = {}
+    docs: dict[str, dict[str, np.ndarray]] = {}
     all_centroids: dict[str, dict[str, np.ndarray]] = {}
 
     # at least one strongly relevant doc so every topic is judged
@@ -343,7 +311,7 @@ def gen_synthetic(
                 decoys.append(m * query_dir + np.sqrt(1.0 - m**2) * ortho)
         # doc ids carry no role information: roles are assigned to shuffled slots
         id_perm = rng.permutation(docs_per_topic)
-        docs = []
+        vectors = docs[topic] = {}
         for di in range(docs_per_topic):
             doc_id = f"{topic}-d{id_perm[di]:04d}"
             if di < n_rel + n_decoy:
@@ -359,7 +327,6 @@ def gen_synthetic(
             else:
                 vec = _unit(rng.standard_normal(dim))
             vectors[doc_id] = vec
-            docs.append(doc_id)
             for sid, centroid in zip(subtopic_ids, centroids):
                 cos = float(np.dot(vec, centroid))  # unit vectors
                 if cos >= 0.9:
@@ -368,7 +335,6 @@ def gen_synthetic(
                     judgments.add(topic, sid, doc_id, 1.0)
         topics[topic] = None
         query_vectors[topic] = np.mean(np.stack(centroids), axis=0)
-        pools[topic] = sorted(docs)
         all_centroids[topic] = dict(zip(subtopic_ids, centroids))
 
     return Dataset(
@@ -376,8 +342,7 @@ def gen_synthetic(
         topics=topics,
         query_vectors=query_vectors,
         judgments=judgments,
-        pools=pools,
-        corpus=EmbeddedCorpus(dim=dim, vectors=vectors),
+        docs=docs,
         dim=dim,
         extras={"centroids": all_centroids},
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -91,36 +90,11 @@ def cosine(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-@dataclass
-class EmbeddedCorpus:
-    """A set of documents with one embedding per document id."""
-
-    dim: int
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        for doc_id, vec in self.vectors.items():
-            arr = _as_vector(vec)
-            if arr.shape[0] != self.dim:
-                raise ValueError(f"doc {doc_id!r}: expected dim {self.dim}, got {arr.shape[0]}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"doc {doc_id!r}: non-finite entries")
-            self.vectors[doc_id] = arr
-
-    @property
-    def doc_ids(self) -> list[str]:
-        return list(self.vectors)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.vectors
-
-
-def read_vectors_tsv(path) -> EmbeddedCorpus:
+def read_vectors_tsv(path) -> tuple[int, dict[str, np.ndarray]]:
     """Read an embeddings TSV: header ``#dim=D`` then ``doc_id\\tv1...\\tvD`` rows.
 
-    Raises ValueError with the offending line number on malformed input.
+    Returns ``(D, doc_id -> vector)``. Raises ValueError with the offending
+    line number on malformed input.
     """
     vectors: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -144,7 +118,10 @@ def read_vectors_tsv(path) -> EmbeddedCorpus:
             if doc_id in vectors:
                 raise ValueError(f"line {lineno}: duplicate doc id {doc_id!r}")
             try:
-                vectors[doc_id] = np.array([float(c) for c in cells[1:]], dtype=np.float64)
+                vec = np.array([float(c) for c in cells[1:]], dtype=np.float64)
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed float") from None
-    return EmbeddedCorpus(dim=dim, vectors=vectors)
+            if not np.isfinite(vec).all():
+                raise ValueError(f"line {lineno}: non-finite entry for doc {doc_id!r}")
+            vectors[doc_id] = vec
+    return dim, vectors

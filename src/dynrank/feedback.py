@@ -86,14 +86,10 @@ def simulate_feedback(
     return FeedbackRecord(n, tuple(returned_docs), tuple(entries))
 
 
-def _vector_map(corpus) -> Mapping[str, np.ndarray]:
-    return corpus.vectors if hasattr(corpus, "vectors") else corpus
-
-
 def rocchio_embed(
     q_n: np.ndarray,
     fb: FeedbackRecord,
-    corpus,
+    vectors: Mapping[str, np.ndarray],
     params: RocchioParams = RocchioParams(),
     n: int | None = None,
 ) -> np.ndarray:
@@ -108,7 +104,6 @@ def rocchio_embed(
         n = fb.iteration
     if n < 1:
         raise ValueError(f"iteration must be >= 1, got {n}")
-    vectors = _vector_map(corpus)
     dim = q_n.shape[0]
 
     def centroid(doc_ids) -> np.ndarray:
@@ -204,14 +199,14 @@ def nqe_expand(
 # --- Reformulators: callables (state, record) -> new query vector -------
 
 class EmbedRocchioFeedback:
-    """Embedding-space Rocchio reformulator over a fixed corpus."""
+    """Embedding-space Rocchio reformulator; the returned documents'
+    vectors come from the session state's pool."""
 
-    def __init__(self, corpus, params: RocchioParams = RocchioParams()):
-        self.vectors = _vector_map(corpus)
+    def __init__(self, params: RocchioParams = RocchioParams()):
         self.params = params
 
     def __call__(self, state, record: FeedbackRecord) -> np.ndarray:
-        return rocchio_embed(state.query, record, self.vectors, self.params, n=record.iteration)
+        return rocchio_embed(state.query, record, state.vectors, self.params, n=record.iteration)
 
 
 class ClassicRocchioFeedback:

@@ -74,6 +74,12 @@ class DatasetSpec:
             raise ConfigError("trec_dd datasets need topics_path, qrels_path and docs_path")
         if self.kind == "letor" and not self.letor_path:
             raise ConfigError("letor datasets need letor_path")
+        for name in ("num_topics", "docs_per_topic", "subtopics_per_topic", "dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"dataset.{name} must be >= 1, got {getattr(self, name)}")
+        if self.frac_high < 0 or self.frac_mid < 0 or self.frac_high + self.frac_mid > 1:
+            raise ConfigError("dataset.frac_high and dataset.frac_mid must be >= 0 and sum to "
+                              f"at most 1, got {self.frac_high} and {self.frac_mid}")
 
 
 @dataclass(frozen=True)
@@ -125,9 +131,12 @@ def config_from_dict(d: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return config_from_dict(json.load(fh))
+            d = json.load(fh)
     except (json.JSONDecodeError, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected a JSON object at the top level, got {type(d).__name__}")
+    return config_from_dict(d)
 
 
 def load_dataset(spec: DatasetSpec, seed: int = 0) -> Dataset:
@@ -168,7 +177,7 @@ def make_feedback(config: RunConfig, dataset: Dataset):
         notes.append(f"feedback {name!r} requires embedded queries; feature mode runs without feedback")
         return None, notes
     if name == "embed-rocchio":
-        return EmbedRocchioFeedback(dataset.corpus, config.rocchio), notes
+        return EmbedRocchioFeedback(config.rocchio), notes
     query_texts = {t: q for t, q in dataset.topics.items() if q}
     if not dataset.texts or len(query_texts) < len(dataset.topics):
         notes.append(f"feedback {name!r} needs document and query text; corpus is vector-only, "
@@ -329,7 +338,10 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
         if not path.exists():
             raise DataError(f"missing checkpoint {path}; run 'train' first")
         params = None  # drop the previous fold's weights before loading this fold's
-        params = valuenet.load(path)
+        try:
+            params = valuenet.load(path)
+        except valuenet.CheckpointError as exc:
+            raise DataError(f"{path}: {exc}") from None
         if params.config != config.net:
             trained, wanted = valuenet.config_to_dict(params.config), valuenet.config_to_dict(config.net)
             diff = ", ".join(f"{k} {trained[k]!r} (run config: {wanted[k]!r})"

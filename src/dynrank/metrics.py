@@ -52,10 +52,8 @@ class JudgmentSet:
     """Per-topic, per-subtopic graded relevance. Absent triples grade 0."""
 
     def __init__(self, grades: Mapping[tuple[str, str, str], float] | None = None):
-        self._grades: dict[tuple[str, str, str], float] = {}
-        self._coverage: dict[tuple[str, str], dict[str, float]] = {}
-        self._subtopics: dict[str, set[str]] = {}
-        self._docs: dict[str, set[str]] = {}
+        # topic -> doc -> subtopic -> grade
+        self._coverage: dict[str, dict[str, dict[str, float]]] = {}
         self._pool_cache: dict[str, tuple] = {}
         # the last realized alpha-DCG: (topic, alpha, doc ids, counts, total)
         self._realized: tuple | None = None
@@ -67,10 +65,7 @@ class JudgmentSet:
         grade = float(grade)
         if grade < 0:
             raise ValueError(f"negative grade {grade} for ({topic}, {subtopic}, {doc})")
-        self._grades[(topic, subtopic, doc)] = grade
-        self._coverage.setdefault((topic, doc), {})[subtopic] = grade
-        self._subtopics.setdefault(topic, set()).add(subtopic)
-        self._docs.setdefault(topic, set()).add(doc)
+        self._coverage.setdefault(topic, {}).setdefault(doc, {})[subtopic] = grade
         self._pool_cache.pop(topic, None)
         self._realized = None
 
@@ -81,14 +76,10 @@ class JudgmentSet:
         whenever the topic changes."""
         cached = self._pool_cache.get(topic)
         if cached is None:
-            subsets = {
-                doc: _positive_subtopics(self._coverage[(topic, doc)])
-                for doc in self._docs.get(topic, ())
-            }
+            judged = self._coverage.get(topic, {})
+            subsets = {doc: _positive_subtopics(cov) for doc, cov in judged.items()}
             docs = sorted(doc for doc, subs in subsets.items() if subs)
-            rels = sorted(
-                (sum(self._coverage[(topic, d)].values()) for d in docs), reverse=True
-            )
+            rels = sorted((sum(judged[d].values()) for d in docs), reverse=True)
             cached = (docs, subsets, rels, {})
             self._pool_cache[topic] = cached
         return cached
@@ -134,14 +125,8 @@ class JudgmentSet:
         self._realized = (topic, alpha, ids, counts, total)
         return total
 
-    def topics(self) -> list[str]:
-        return sorted(self._docs)
-
     def has_topic(self, topic: str) -> bool:
-        return topic in self._docs
-
-    def subtopics(self, topic: str) -> set[str]:
-        return set(self._subtopics.get(topic, ()))
+        return topic in self._coverage
 
     def positive_docs(self, topic: str) -> set[str]:
         return set(self._pool(topic)[0])
@@ -150,18 +135,15 @@ class JudgmentSet:
         """Descending overall relevance of the topic's positive documents."""
         return list(self._pool(topic)[2])
 
-    def grade(self, topic: str, subtopic: str, doc: str) -> float:
-        return self._grades.get((topic, subtopic, doc), 0.0)
-
     def coverage(self, topic: str, doc: str) -> dict[str, float]:
         """Subtopic -> grade map for one document (empty when unjudged)."""
-        return dict(self._coverage.get((topic, doc), {}))
+        return dict(self._coverage.get(topic, {}).get(doc, {}))
 
     def __len__(self) -> int:
-        return len(self._grades)
+        return sum(len(cov) for docs in self._coverage.values() for cov in docs.values())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, JudgmentSet) and self._grades == other._grades
+        return isinstance(other, JudgmentSet) and self._coverage == other._coverage
 
 
 def doc_relevance(judgments: JudgmentSet, topic: str, doc: str) -> float:

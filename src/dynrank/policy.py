@@ -48,8 +48,9 @@ class PolicyConfig:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if not 0.0 < self.epsilon_decay <= 1.0:
             raise ValueError(f"epsilon_decay must be in (0, 1], got {self.epsilon_decay}")
-        if self.decay_period < 1 or self.docs_per_iteration < 1 or self.iterations < 1:
-            raise ValueError("decay_period, docs_per_iteration and iterations must be >= 1")
+        for name in ("decay_period", "docs_per_iteration", "iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.selection not in ("sample", "argmax"):
             raise ValueError(f"selection must be 'sample' or 'argmax', got {self.selection!r}")
         if self.epoch_cap < 1:
@@ -117,13 +118,14 @@ def _evolve(state: SessionState, **changes) -> SessionState:
 
 
 def new_session(dataset: Dataset, topic: str) -> SessionState:
-    """Fresh state for one topic: empty ranked list, full candidate pool."""
+    """Fresh state for one topic: empty ranked list, full candidate pool.
+    The state reads the dataset's vectors for the topic; it copies none."""
     if topic not in dataset.topics:
         raise ValueError(f"unknown topic {topic!r}")
-    vectors = {d: dataset.doc_vector(topic, d) for d in dataset.pools[topic]}
+    vectors = dataset.docs[topic]
     return SessionState(
         topic_id=topic,
-        query=dataset.query_vector(topic),
+        query=dataset.query_vectors[topic],
         vectors=vectors,
         ids=tuple(sorted(vectors)),
         live=np.arange(len(vectors), dtype=np.intp),

@@ -42,7 +42,7 @@ class TestLoadTrecDD:
     def test_two_topic_fixture(self, tmp_path):
         ds = load_trec_dd(*write_trec_fixture(tmp_path), dim=16, seed=0)
         assert ds.topic_ids() == ["t1", "t2"]
-        assert {d for d in ds.pools["t1"] if ds.judgments.coverage("t1", d)} == {"d1", "d2"}
+        assert {d for d in ds.docs["t1"] if ds.judgments.coverage("t1", d)} == {"d1", "d2"}
         assert ds.kind == "embedded"
         assert ds.dim == 16
         assert ds.input_dim() == 32
@@ -53,12 +53,12 @@ class TestLoadTrecDD:
 
     def test_query_vectors_use_hashed_embedding(self, tmp_path):
         ds = load_trec_dd(*write_trec_fixture(tmp_path), dim=16, seed=5)
-        np.testing.assert_array_equal(ds.query_vector("t1"), embed_text("polar ice", 16, 5))
+        np.testing.assert_array_equal(ds.query_vectors["t1"], embed_text("polar ice", 16, 5))
 
     def test_vector_route_sets_dim_from_header(self, tmp_path):
         ds = load_trec_dd(*write_trec_fixture(tmp_path, docs_as_vectors=True))
         assert ds.dim == 3
-        np.testing.assert_array_equal(ds.doc_vector("t1", "d2"), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(ds.docs["t1"]["d2"], [0.0, 1.0, 0.0])
         assert ds.texts is None
 
     def test_orphan_judgment_names_doc(self, tmp_path):
@@ -99,9 +99,22 @@ class TestLoadTrecDD:
         with pytest.raises(DataError, match=f"qrels.tsv: line 5: non-finite grade '{grade}'"):
             load_trec_dd(topics, qrels, docs)
 
+    @pytest.mark.parametrize("which", ["topics", "docs"])
+    @pytest.mark.parametrize("row", ["5", "null", "[1, 2]", '"topic_id query"'])
+    def test_jsonl_row_not_an_object_rejected_with_line(self, tmp_path, which, row):
+        topics, qrels, docs = write_trec_fixture(tmp_path)
+        path = topics if which == "topics" else docs
+        text = path.read_text()
+        path.write_text(text + row + "\n")
+        with pytest.raises(DataError) as info:
+            load_trec_dd(topics, qrels, docs)
+        lineno = len(text.splitlines()) + 1
+        assert str(info.value).startswith(f"{path}: line {lineno}: expected a JSON object")
+
     def test_pools_cover_whole_corpus(self, tmp_path):
         ds = load_trec_dd(*write_trec_fixture(tmp_path), dim=8)
-        assert ds.pools["t1"] == ["d1", "d2", "d3"]
+        assert sorted(ds.docs["t1"]) == ["d1", "d2", "d3"]
+        assert ds.docs["t1"] is ds.docs["t2"]  # one map for the shared pool
 
 
 LETOR_FIXTURE = """\
@@ -120,10 +133,10 @@ class TestLoadLetor:
         ds = load_letor(path)
         assert ds.kind == "feature"
         assert ds.dim == 2
-        (key,) = ds.features.rows
-        assert key[0] == "10"
-        np.testing.assert_array_equal(ds.features.rows[key], [0.5, 0.1])
-        assert doc_relevance(ds.judgments, "10", key[1]) == 2.0
+        assert list(ds.docs) == ["10"]
+        ((doc, vec),) = ds.docs["10"].items()
+        np.testing.assert_array_equal(vec, [0.5, 0.1])
+        assert doc_relevance(ds.judgments, "10", doc) == 2.0
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "letor.txt"
@@ -136,10 +149,10 @@ class TestLoadLetor:
         path.write_text(LETOR_FIXTURE)
         ds = load_letor(path)
         assert sorted(ds.topics) == ["10", "20"]
-        assert len(ds.pools["10"]) == 3
-        assert len(ds.pools["20"]) == 2
-        assert "GX1" in ds.pools["10"]
-        assert ds.query_vector("10").size == 0
+        assert len(ds.docs["10"]) == 3
+        assert len(ds.docs["20"]) == 2
+        assert "GX1" in ds.docs["10"]
+        assert ds.query_vectors["10"].size == 0
 
     def test_grade_out_of_range(self, tmp_path):
         path = tmp_path / "letor.txt"
@@ -182,7 +195,7 @@ class TestLoadLetor:
         assert ds.unjudged_topics() == ["2"]
         assert ds.judgments.has_topic("2")
         for target in ("dcg", "ndcg", "alpha-ndcg"):
-            assert target_value(ds.judgments, "2", ds.pools["2"], MetricSpec(target=target)) == 0.0
+            assert target_value(ds.judgments, "2", list(ds.docs["2"]), MetricSpec(target=target)) == 0.0
         net = NetConfig(layers=1, input_dim=2, hidden_dims=(3,), dense_dims=(2,), window=2,
                         dropout=0.0)
         policy = PolicyConfig(docs_per_iteration=1, iterations=2, epoch_cap=2, stop_tol=0.0)
@@ -200,27 +213,27 @@ class TestGenSynthetic:
     def test_deterministic_bitwise(self):
         a = gen_synthetic(3, 20, 2, 16, seed=7)
         b = gen_synthetic(3, 20, 2, 16, seed=7)
-        assert sorted(a.corpus.vectors) == sorted(b.corpus.vectors)
-        for doc in a.corpus.vectors:
-            assert a.corpus.vectors[doc].tobytes() == b.corpus.vectors[doc].tobytes()
+        assert {t: sorted(p) for t, p in a.docs.items()} == {t: sorted(p) for t, p in b.docs.items()}
+        for topic, pool in a.docs.items():
+            for doc, vec in pool.items():
+                assert vec.tobytes() == b.docs[topic][doc].tobytes()
         assert a.judgments == b.judgments
 
     def test_single_subtopic_clusters(self):
         ds = gen_synthetic(2, 30, 1, 32, seed=1)
         for topic in ds.topic_ids():
-            high = [d for d in ds.pools[topic]
-                    if ds.judgments.grade(topic, "s0", d) == 2.0]
+            pool = ds.docs[topic]
+            high = [d for d in pool if ds.judgments.coverage(topic, d).get("s0", 0.0) == 2.0]
             assert len(high) >= 2
             for i, a in enumerate(high):
                 for b in high[i + 1:]:
-                    assert cosine(ds.corpus.vectors[a], ds.corpus.vectors[b]) >= 0.5
+                    assert cosine(pool[a], pool[b]) >= 0.5
 
     def test_grades_match_recomputed_cosines(self):
         ds = gen_synthetic(3, 25, 3, 24, seed=3)
         centroids = ds.extras["centroids"]
         for topic in ds.topic_ids():
-            for doc in ds.pools[topic]:
-                vec = ds.corpus.vectors[doc]
+            for doc, vec in ds.docs[topic].items():
                 for sid, centroid in centroids[topic].items():
                     cos = float(np.dot(vec, centroid))
                     if cos >= 0.9:
@@ -229,13 +242,13 @@ class TestGenSynthetic:
                         expected = 1.0
                     else:
                         expected = 0.0
-                    assert ds.judgments.grade(topic, sid, doc) == expected
+                    assert ds.judgments.coverage(topic, doc).get(sid, 0.0) == expected
 
     def test_queries_are_centroid_means(self):
         ds = gen_synthetic(2, 10, 3, 16, seed=5)
         for topic in ds.topic_ids():
             cents = np.stack(list(ds.extras["centroids"][topic].values()))
-            np.testing.assert_allclose(ds.query_vector(topic), cents.mean(axis=0), atol=1e-15)
+            np.testing.assert_allclose(ds.query_vectors[topic], cents.mean(axis=0), atol=1e-15)
 
     def test_every_topic_has_positive_docs(self):
         ds = gen_synthetic(4, 40, 3, 32, seed=0)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynrank.embedspace import (
-    EmbeddedCorpus,
     cosine,
     embed_text,
     embed_term_weights,
@@ -143,17 +142,17 @@ def test_embed_term_weights_matches_embed_text_for_counts():
 
 class TestCorpusTsv:
     def test_round_trip(self, tmp_path):
-        corpus = EmbeddedCorpus(dim=3, vectors={
+        vectors = {
             "d1": np.array([0.25, -1.5, 3.0]),
             "d2": np.array([1e-9, 0.0, 2.75]),
-        })
+        }
         path = tmp_path / "vecs.tsv"
         path.write_text("#dim=3\nd1\t0.25\t-1.5\t3.0\nd2\t1e-09\t0.0\t2.75\n")
-        loaded = read_vectors_tsv(path)
-        assert loaded.dim == 3
-        assert loaded.doc_ids == ["d1", "d2"]
-        for doc in corpus.vectors:
-            np.testing.assert_array_equal(loaded.vectors[doc], corpus.vectors[doc])
+        dim, loaded = read_vectors_tsv(path)
+        assert dim == 3
+        assert list(loaded) == ["d1", "d2"]
+        for doc in vectors:
+            np.testing.assert_array_equal(loaded[doc], vectors[doc])
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "vecs.tsv"
@@ -173,6 +172,9 @@ class TestCorpusTsv:
         with pytest.raises(ValueError, match="duplicate"):
             read_vectors_tsv(path)
 
-    def test_corpus_validates_dims(self):
-        with pytest.raises(ValueError):
-            EmbeddedCorpus(dim=2, vectors={"d1": np.zeros(3)})
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_names_line(self, tmp_path, entry):
+        path = tmp_path / "vecs.tsv"
+        path.write_text(f"#dim=2\nd0\t0.5\t0.5\nd1\t0.5\t{entry}\n")
+        with pytest.raises(ValueError, match=r"line 3: non-finite entry for doc 'd1'"):
+            read_vectors_tsv(path)

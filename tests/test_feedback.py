@@ -208,14 +208,13 @@ class TestNqe:
 
 class TestReformulators:
     def test_embed_reformulator_matches_function(self):
-        corpus = {"p": np.array([0.0, 1.0])}
-
         class S:
             query = np.array([1.0, 0.0])
             topic_id = "t"
+            vectors = {"p": np.array([0.0, 1.0])}
 
         rec = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
-        fn = EmbedRocchioFeedback(corpus, RocchioParams())
+        fn = EmbedRocchioFeedback(RocchioParams())
         np.testing.assert_allclose(fn(S(), rec), [0.55, 0.675], atol=1e-12)
 
     @pytest.mark.parametrize("make", [

@@ -444,14 +444,15 @@ class TestSweep:
 def reference_baseline(dataset, topic, method, k, seed=0) -> list[str]:
     """The top ``k`` of a one-shot baseline, by the sort the baselines used
     before they ran as session picks: the reference the picks must match."""
-    pool = sorted(dataset.pools[topic])
+    vectors = dataset.docs[topic]
+    pool = sorted(vectors)
     if method == "random":
         topic_key = int.from_bytes(hashlib.blake2b(topic.encode("utf-8"), digest_size=4).digest(), "little")
         rng = np.random.default_rng([seed, topic_key])
         order = [pool[i] for i in rng.permutation(len(pool))]
     else:
-        q = dataset.query_vector(topic)
-        order = sorted(pool, key=lambda d: (-cosine(dataset.doc_vector(topic, d), q), d))
+        q = dataset.query_vectors[topic]
+        order = sorted(pool, key=lambda d: (-cosine(vectors[d], q), d))
     return order[:k]
 
 
@@ -472,8 +473,8 @@ class TestBaselines:
     def test_cosine_orders_by_similarity(self):
         ds = gen_synthetic(1, 20, 1, 8, seed=0)
         ranked = baseline_lists(ds, cosine_pick, 20)["t000"]
-        q = ds.query_vector("t000")
-        sims = [cosine(ds.corpus.vectors[d], q) for d in ranked]
+        q = ds.query_vectors["t000"]
+        sims = [cosine(ds.docs["t000"][d], q) for d in ranked]
         assert all(a >= b - 1e-12 for a, b in zip(sims, sims[1:]))
 
     def test_evaluate_baseline_values(self):
@@ -487,8 +488,9 @@ class TestBaselines:
     @pytest.mark.parametrize("k", [1, 5, 12, 30])  # 30 is above the pool size
     def test_picks_match_reference(self, seed, k):
         ds = gen_synthetic(4, 12, 2, 8, seed=seed)
-        tied = sorted(ds.pools["t001"])
-        ds.corpus.vectors[tied[5]] = ds.corpus.vectors[tied[9]].copy()  # an exact cosine tie
+        pool = ds.docs["t001"]
+        tied = sorted(pool)
+        pool[tied[5]] = pool[tied[9]].copy()  # an exact cosine tie
         for method, pick in (("random", random_pick(seed)), ("cosine", cosine_pick)):
             want = {t: reference_baseline(ds, t, method, k, seed) for t in ds.topic_ids()}
             assert baseline_lists(ds, pick, k) == want, method
@@ -514,7 +516,7 @@ class TestBaselines:
     @pytest.mark.parametrize("method", ["random", "cosine"])
     def test_sessions_with_rocchio_feedback(self, method):
         ds = gen_synthetic(3, 30, 2, 8, seed=0)
-        fb = EmbedRocchioFeedback(ds.corpus, RocchioParams())
+        fb = EmbedRocchioFeedback(RocchioParams())
         pick = random_pick(4) if method == "random" else cosine_pick
         config = PolicyConfig(iterations=3, docs_per_iteration=4)
         for topic in ds.topic_ids():
@@ -583,14 +585,72 @@ class TestCli:
         ("--epsilon0", "2", "epsilon must be in [0, 1], got 2.0"),
         ("--alpha", "1.5", "alpha must be in [0, 1), got 1.5"),
         ("--gamma", "0", "gamma must be in (0, 1], got 0.0"),
-        ("--iterations", "0", "iterations must be >= 1"),
-        ("--docs-per-iter", "0", "docs_per_iteration and iterations must be >= 1"),
+        ("--iterations", "0", "iterations must be >= 1, got 0"),
+        ("--docs-per-iter", "0", "docs_per_iteration must be >= 1, got 0"),
     ])
     def test_out_of_range_override_exits_2(self, tmp_path, monkeypatch, capsys, flag, value, message):
         monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("bad override ran"))
         code, output = invoke(capsys, ["train", "--out", str(tmp_path / "out"), flag, value])
         assert code == 2, output
         assert output.startswith("config error: ") and message in output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("5", "c.json: expected a JSON object at the top level, got int"),
+        ("null", "c.json: expected a JSON object at the top level, got NoneType"),
+        ('{"dataset": {"num_topics": 0}}', "dataset.num_topics must be >= 1, got 0"),
+        ('{"dataset": {"docs_per_topic": 0}}', "dataset.docs_per_topic must be >= 1, got 0"),
+        ('{"dataset": {"subtopics_per_topic": -1}}', "dataset.subtopics_per_topic must be >= 1, got -1"),
+        ('{"dataset": {"dim": 0}}', "dataset.dim must be >= 1, got 0"),
+        ('{"dataset": {"frac_high": 0.6, "frac_mid": 0.5}}',
+         "dataset.frac_high and dataset.frac_mid must be >= 0 and sum to at most 1, got 0.6 and 0.5"),
+        ('{"dataset": {"frac_mid": -0.1}}', "dataset.frac_high and dataset.frac_mid must be >= 0"),
+        ('{"policy": {"decay_period": 0}}', "error: decay_period must be >= 1, got 0"),
+        ('{"dataset": {"kind": "trec_dd", "topics_path": "t", "qrels_path": "q", "docs_path": "d", '
+         '"dim": 0}}', "dataset.dim must be >= 1, got 0"),
+    ], ids=["int", "null", "num_topics", "docs_per_topic", "subtopics", "dim", "frac_sum",
+            "frac_negative", "decay_period", "trec_dd_dim"])
+    def test_bad_config_file_exits_2(self, tmp_path, monkeypatch, capsys, text, message):
+        monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("bad config ran"))
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(text)
+        code, output = invoke(capsys, ["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2, output
+        assert output.startswith("config error: ") and message in output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("keep, message", [
+        (4, "truncated checkpoint: missing header"),
+        (12, "truncated checkpoint: incomplete header"),
+        (-8, "parameter payload has"),
+    ])
+    def test_broken_checkpoint_exits_3_with_path(self, tmp_path, capsys, keep, message):
+        config = tiny_config(tmp_path / "out")
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(config)))
+        assert invoke(capsys, ["train", "--config", str(cfg_path)])[0] == 0
+        ckpt = tmp_path / "out" / "checkpoints" / "fold1.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:keep])
+        code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
+        assert code == 3, output
+        assert f"data error: {ckpt}: {message}" in output
+
+    @pytest.mark.parametrize("which", ["topics", "docs"])
+    @pytest.mark.parametrize("row", ["5", "null"])
+    def test_jsonl_row_not_an_object_exits_3(self, tmp_path, capsys, which, row):
+        topics, docs = tmp_path / "topics.jsonl", tmp_path / "docs.jsonl"
+        topics.write_text(json.dumps({"topic_id": "A", "query": "ice"}) + "\n")
+        docs.write_text(json.dumps({"doc_id": "d1", "text": "ice sheet"}) + "\n")
+        bad = topics if which == "topics" else docs
+        bad.write_text(bad.read_text() + row + "\n")
+        (tmp_path / "qrels.tsv").write_text("A\ts1\td1\t1\n")
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"dataset": {
+            "kind": "trec_dd", "topics_path": str(topics),
+            "qrels_path": str(tmp_path / "qrels.tsv"), "docs_path": str(docs)}}))
+        code, output = invoke(capsys, ["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 3, output
+        assert f"data error: {bad}: line 2: expected a JSON object" in output
         assert not (tmp_path / "out").exists()
 
     def test_bad_run_file_exits_3(self, tmp_path, capsys):
@@ -858,7 +918,7 @@ class TestFeatureMode:
         doc = state.candidates()[0]
         state = step_transition(state, 0)
         (unit,) = forward_inputs(state)
-        np.testing.assert_array_equal(unit, ds.doc_vector("1", doc))
+        np.testing.assert_array_equal(unit, ds.docs["1"][doc])
 
     def test_train_evaluate_on_letor(self, tmp_path):
         config = self.make_config(tmp_path)

@@ -358,13 +358,14 @@ class TestJudgments:
 
     def test_topic_indexes(self):
         js = self.make()
-        assert js.topics() == ["t1", "t2"]
-        assert js.subtopics("t1") == {"s1", "s2"}
+        assert [t for t in ("t0", "t1", "t2", "t3") if js.has_topic(t)] == ["t1", "t2"]
+        assert set(js.coverage("t1", "d1")) | set(js.coverage("t1", "d2")) == {"s1", "s2"}
         assert len(js) == 4
         assert {d for d in ("d1", "d2", "d3") if js.coverage("t1", d)} == {"d1", "d2"}
         assert js.positive_docs("t2") == {"d3"}
-        assert js.grade("t1", "s1", "d1") == 2.0
-        assert js.grade("t1", "s9", "d1") == 0.0
+        assert js.coverage("t1", "d1").get("s1", 0.0) == 2.0
+        assert js.coverage("t1", "d1").get("s9", 0.0) == 0.0
+        assert js == self.make() and js != JudgmentSet({("t2", "s1", "d3"): 1.0})
 
 
 class TestRankedList:

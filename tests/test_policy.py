@@ -84,7 +84,7 @@ class TestScoreCandidates:
         state = new_session(ds, "t000")
         params = ValueNetParams(NET, np.zeros(param_count(NET)))
         scores = score_map(params, state)
-        assert list(scores) == sorted(ds.pools["t000"])
+        assert list(scores) == sorted(ds.docs["t000"])
         assert all(v == 0.0 for v in scores.values())
 
     def test_single_candidate(self):
@@ -357,6 +357,15 @@ class TestSelectAction:
 
 
 class TestTransitions:
+    def test_session_reads_the_dataset_vectors(self):
+        ds = tiny_dataset()
+        for topic in ds.topic_ids():
+            state = new_session(ds, topic)
+            assert state.vectors is ds.docs[topic]
+            assert state.query is ds.query_vectors[topic]
+            assert state.ids == tuple(sorted(ds.docs[topic]))
+            np.testing.assert_array_equal(state.live, np.arange(len(state.ids)))
+
     def test_step_moves_doc(self):
         ds = tiny_dataset()
         state = new_session(ds, "t000")
@@ -454,7 +463,7 @@ class TestStepReward:
     def test_unjudged_first_step_is_zero(self):
         ds = tiny_dataset()
         topic = "t000"
-        unjudged = next(d for d in sorted(ds.pools[topic]) if not ds.judgments.coverage(topic, d))
+        unjudged = next(d for d in sorted(ds.docs[topic]) if not ds.judgments.coverage(topic, d))
         state = self.make_state(ds, topic, [unjudged])
         assert step_reward(MetricSpec(target="dcg"), state, ds.judgments) == 0.0
 
@@ -519,7 +528,7 @@ class TestTrainSession:
         params = init_glorot(net, 0)
         config = quick_policy(epsilon=0.1, selection="argmax", epoch_cap=10,
                               docs_per_iteration=5, iterations=2)
-        fb = EmbedRocchioFeedback(ds.corpus, RocchioParams())
+        fb = EmbedRocchioFeedback(RocchioParams())
         trained, log = train_session(params, ds, fb, config, MetricSpec(target="dcg"))
         assert log[-1].mean_loss < log[0].mean_loss
 
@@ -648,7 +657,7 @@ def test_compacted_projection_matches_fresh_gather():
     and gets the bits of a gather from a fresh whole-pool projection."""
     ds = tiny_dataset(docs=30)
     params = init_glorot(NET, 4)
-    fb = EmbedRocchioFeedback(ds.corpus, RocchioParams())
+    fb = EmbedRocchioFeedback(RocchioParams())
     window = params.config.window
     pool = _PoolCache()
     flat = pool.workspace._flat
