@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -108,23 +109,46 @@ def config_to_dict(config: RunConfig) -> dict:
     return valuenet.config_to_dict(config)
 
 
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(hint, value, name: str):
+    """``value``, the JSON value of the field ``name`` annotated ``hint``,
+    checked against that annotation: a config object is built from a JSON
+    object, a list becomes a tuple, an integer passes for a float, and
+    null passes only where the field allows None."""
+    if type(None) in typing.get_args(hint):
+        if value is None:
+            return None
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    got = "null" if value is None else type(value).__name__
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name}: expected an object, got {got}")
+        fields = typing.get_type_hints(hint)
+        prefix = f"{name}." if name else ""
+        for key in value:
+            if key not in fields:
+                raise ConfigError(f"unknown config key {prefix}{key}")
+        return hint(**{key: _typed(fields[key], v, prefix + key) for key, v in value.items()})
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name}: expected a list, got {got}")
+        item = typing.get_args(hint)[0]
+        return tuple(_typed(item, v, f"{name}[{i}]") for i, v in enumerate(value))
+    # JSON true is no number, though Python's bool is an int
+    if isinstance(value, bool) is not (hint is bool) or not isinstance(
+            value, (int, float) if hint is float else hint):
+        raise ConfigError(f"{name}: expected {_KINDS[hint]}, got {got}")
+    return value
+
+
 def config_from_dict(d: dict) -> RunConfig:
-    unknown = set(d) - {f.name for f in dataclasses.fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    """A run config from JSON data: a value of the wrong type, or a key that
+    names no field, is a ConfigError that names the field."""
     try:
-        metric_d = dict(d.get("metric", {}))
-        if "report" in metric_d:
-            metric_d["report"] = tuple(metric_d["report"])
-        return RunConfig(**{
-            **d,
-            "dataset": DatasetSpec(**d.get("dataset", {})),
-            "net": valuenet.config_from_dict(d.get("net", {})),
-            "policy": PolicyConfig(**d.get("policy", {})),
-            "rocchio": RocchioParams(**d.get("rocchio", {})),
-            "metric": MetricSpec(**metric_d),
-        })
-    except (TypeError, ValueError) as exc:
+        return _typed(RunConfig, d, "")
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 

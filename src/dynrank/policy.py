@@ -149,54 +149,41 @@ def forward_inputs(state: SessionState, window: int | None = None) -> list[np.nd
 class _PoolCache:
     """A pick's scoring cache: the current session's pool as the columns of
     one (dim, pool) matrix, in the order of ``SessionState.ids``, the first
-    layer's document projections of the live candidates, and the scoring
+    layer's document projections of the whole pool, and the scoring
     workspace the picks reuse.
 
-    The projection is the workspace's gate-major (4H, N) projection block,
-    one column per live candidate, kept with the weights version and the
-    live rows it holds. A pick at that version and those rows scores from
-    it; any other gathers and projects the live columns afresh, as training
-    does at every pick, since its weights change at every step. ``drop``
-    follows a transition: it copies the projection, minus the ranked
-    column, into the gate block and swaps the two blocks. So evaluation
-    projects each session's pool once, and a pick neither allocates nor
-    gathers."""
+    The projection is gate-major (4H, pool), one column per row of ``ids``,
+    kept with the weights version it was built at. A pick at that version
+    gathers its live columns into the workspace's gate block, where
+    :func:`valuenet.forward_candidates` completes the first layer in place.
+    Any other pick gathers the live columns of the pool matrix and projects
+    them afresh, as training does at every pick, since its weights change
+    at every step; that projection is kept only if it covers the whole
+    pool, because only then can every later state of the session gather
+    from it. So evaluation projects each session's pool once, and the first
+    layer of any state of the session then costs one gather."""
 
-    __slots__ = ("ids", "docs", "version", "live", "proj", "workspace")
+    __slots__ = ("ids", "docs", "version", "proj", "workspace")
 
     def __init__(self):
-        self.ids = self.docs = self.version = self.live = self.proj = None
+        self.ids = self.docs = self.version = self.proj = None
         self.workspace = valuenet.ScoringWorkspace()
 
     def gate_block(self, params: ValueNetParams, state: SessionState) -> np.ndarray:
         """The live candidates' document projections, (4H, len(state.live))."""
-        live = state.live
+        live, ws, rows = state.live, self.workspace, 4 * params.lstm[0].H
         if state.ids is not self.ids:  # a new session: drop the last one's pool first
-            self.ids = self.docs = self.live = self.proj = None
+            self.ids = self.docs = self.version = self.proj = None
             self.docs = np.stack([state.vectors[d] for d in state.ids], axis=1)
             self.ids = state.ids
-        elif self.version == params.version and self.live is live:
-            return self.proj
-        ws = self.workspace
+        elif self.version == params.version:
+            return np.take(self.proj, live, axis=1, out=ws.gates(rows, len(live)), mode="clip")
         docs = ws.docs(len(self.docs), len(live))
         np.take(self.docs, live, axis=1, out=docs, mode="clip")  # "raise" would buffer the output
-        self.proj = ws.proj(4 * params.lstm[0].H, len(live))
+        self.proj = ws.proj(rows, len(live))
         valuenet.project_docs(params, docs.T, out=self.proj.T)
-        self.version, self.live = params.version, live
+        self.version = params.version if len(live) == len(state.ids) else None
         return self.proj
-
-    def drop(self, live: np.ndarray, pos: int, rest: np.ndarray) -> None:
-        """Follow the transition from ``live`` to ``rest``, which ranked the
-        candidate at ``pos``: compact the kept projection if it holds
-        ``live``."""
-        if self.live is not live:
-            return
-        rows, n = self.proj.shape
-        out = self.workspace.gates(rows, n - 1)
-        out[:, :pos] = self.proj[:, :pos]
-        out[:, pos:] = self.proj[:, pos + 1:]
-        self.workspace.swap_gates()
-        self.proj, self.live = out, rest
 
 
 def score_candidates(params: ValueNetParams, state: SessionState, pool: _PoolCache) -> np.ndarray:
@@ -439,10 +426,7 @@ def greedy_pick(params: ValueNetParams) -> Pick:
     pool = _PoolCache()
 
     def pick(state: SessionState) -> SessionState:
-        pos = best_action(score_candidates(params, state, pool))
-        nxt = step_transition(state, pos)
-        pool.drop(state.live, pos, nxt.live)
-        return nxt
+        return step_transition(state, best_action(score_candidates(params, state, pool)))
     return pick
 
 

@@ -95,14 +95,6 @@ def config_to_dict(config) -> dict:
         k: list(v) if isinstance(v, tuple) else v for k, v in items})
 
 
-def config_from_dict(d: dict) -> NetConfig:
-    d = dict(d)
-    for key in ("hidden_dims", "dense_dims"):
-        if d.get(key) is not None:
-            d[key] = tuple(d[key])
-    return NetConfig(**d)
-
-
 class _LstmLayer:
     __slots__ = ("W", "U", "b", "h0", "c0", "H", "in_dim")
 
@@ -546,20 +538,16 @@ class ScoringWorkspace:
         return self._flat[slot][:size].reshape(rows, n)
 
     def gates(self, rows: int, n: int) -> np.ndarray:
-        """The (rows, n) gate block; a caller may gather or project the first
-        layer's document projections into it and pass its transpose as
-        ``doc_proj``."""
+        """The (rows, n) gate block, where :func:`forward_candidates` writes
+        each layer's pre-activation. A caller may gather the first layer's
+        document projections into it and pass its transpose as ``doc_proj``;
+        the first layer then adds the shared vector in place."""
         return self._block(0, rows, n)
 
     def proj(self, rows: int, n: int) -> np.ndarray:
         """The (rows, n) projection block: the first layer's document
         projections, whose transpose a caller passes as ``doc_proj``."""
         return self._block(5, rows, n)
-
-    def swap_gates(self) -> None:
-        """Swap the storage of the gate block and the projection block."""
-        flat = self._flat
-        flat[0], flat[5] = flat[5], flat[0]
 
     def docs(self, dim: int, n: int) -> np.ndarray:
         """The (dim, n) document block: candidates' document columns, which
@@ -582,9 +570,10 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     candidate.
 
     The final step's intermediates live in ``workspace`` (a fresh one when
-    None); when ``doc_proj`` is the transpose of the workspace's gate block,
-    the first layer is computed in place there. The returned values are a
-    new array.
+    None). The first layer's pre-activation is ``doc_proj`` plus the shared
+    vector, written to the workspace's gate block; when ``doc_proj`` is the
+    transpose of that block, the shared vector is added in place. The
+    returned values are a new array.
     """
     cfg = params.config
     prefix = list(prefix_inputs)[-(cfg.window - 1) :] if cfg.window > 1 else []
@@ -669,7 +658,7 @@ def load(path) -> ValueNetParams:
         if header.get("version") != _VERSION:
             raise CheckpointError(f"unsupported version {header.get('version')!r}")
         try:
-            config = config_from_dict(header["config"])
+            config = NetConfig(**header["config"])
             n = int(header["n_params"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"invalid header: {exc}") from None

@@ -78,6 +78,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"nope": 1})
 
+    def test_json_values_take_their_fields_types(self):
+        config = config_from_dict({"rocchio": {"b": 1}, "dataset": {"topics_path": None},
+                                   "net": {"hidden_dims": None, "dense_dims": [4, 2]},
+                                   "metric": {"report": ["ndcg", "nsdcg"]}})
+        assert config.rocchio.b == 1 and config.dataset.topics_path is None
+        assert config.net.dense_dims == (4, 2) and config.metric.report == ("ndcg", "nsdcg")
+
     def test_bad_nested_value_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"policy": {"epsilon": 2.0}})
@@ -608,8 +615,20 @@ class TestCli:
         ('{"policy": {"decay_period": 0}}', "error: decay_period must be >= 1, got 0"),
         ('{"dataset": {"kind": "trec_dd", "topics_path": "t", "qrels_path": "q", "docs_path": "d", '
          '"dim": 0}}', "dataset.dim must be >= 1, got 0"),
+        ('{"dataset": {"num_topics": "4"}}', "dataset.num_topics: expected an integer, got str"),
+        ('{"folds": "2"}', "folds: expected an integer, got str"),
+        ('{"folds": true}', "folds: expected an integer, got bool"),
+        ('{"seed": null}', "seed: expected an integer, got null"),
+        ('{"net": {"hidden_dims": 5}}', "net.hidden_dims: expected a list, got int"),
+        ('{"net": {"dropout": "0.5"}}', "net.dropout: expected a number, got str"),
+        ('{"policy": {"epochs": 3}}', "unknown config key policy.epochs"),
+        ('{"metric": {"report": "ndcg"}}', "metric.report: expected a list, got str"),
+        ('{"metric": {"report": ["ndcg", 5]}}', "metric.report[1]: expected a string, got int"),
+        ('{"rocchio": null}', "rocchio: expected an object, got null"),
     ], ids=["int", "null", "num_topics", "docs_per_topic", "subtopics", "dim", "frac_sum",
-            "frac_negative", "decay_period", "trec_dd_dim"])
+            "frac_negative", "decay_period", "trec_dd_dim", "type_num_topics", "type_folds",
+            "type_bool", "type_null", "type_hidden_dims", "type_dropout", "unknown_nested_key",
+            "type_report", "type_report_item", "type_section"])
     def test_bad_config_file_exits_2(self, tmp_path, monkeypatch, capsys, text, message):
         monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("bad config ran"))
         cfg_path = tmp_path / "c.json"

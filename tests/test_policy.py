@@ -59,6 +59,11 @@ def with_candidates(state, docs):
     return dataclasses.replace(state, live=sorted(state.ids.index(d) for d in docs))
 
 
+def session_start(state):
+    """The first state of ``state``'s session: nothing ranked, the whole pool live."""
+    return dataclasses.replace(state, ranked=(), live=range(len(state.ids)))
+
+
 def score_map(params, state, pool=None):
     """``score_candidates`` as a doc id -> score map, from a fresh pool
     unless ``pool`` is given."""
@@ -167,26 +172,24 @@ class TestScoringFastPath:
     @settings(max_examples=150, deadline=None)
     def test_matches_per_candidate_forward(self, case):
         params, state, keep = case
-        # one pool: a fresh projection, the kept one, a subset's, then the
-        # kept projection compacted by a transition
+        # one pool: a fresh projection of the session's start, which it keeps,
+        # then gathers from it for the state, a subset of its candidates and
+        # the state a pick leads to
         pool = _PoolCache()
-        for _ in range(2):
-            scores = score_map(params, state, pool)
-            expected = reference_scores(params, state)
-            for doc, value in scores.items():
-                assert abs(value - expected[doc]) <= 1e-12
-            assert score_map(params, state, pool) == scores
-            subset = with_candidates(state, keep & set(state.candidates()) or state.candidates())
-            sub_scores = score_map(params, subset, pool)
-            assert all(abs(sub_scores[d] - expected[d]) <= 1e-12 for d in sub_scores)
-            if len(state.live) == 1:
-                break
-            score_map(params, state, pool)
-            pos = state.candidates().index(max(scores, key=scores.get))
-            nxt = step_transition(state, pos)
-            pool.drop(state.live, pos, nxt.live)
-            assert pool.live is nxt.live
-            state = nxt
+        for current in (session_start(state), state):
+            for _ in range(2):
+                scores = score_map(params, current, pool)
+                expected = reference_scores(params, current)
+                for doc, value in scores.items():
+                    assert abs(value - expected[doc]) <= 1e-12
+                assert score_map(params, current, pool) == scores
+                subset = with_candidates(current, keep & set(current.candidates()) or current.candidates())
+                sub_scores = score_map(params, subset, pool)
+                assert all(abs(sub_scores[d] - expected[d]) <= 1e-12 for d in sub_scores)
+                assert pool.version == params.version  # still the whole-pool projection
+                if len(current.live) == 1:
+                    break
+                current = step_transition(current, current.candidates().index(max(scores, key=scores.get)))
 
     def test_scoring_follows_updated_weights(self):
         ds = tiny_dataset()
@@ -224,11 +227,12 @@ class TestInPlaceUpdateScoring:
         params, state, keep = case
         sub = with_candidates(state, keep)
         pool = _PoolCache()
-        kept = pool.gate_block(params, state)
-        assert pool.proj is kept and pool.gate_block(params, state) is kept
-        cached = kept[:, np.searchsorted(state.live, sub.live)]
-        direct = pool.gate_block(params, sub)  # other live rows: projected afresh
-        assert pool.live is sub.live and pool.ids is state.ids  # the same session's pool
+        kept = pool.gate_block(params, session_start(state))
+        assert pool.proj is kept and pool.version == params.version  # the whole pool: kept
+        cached = pool.gate_block(params, sub)  # gathered into the gate block
+        assert cached is not kept and pool.ids is state.ids  # the same session's pool
+        assert cached.tobytes() == kept[:, sub.live].tobytes()
+        direct = _PoolCache().gate_block(params, sub)  # its live columns projected
         np.testing.assert_allclose(direct, cached, rtol=0, atol=1e-12)
         apply_update(params, np.ones(params.n_params), 0.1)
         again = pool.gate_block(params, sub)  # new weights: projected again
@@ -634,14 +638,19 @@ def test_session_loop_feedback_contract(pool, iterations, expected_calls):
             ranked_before = len(ranked)
 
 
-def test_pool_projections_per_session_and_step(monkeypatch):
-    """Evaluation projects each session's pool once, at its first pick;
-    training projects the live candidates once per step."""
+def count_projections(monkeypatch):
     from dynrank import valuenet
 
     calls = []
     real = valuenet.project_docs
     monkeypatch.setattr(valuenet, "project_docs", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_pool_projections_per_session_and_step(monkeypatch):
+    """Evaluation projects each session's pool once, at its first pick;
+    training projects the live candidates once per step."""
+    calls = count_projections(monkeypatch)
     ds = tiny_dataset()
     config = quick_policy(iterations=3, docs_per_iteration=2, epoch_cap=2)
     evaluate_session(greedy_pick(init_glorot(NET, 0)), ds, None, config)
@@ -651,39 +660,78 @@ def test_pool_projections_per_session_and_step(monkeypatch):
     assert len(calls) == len(log) * len(ds.topic_ids()) * 3 * 2  # one per gradient step
 
 
-def test_compacted_projection_matches_fresh_gather():
+def whole_pool_scores(params, state):
+    """``score_candidates`` as a gather from a fresh whole-pool projection."""
+    whole = np.empty((4 * params.lstm[0].H, len(state.ids)))
+    docs = np.stack([state.vectors[d] for d in state.ids], axis=1)
+    project_docs(params, docs.T, out=whole.T)
+    return forward_candidates(params, forward_inputs(state, params.config.window - 1),
+                              whole[:, state.live].T, state.query, workspace=ScoringWorkspace())
+
+
+def test_gathered_projection_matches_fresh_gather():
     """Evaluation scores every pick of whole sessions, across query changes,
-    from its kept projection, compacted pick by pick between two buffers,
-    and gets the bits of a gather from a fresh whole-pool projection."""
+    by a gather from the whole-pool projection it kept at the session's
+    first pick, and gets the bits of a gather from a fresh whole-pool
+    projection; the workspace's flat buffers are reused, not reallocated."""
     ds = tiny_dataset(docs=30)
     params = init_glorot(NET, 4)
     fb = EmbedRocchioFeedback(RocchioParams())
-    window = params.config.window
     pool = _PoolCache()
-    flat = pool.workspace._flat
+    buffers = set()  # the workspace's flat buffers after each pick
     sizes = []  # candidates scored at each pick
 
     def pick(state):
         values = score_candidates(params, state, pool)
-        assert pool.live is state.live  # scored from the kept projection
-        buffers = {id(flat[0]), id(flat[5])}
-        whole = np.empty((len(pool.proj), len(state.ids)))
-        project_docs(params, pool.docs.copy().T, out=whole.T)
-        want = forward_candidates(params, forward_inputs(state, window - 1), whole[:, state.live].T,
-                                  state.query, workspace=ScoringWorkspace())
-        assert values.tobytes() == want.tobytes()
-        pos = best_action(values)
-        nxt = step_transition(state, pos)
-        pool.drop(state.live, pos, nxt.live)
-        assert {id(flat[0]), id(flat[5])} == buffers  # swapped, not allocated
+        assert pool.version == params.version and pool.proj.shape[1] == len(state.ids)
+        assert values.tobytes() == whole_pool_scores(params, state).tobytes()
+        buffers.add(tuple(id(buf) for buf in pool.workspace._flat))
         sizes.append(len(state.live))
-        return nxt
+        return step_transition(state, best_action(values))
 
     config = quick_policy(iterations=4, docs_per_iteration=8)  # the pool of 30 runs out
     for topic in ds.topic_ids():
         for _ in run_session(ds, topic, fb, config, pick):
             pass
     assert sizes == list(range(30, 0, -1)) * len(ds.topic_ids())
+    assert len(buffers) == 1
+
+
+def test_states_out_of_order_gather_from_the_kept_projection(monkeypatch):
+    """At the kept version any state of the session gathers from the
+    whole-pool projection: an earlier state after a later one, and a
+    sibling that another pick leads to, each get the bits of a gather from
+    a fresh whole-pool projection, and the pool is projected once."""
+    params = init_glorot(NET, 2)
+    start = new_session(tiny_dataset(docs=20), "t000")
+    line = [start]
+    for pos in (3, 0, 7, 2):
+        line.append(step_transition(line[-1], pos))
+    siblings = [step_transition(line[2], pos) for pos in (1, 5)]
+    want = {id(state): whole_pool_scores(params, state) for state in line + siblings}
+    calls = count_projections(monkeypatch)
+    pool = _PoolCache()
+    for state in (start, line[4], line[1], siblings[0], line[3], siblings[1], line[2], start):
+        assert score_candidates(params, state, pool).tobytes() == want[id(state)].tobytes()
+    assert len(calls) == 1
+
+
+def test_partial_projection_is_not_kept(monkeypatch):
+    """A projection of part of the pool is not kept: a whole-pool state that
+    follows at the same version is projected afresh, never gathered from
+    it, and that projection is kept."""
+    params = init_glorot(NET, 3)
+    start = new_session(tiny_dataset(docs=20), "t000")
+    later = step_transition(step_transition(start, 4), 0)
+    want = whole_pool_scores(params, start)
+    calls = count_projections(monkeypatch)
+    pool = _PoolCache()
+    partial = score_candidates(params, later, pool)
+    assert pool.version is None
+    assert score_candidates(params, start, pool).tobytes() == want.tobytes()
+    assert pool.version == params.version
+    np.testing.assert_allclose(score_candidates(params, later, pool), partial, rtol=0, atol=1e-12)
+    assert len(calls) == 2
 
 
 def test_greedy_pick_ranks_sessions_in_a_row(monkeypatch):
