@@ -11,6 +11,7 @@ and lands in a separate ``timing.json``.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import time
 import typing
@@ -103,10 +104,6 @@ class RunConfig:
         if self.net.output == "sigmoid" and self.metric.target in ("dcg", "alpha-dcg"):
             raise ConfigError(f"a sigmoid head cannot fit the unnormalized {self.metric.target!r} "
                               "target; use a normalized target or net.output 'linear'")
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    return valuenet.config_to_dict(config)
 
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
@@ -292,7 +289,7 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     _check_config(config, dataset)
     out = Path(config.out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
-    report = RunReport(command="train", config=config_to_dict(config))
+    report = RunReport(command="train", config=valuenet.config_to_dict(config))
     fb, report.notes = make_feedback(config, dataset)
     folds = split_folds(dataset, config.folds, config.seed)
     for i, (train_topics, test_topics) in enumerate(folds):
@@ -351,7 +348,7 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
         dataset = load_dataset(config.dataset, config.seed)
     _check_config(config, dataset)
     out = Path(config.out_dir)
-    report = RunReport(command="evaluate", config=config_to_dict(config))
+    report = RunReport(command="evaluate", config=valuenet.config_to_dict(config))
     fb, report.notes = make_feedback(config, dataset)
     folds = split_folds(dataset, config.folds, config.seed)
     values: dict = {}
@@ -371,13 +368,13 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
             diff = ", ".join(f"{k} {trained[k]!r} (run config: {wanted[k]!r})"
                              for k in trained if trained[k] != wanted[k])
             raise ConfigError(f"checkpoint {path} does not match the run's net config: {diff}")
-        result = evaluate_session(
-            greedy_pick(params), dataset, fb, config.policy, config.metric, topics=test_topics
-        )
-        for key, by_topic in result.values.items():
+        fold_ranked = evaluate_session(greedy_pick(params), dataset, fb, config.policy, topics=test_topics)
+        fold_values = iteration_values(dataset.judgments, fold_ranked, config.policy.iterations,
+                                       config.metric, config.policy.docs_per_iteration)
+        for key, by_topic in fold_values.items():
             values.setdefault(key, {}).update(by_topic)
-        ranked.update(result.ranked)
-        fold_rows = _rows_from_values(result.values)
+        ranked.update(fold_ranked)
+        fold_rows = _rows_from_values(fold_values)
         by_fold.extend((i, it, name, mean, std) for it, name, mean, std in fold_rows)
         report.folds.append({
             "fold": i,
@@ -418,7 +415,7 @@ def _run_arms(command: str, config: RunConfig, arms, dataset: Dataset) -> RunRep
     An arm whose ``same_as`` names an earlier arm would run exactly as that
     one did, so it is not run again: it gets copies of that arm's files and
     its evaluation report, with its own config echo and notes."""
-    report = RunReport(command=command, config=config_to_dict(config))
+    report = RunReport(command=command, config=valuenet.config_to_dict(config))
     runs: dict[str, tuple[RunConfig, RunReport]] = {}
     for label, sub, same_as in arms:
         if same_as is None:
@@ -429,7 +426,7 @@ def _run_arms(command: str, config: RunConfig, arms, dataset: Dataset) -> RunRep
             first, shared = runs[same_as]
             _copy_files(Path(first.out_dir), Path(sub.out_dir))
             notes = make_feedback(sub, dataset)[1]
-            eval_rep = dataclasses.replace(shared, config=config_to_dict(sub), notes=notes)
+            eval_rep = dataclasses.replace(shared, config=valuenet.config_to_dict(sub), notes=notes)
         emit_report(eval_rep, sub.out_dir)
         report.notes.extend(n for n in notes + eval_rep.notes if n not in report.notes)
         report.tables[f"evaluation:{label}"] = eval_rep.tables["evaluation"]
@@ -512,22 +509,23 @@ def metrics_run(config: RunConfig, run_path, dataset: Dataset | None = None) -> 
             its[it] = doc_ids
     if not blocks:
         raise DataError(f"{run_path}: no run rows")
-    # iterations after a pool ran out have no run rows but are still reported
-    max_it = max(config.policy.iterations, *(max(its) for its in blocks.values()))
-    values: dict = {}
+    ranked: dict[str, RankedList] = {}
     for topic in sorted(blocks):
         if not dataset.judgments.has_topic(topic):
             raise DataError(f"{run_path}: no judgments for topic {topic!r}")
-        doc_ids: list[str] = []
-        boundaries: list[int] = []
         its = blocks[topic]
-        for it in range(1, max_it + 1):
-            if it in its:
-                doc_ids.extend(its[it])
-                boundaries.append(len(doc_ids))
-            iteration_values(dataset.judgments, RankedList(topic, list(doc_ids), list(boundaries)),
-                             it, config.metric, config.policy.docs_per_iteration, values)
-    report = RunReport(command="metrics", config=config_to_dict(config))
+        order = sorted(its)
+        for want, it in enumerate(order, start=1):
+            if it != want:
+                raise DataError(f"{run_path}: topic {topic!r}: iteration {want} has no rows, "
+                                f"but iteration {it} has")
+        ranked[topic] = RankedList(topic, [d for it in order for d in its[it]],
+                                   list(itertools.accumulate(len(its[it]) for it in order)))
+    # iterations after a pool ran out have no run rows but are still reported
+    iterations = max(config.policy.iterations, *(len(its) for its in blocks.values()))
+    values = iteration_values(dataset.judgments, ranked, iterations, config.metric,
+                              config.policy.docs_per_iteration)
+    report = RunReport(command="metrics", config=valuenet.config_to_dict(config))
     report.tables["evaluation"] = _rows_from_values(values)
     return report
 
@@ -632,8 +630,8 @@ def evaluate_baseline(
     picks = {"random": random_pick(seed), "cosine": cosine_pick}
     if method not in picks:
         raise ValueError(f"unknown baseline {method!r}")
-    result = evaluate_session(picks[method], dataset, None,
-                              PolicyConfig(iterations=1, docs_per_iteration=k),
-                              dataclasses.replace(spec, report=(metric_name,)), topics)
-    by_topic = result.values[(metric_name, 1)]
+    ranked = evaluate_session(picks[method], dataset, None,
+                              PolicyConfig(iterations=1, docs_per_iteration=k), topics)
+    by_topic = iteration_values(dataset.judgments, ranked, 1,
+                                dataclasses.replace(spec, report=(metric_name,)), k)[(metric_name, 1)]
     return [by_topic[t] for t in topics]

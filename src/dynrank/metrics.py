@@ -25,9 +25,10 @@ REPORT_METRICS = ("ndcg", "alpha-ndcg", "nsdcg")
 class MetricSpec:
     """Which gain function trains the network and which metrics get reported.
 
-    ``report`` entries are metric names, optionally with a fixed cutoff
-    suffix such as ``ndcg@5``; without a suffix the cutoff is the current
-    ranked-list length.
+    ``report`` entries are metric names. ``ndcg`` and ``alpha-ndcg`` may
+    carry a fixed cutoff, an integer >= 1 such as ``ndcg@5``; without one
+    the cutoff is the current ranked-list length. ``nsdcg`` takes none: its
+    per-iteration cutoff is the session's ``docs_per_iteration``.
     """
 
     target: str = "dcg"
@@ -39,9 +40,14 @@ class MetricSpec:
         if self.target not in TARGET_METRICS:
             raise ValueError(f"unknown target metric {self.target!r}")
         for name in self.report:
-            base = name.split("@", 1)[0]
+            base, at, cut = name.partition("@")
             if base not in REPORT_METRICS:
                 raise ValueError(f"unknown report metric {name!r}")
+            if at and base == "nsdcg":
+                raise ValueError(f"report metric {name!r}: nsdcg takes no cutoff, its "
+                                 "per-iteration cutoff is policy.docs_per_iteration")
+            if at and not (cut.isdecimal() and int(cut) >= 1):
+                raise ValueError(f"report metric {name!r}: the cutoff must be an integer >= 1")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.bq <= 1.0:
@@ -335,14 +341,23 @@ def ranked_relevances(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str]
     return [doc_relevance(judgments, topic, d) for d in doc_ids]
 
 
-def _pooled_alpha_ndcg(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str], k: int,
-                       alpha: float) -> float:
-    """``alpha_ndcg_at_k`` with the topic's positive pool as the ideal's pool."""
+def _value_at_k(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str], name: str, k: int,
+                alpha: float) -> float:
+    """``name`` (dcg, ndcg, alpha-dcg or alpha-ndcg) of a ranked list at
+    cutoff ``k``. Normalized values divide by the ideal built from the
+    topic's positive pool, and are 0 when that ideal is 0."""
+    if name in ("dcg", "ndcg"):
+        realized = dcg_at_k(ranked_relevances(judgments, topic, doc_ids), k)
+        if name == "dcg":
+            return realized
+        pool_rels = judgments.pool_relevances(topic)
+        ideal = dcg_at_k(pool_rels, k) if pool_rels else 0.0
+        return realized / ideal if ideal > 0 else 0.0
     realized = judgments.alpha_dcg(topic, doc_ids, k, alpha)
+    if name == "alpha-dcg":
+        return realized
     ideal = judgments.ideal_alpha_dcg(topic, k, alpha)
-    if ideal <= 0.0:
-        return 0.0
-    return min(realized / ideal, 1.0)
+    return min(realized / ideal, 1.0) if ideal > 0 else 0.0
 
 
 def target_value(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str], spec: MetricSpec) -> float:
@@ -353,19 +368,7 @@ def target_value(judgments: JudgmentSet, topic: str, doc_ids: Sequence[str], spe
     """
     if not judgments.has_topic(topic):
         raise ValueError(f"unknown topic {topic!r}")
-    k = max(len(doc_ids), 1)
-    if spec.target == "dcg":
-        return dcg_at_k(ranked_relevances(judgments, topic, doc_ids), k)
-    if spec.target == "alpha-dcg":
-        return judgments.alpha_dcg(topic, doc_ids, k, spec.alpha)
-    if spec.target == "ndcg":
-        realized = dcg_at_k(ranked_relevances(judgments, topic, doc_ids), k)
-        pool_rels = judgments.pool_relevances(topic)
-        ideal = dcg_at_k(pool_rels, k) if pool_rels else 0.0
-        return realized / ideal if ideal > 0 else 0.0
-    if spec.target == "alpha-ndcg":
-        return _pooled_alpha_ndcg(judgments, topic, doc_ids, k, spec.alpha)
-    raise ValueError(f"unknown target metric {spec.target!r}")
+    return _value_at_k(judgments, topic, doc_ids, spec.target, max(len(doc_ids), 1), spec.alpha)
 
 
 def report_value(
@@ -379,21 +382,15 @@ def report_value(
     """Evaluate one report metric (``name`` may carry an ``@k`` cutoff)."""
     if not judgments.has_topic(topic):
         raise ValueError(f"unknown topic {topic!r}")
-    base, _, cut = name.partition("@")
-    doc_ids = ranked.doc_ids
-    k = int(cut) if cut else max(len(doc_ids), 1)
-    if base == "ndcg":
-        realized = dcg_at_k(ranked_relevances(judgments, topic, doc_ids), k)
-        pool_rels = judgments.pool_relevances(topic)
-        ideal = dcg_at_k(pool_rels, k) if pool_rels else 0.0
-        return realized / ideal if ideal > 0 else 0.0
-    if base == "alpha-ndcg":
-        return _pooled_alpha_ndcg(judgments, topic, doc_ids, k, spec.alpha)
-    if base == "nsdcg":
+    if name == "nsdcg":
         blocks = ranked.iteration_blocks()
         if not blocks:
             return 0.0
         lists = [ranked_relevances(judgments, topic, b) for b in blocks]
         kpi = k_per_iteration or max(len(b) for b in blocks) or 1
         return session_ndcg(lists, kpi, spec.bq, pool=judgments.pool_relevances(topic))
-    raise ValueError(f"unknown report metric {name!r}")
+    base, _, cut = name.partition("@")
+    if base not in ("ndcg", "alpha-ndcg"):
+        raise ValueError(f"unknown report metric {name!r}")
+    k = int(cut) if cut else max(len(ranked.doc_ids), 1)
+    return _value_at_k(judgments, topic, ranked.doc_ids, base, k, spec.alpha)

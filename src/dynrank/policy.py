@@ -1,5 +1,5 @@
-"""The ranking loop: epsilon-greedy selection, state transitions, rewards,
-stepwise training and session evaluation.
+"""The ranking loop: epsilon-greedy selection, state transitions, stepwise
+training, session evaluation and the per-iteration scores of ranked lists.
 
 A session ranks one topic: per search iteration, the policy picks
 ``docs_per_iteration`` documents one at a time (each pick conditions the
@@ -263,11 +263,6 @@ def session_transition(state: SessionState, new_query: np.ndarray) -> SessionSta
     return _evolve(state, query=new_query, n=state.n + 1)
 
 
-def step_reward(metric: MetricSpec, state: SessionState, judgments: JudgmentSet) -> float:
-    """True metric value of the ranked list so far (the regression target)."""
-    return target_value(judgments, state.topic_id, state.ranked_ids(), metric)
-
-
 FeedbackFn = Callable[[SessionState, FeedbackRecord], np.ndarray]
 Pick = Callable[[SessionState], SessionState]
 
@@ -370,7 +365,7 @@ def train_session(
             except FloatingPointError as exc:
                 raise _diverged(epoch, exc) from None
             state = step_transition(state, pos)
-            target = step_reward(metric, state, dataset.judgments)
+            target = target_value(dataset.judgments, state.topic_id, state.ranked_ids(), metric)
             value, cache = valuenet.forward(params, forward_inputs(state, window), mode="train", rng=rng)
             err = value - target
             loss = err * err  # overflows to inf, where ** 2 raises OverflowError
@@ -393,31 +388,6 @@ def train_session(
                 break
         prev_loss = mean_loss
     return params, log
-
-
-def iteration_values(
-    judgments: JudgmentSet,
-    ranked: RankedList,
-    iteration: int,
-    spec: MetricSpec,
-    k_per_iteration: int,
-    into: dict[tuple[str, int], dict[str, float]],
-) -> None:
-    """Score one snapshot with every report metric into
-    ``into[(metric, iteration)][topic]``."""
-    for name in spec.report:
-        into.setdefault((name, iteration), {})[ranked.topic_id] = report_value(
-            judgments, ranked.topic_id, ranked, name, spec, k_per_iteration=k_per_iteration
-        )
-
-
-@dataclass
-class EvalResult:
-    """Per-topic ranked lists and per-iteration metric values."""
-
-    topics: list[str]
-    ranked: dict[str, RankedList]
-    values: dict[tuple[str, int], dict[str, float]]  # (metric, iteration) -> topic -> value
 
 
 def greedy_pick(params: ValueNetParams) -> Pick:
@@ -458,23 +428,43 @@ def evaluate_session(
     dataset: Dataset,
     feedback_fn: FeedbackFn | None,
     config: PolicyConfig,
-    metric: MetricSpec | None = None,
     topics: Sequence[str] | None = None,
-) -> EvalResult:
-    """Sessions ranked by ``pick`` (:func:`greedy_pick`, :func:`random_pick`
-    or :func:`cosine_pick`) with per-iteration metrics.
+) -> dict[str, RankedList]:
+    """Each topic's list ranked by ``pick`` (:func:`greedy_pick`,
+    :func:`random_pick` or :func:`cosine_pick`), in topic order, with one
+    block per iteration that ranked a document; :func:`iteration_values`
+    scores them.
 
     Iteration 1 is a pure one-shot ranking; feedback only applies between
-    iterations. Cumulative report metrics are snapshotted after every
-    iteration, per topic; the caller aggregates them.
+    iterations.
     """
-    metric = metric or MetricSpec()
-    topic_list = _check_topics(dataset, topics, "evaluation")
-    ranked_lists: dict[str, RankedList] = {}
+    ranked: dict[str, RankedList] = {}
+    for topic in _check_topics(dataset, topics, "evaluation"):
+        for _, state, boundaries in run_session(dataset, topic, feedback_fn, config, pick):
+            pass
+        ranked[topic] = RankedList(topic, state.ranked_ids(), list(boundaries))
+    return ranked
+
+
+def iteration_values(
+    judgments: JudgmentSet,
+    ranked: Mapping[str, RankedList],
+    iterations: int,
+    spec: MetricSpec,
+    k_per_iteration: int,
+) -> dict[tuple[str, int], dict[str, float]]:
+    """Every report metric of each topic's list after each of ``iterations``
+    iterations, as ``{(metric, iteration): {topic: value}}``.
+
+    The list after iteration n is its first n blocks. An iteration after a
+    list's last block (its pool ran out) scores the whole list.
+    """
     values: dict[tuple[str, int], dict[str, float]] = {}
-    for topic in topic_list:
-        for it, state, boundaries in run_session(dataset, topic, feedback_fn, config, pick):
-            snapshot = RankedList(topic, state.ranked_ids(), list(boundaries))
-            iteration_values(dataset.judgments, snapshot, it, metric, config.docs_per_iteration, values)
-        ranked_lists[topic] = snapshot
-    return EvalResult(topics=topic_list, ranked=ranked_lists, values=values)
+    for topic, full in ranked.items():
+        for it in range(1, iterations + 1):
+            ends = full.boundaries[:it]
+            snapshot = RankedList(topic, full.doc_ids[:ends[-1] if ends else 0], ends)
+            for name in spec.report:
+                values.setdefault((name, it), {})[topic] = report_value(
+                    judgments, topic, snapshot, name, spec, k_per_iteration=k_per_iteration)
+    return values

@@ -19,7 +19,6 @@ from dynrank.harness import (
     RunConfig,
     RunReport,
     config_from_dict,
-    config_to_dict,
     default_config,
     emit_report,
     evaluate_baseline,
@@ -38,7 +37,7 @@ from dynrank.embedspace import cosine
 from dynrank.feedback import EmbedRocchioFeedback, RocchioParams
 from dynrank.metrics import MetricSpec, RankedList, report_value
 from dynrank.policy import PolicyConfig, cosine_pick, evaluate_session, random_pick, run_session
-from dynrank.valuenet import NetConfig
+from dynrank.valuenet import NetConfig, config_to_dict
 
 
 def invoke(capsys, args) -> tuple[int, str]:
@@ -466,8 +465,8 @@ def reference_baseline(dataset, topic, method, k, seed=0) -> list[str]:
 def baseline_lists(dataset, pick, k, feedback_fn=None, iterations=1) -> dict[str, list[str]]:
     """Each topic's list from sessions ranked by ``pick``."""
     config = PolicyConfig(iterations=iterations, docs_per_iteration=k)
-    result = evaluate_session(pick, dataset, feedback_fn, config)
-    return {t: r.doc_ids for t, r in result.ranked.items()}
+    ranked = evaluate_session(pick, dataset, feedback_fn, config)
+    return {t: r.doc_ids for t, r in ranked.items()}
 
 
 class TestBaselines:
@@ -625,10 +624,17 @@ class TestCli:
         ('{"metric": {"report": "ndcg"}}', "metric.report: expected a list, got str"),
         ('{"metric": {"report": ["ndcg", 5]}}', "metric.report[1]: expected a string, got int"),
         ('{"rocchio": null}', "rocchio: expected an object, got null"),
+        ('{"metric": {"report": ["ndcg@x"]}}', "report metric 'ndcg@x': the cutoff must be an integer >= 1"),
+        ('{"metric": {"report": ["ndcg@0"]}}', "report metric 'ndcg@0': the cutoff must be an integer >= 1"),
+        ('{"metric": {"report": ["ndcg@"]}}', "report metric 'ndcg@': the cutoff must be an integer >= 1"),
+        ('{"metric": {"report": ["alpha-ndcg@-2"]}}',
+         "report metric 'alpha-ndcg@-2': the cutoff must be an integer >= 1"),
+        ('{"metric": {"report": ["nsdcg@3"]}}', "report metric 'nsdcg@3': nsdcg takes no cutoff"),
     ], ids=["int", "null", "num_topics", "docs_per_topic", "subtopics", "dim", "frac_sum",
             "frac_negative", "decay_period", "trec_dd_dim", "type_num_topics", "type_folds",
             "type_bool", "type_null", "type_hidden_dims", "type_dropout", "unknown_nested_key",
-            "type_report", "type_report_item", "type_section"])
+            "type_report", "type_report_item", "type_section", "cutoff_text", "cutoff_0",
+            "cutoff_empty", "cutoff_negative", "cutoff_nsdcg"])
     def test_bad_config_file_exits_2(self, tmp_path, monkeypatch, capsys, text, message):
         monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("bad config ran"))
         cfg_path = tmp_path / "c.json"
@@ -681,6 +687,21 @@ class TestCli:
         code, output = invoke(capsys, ["metrics", "--config", str(cfg_path), "--run", str(runfile)])
         assert code == 3, output
         assert f"{runfile}: line 2: topic 't000': document 'd1' repeated" in output
+
+    @pytest.mark.parametrize("iterations, missing, later", [
+        ((1, 3), 2, 3), ((2,), 1, 2), ((4, 1), 2, 4),
+    ])
+    def test_run_file_with_missing_iteration_exits_3(self, tmp_path, capsys, iterations, missing, later):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(tiny_config(tmp_path / "out"))))
+        runfile = tmp_path / "run.jsonl"
+        runfile.write_text("".join(json.dumps({"topic_id": "t000", "iteration": it, "doc_ids": [f"d{it}"]})
+                                   + "\n" for it in iterations))
+        code, output = invoke(capsys, ["metrics", "--config", str(cfg_path), "--run", str(runfile)])
+        assert code == 3, output
+        assert (f"data error: {runfile}: topic 't000': iteration {missing} has no rows, "
+                f"but iteration {later} has") in output
+        assert not (tmp_path / "out").exists()
 
     def test_unjudged_trec_topic_exits_3_before_training(self, tmp_path, capsys):
         topics = tmp_path / "topics.jsonl"

@@ -9,7 +9,7 @@ from scipy.stats import chi2
 
 from dynrank.data import gen_synthetic
 from dynrank.feedback import EmbedRocchioFeedback, RocchioParams
-from dynrank.metrics import MetricSpec, alpha_dcg_at_k, dcg_at_k
+from dynrank.metrics import MetricSpec, alpha_dcg_at_k, dcg_at_k, target_value
 from dynrank.policy import (
     PolicyConfig,
     SessionState,
@@ -19,13 +19,13 @@ from dynrank.policy import (
     evaluate_session,
     forward_inputs,
     greedy_pick,
+    iteration_values,
     new_session,
     pair_input,
     run_session,
     score_candidates,
     select_action,
     session_transition,
-    step_reward,
     step_transition,
     train_session,
 )
@@ -448,6 +448,8 @@ class TestTransitions:
 
 
 class TestStepReward:
+    """A training step's regression target: ``target_value`` of the list so far."""
+
     def make_state(self, ds, topic, docs):
         state = new_session(ds, topic)
         for d in docs:
@@ -462,21 +464,21 @@ class TestStepReward:
         from dynrank.metrics import doc_relevance
 
         expected = doc_relevance(ds.judgments, topic, pos)
-        assert step_reward(MetricSpec(target="dcg"), state, ds.judgments) == expected
+        assert target_value(ds.judgments, topic, state.ranked_ids(), MetricSpec(target="dcg")) == expected
 
     def test_unjudged_first_step_is_zero(self):
         ds = tiny_dataset()
         topic = "t000"
         unjudged = next(d for d in sorted(ds.docs[topic]) if not ds.judgments.coverage(topic, d))
         state = self.make_state(ds, topic, [unjudged])
-        assert step_reward(MetricSpec(target="dcg"), state, ds.judgments) == 0.0
+        assert target_value(ds.judgments, topic, state.ranked_ids(), MetricSpec(target="dcg")) == 0.0
 
     def test_alpha_dcg_matches_metrics_module(self):
         ds = tiny_dataset()
         topic = "t000"
         docs = sorted(ds.judgments.positive_docs(topic))[:2]
         state = self.make_state(ds, topic, docs)
-        got = step_reward(MetricSpec(target="alpha-dcg", alpha=0.5), state, ds.judgments)
+        got = target_value(ds.judgments, topic, state.ranked_ids(), MetricSpec(target="alpha-dcg", alpha=0.5))
         cov = [ds.judgments.coverage(topic, d) for d in docs]
         assert got == pytest.approx(alpha_dcg_at_k(cov, 2, 0.5))
 
@@ -488,7 +490,7 @@ class TestStepReward:
         last = 0.0
         for _ in range(6):
             state = step_transition(state, 0)
-            val = step_reward(spec, state, ds.judgments)
+            val = target_value(ds.judgments, topic, state.ranked_ids(), spec)
             assert val >= last - 1e-12
             last = val
 
@@ -496,9 +498,8 @@ class TestStepReward:
         ds = tiny_dataset()
         state = new_session(ds, "t000")
         state = step_transition(state, 0)
-        broken = dataclasses.replace(state, topic_id="nope")
         with pytest.raises(ValueError):
-            step_reward(MetricSpec(), broken, ds.judgments)
+            target_value(ds.judgments, "nope", state.ranked_ids(), MetricSpec())
 
 
 def quick_policy(**kw):
@@ -560,18 +561,19 @@ class TestEvaluateSession:
         params = init_glorot(NET, 0)
         config = quick_policy(iterations=3)
         spec = MetricSpec(report=("alpha-ndcg", "ndcg@5"))
-        a = evaluate_session(greedy_pick(params), ds, None, config, spec)
-        b = evaluate_session(greedy_pick(params), ds, None, config, spec)
-        assert a.values == b.values
-        assert {t: r.doc_ids for t, r in a.ranked.items()} == {t: r.doc_ids for t, r in b.ranked.items()}
+        a = evaluate_session(greedy_pick(params), ds, None, config)
+        b = evaluate_session(greedy_pick(params), ds, None, config)
+        assert (iteration_values(ds.judgments, a, 3, spec, 2)
+                == iteration_values(ds.judgments, b, 3, spec, 2))
+        assert {t: r.doc_ids for t, r in a.items()} == {t: r.doc_ids for t, r in b.items()}
 
     def test_iteration_one_is_one_shot_ranking(self):
         ds = tiny_dataset()
         params = init_glorot(NET, 3)
         config = quick_policy(iterations=2, docs_per_iteration=3)
-        result = evaluate_session(greedy_pick(params), ds, None, config, MetricSpec(report=("ndcg",)))
+        result = evaluate_session(greedy_pick(params), ds, None, config)
         # replay iteration 1 by hand: greedy argmax picks without feedback
-        for topic in result.topics:
+        for topic in result:
             state = new_session(ds, topic)
             picks = []
             for _ in range(3):
@@ -579,15 +581,16 @@ class TestEvaluateSession:
                 doc = min(sorted(scores), key=lambda d: (-scores[d], d))
                 state = rank(state, doc)
                 picks.append(doc)
-            assert result.ranked[topic].iteration_blocks()[0] == picks
+            assert result[topic].iteration_blocks()[0] == picks
 
     def test_blocks_match_iterations(self):
         ds = tiny_dataset()
         params = init_glorot(NET, 0)
         config = quick_policy(iterations=3, docs_per_iteration=2)
         result = evaluate_session(greedy_pick(params), ds, None, config)
-        for topic in result.topics:
-            blocks = result.ranked[topic].iteration_blocks()
+        assert list(result) == ds.topic_ids()
+        for topic in result:
+            blocks = result[topic].iteration_blocks()
             assert len(blocks) == 3
             assert all(len(b) == 2 for b in blocks)
 
@@ -597,10 +600,12 @@ class TestEvaluateSession:
                         window=2, dropout=0.0)
         params = init_glorot(net, 0)
         config = quick_policy(iterations=4, docs_per_iteration=2)
-        result = evaluate_session(greedy_pick(params), ds, None, config)
-        ranked = result.ranked["t000"]
+        ranked = evaluate_session(greedy_pick(params), ds, None, config)["t000"]
         assert len(ranked.doc_ids) == 3  # pool exhausted
-        assert ("alpha-ndcg", 4) in result.values
+        values = iteration_values(ds.judgments, {"t000": ranked}, 4, MetricSpec(), 2)
+        assert ("alpha-ndcg", 4) in values
+        # iterations after the last block score the whole list
+        assert values[("alpha-ndcg", 2)] == values[("alpha-ndcg", 3)] == values[("alpha-ndcg", 4)]
 
 
 
@@ -736,8 +741,9 @@ def test_partial_projection_is_not_kept(monkeypatch):
 
 def test_greedy_pick_ranks_sessions_in_a_row(monkeypatch):
     """One ``greedy_pick`` ranks two topics in a row from one pool: every
-    pick scores the bits of a fresh pool, the pool follows each session,
-    and the workspace's flat buffers are reused, not reallocated."""
+    pick scores the bits of a gather from a fresh whole-pool projection,
+    the pool follows each session, and the workspace's flat buffers are
+    reused, not reallocated."""
     from dynrank import policy
 
     ds = tiny_dataset()
@@ -747,7 +753,7 @@ def test_greedy_pick_ranks_sessions_in_a_row(monkeypatch):
 
     def checked(p, state, pool):
         values = real(p, state, pool)
-        assert values.tobytes() == real(p, state, _PoolCache()).tobytes()
+        assert values.tobytes() == whole_pool_scores(p, state).tobytes()
         assert pool.ids is state.ids
         seen.append((state.topic_id, pool, list(pool.workspace._flat)))
         return values
