@@ -44,9 +44,8 @@ def _apply_overrides(config: RunConfig, opts: dict) -> RunConfig:
         target = {"alpha-ndcg": "alpha-ndcg", "ndcg": "ndcg", "nsdcg": "ndcg"}[opts["metric"]]
         metric = dataclasses.replace(metric, report=(opts["metric"],), target=target)
     replacements = {"net": net, "policy": policy, "rocchio": rocchio, "metric": metric}
-    if opts["seed"] is not None:  # both seeds, as the profiles set them
+    if opts["seed"] is not None:
         replacements["seed"] = opts["seed"]
-        replacements["policy"] = dataclasses.replace(policy, seed=opts["seed"])
     if opts["folds"] is not None:
         replacements["folds"] = opts["folds"]
     if opts["out"] is not None:

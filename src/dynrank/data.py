@@ -49,10 +49,6 @@ class Dataset:
     def topic_ids(self) -> list[str]:
         return sorted(self.topics)
 
-    def unjudged_topics(self) -> list[str]:
-        """Topics without a single positively judged document (flagged, kept)."""
-        return [t for t in self.topic_ids() if not self.judgments.positive_docs(t)]
-
     def input_dim(self) -> int:
         """Width of one value-network input unit."""
         return self.dim if self.kind == "feature" else 2 * self.dim
@@ -217,7 +213,7 @@ def load_letor(path) -> Dataset:
                 raise DataError(f"{path}: line {lineno}: duplicate document {doc_id!r} for qid {qid!r}")
             pool[doc_id] = vec
             # grade 0 is a judgment too: a query judged all-irrelevant stays a
-            # known topic (flagged by unjudged_topics) and trains with target 0
+            # known topic and trains with target 0
             judgments.add(qid, "0", doc_id, float(grade))
     if not docs:
         raise DataError(f"{path}: no data lines")

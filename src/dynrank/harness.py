@@ -566,7 +566,7 @@ def default_config(out_dir: str = "runs/default", seed: int = 0) -> RunConfig:
                       dense_dims=(32, 16), window=5, dropout=0.0,
                       learning_rate=0.3, output="sigmoid", input_scale=16.0),
         policy=PolicyConfig(epsilon=0.5, docs_per_iteration=5, iterations=10,
-                            selection="sample", seed=seed, epoch_cap=8, stop_tol=1e-4),
+                            selection="sample", epoch_cap=8, stop_tol=1e-4),
         metric=MetricSpec(target="alpha-ndcg", report=("alpha-ndcg", "nsdcg"), alpha=0.5),
         feedback="embed-rocchio",
         folds=5,
@@ -600,7 +600,7 @@ def trend_config(out_dir: str = "runs/trend", seed: int = 0) -> RunConfig:
                       dense_dims=(16, 8), window=5, dropout=0.0,
                       learning_rate=0.3, output="sigmoid", input_scale=11.3),
         policy=PolicyConfig(epsilon=0.5, docs_per_iteration=5, iterations=10,
-                            selection="sample", seed=seed, epoch_cap=20, stop_tol=0.0),
+                            selection="sample", epoch_cap=20, stop_tol=0.0),
         metric=MetricSpec(target="alpha-ndcg", report=("alpha-ndcg",), alpha=0.5),
         feedback="embed-rocchio",
         folds=2,

@@ -39,6 +39,8 @@ class MetricSpec:
     def __post_init__(self):
         if self.target not in TARGET_METRICS:
             raise ValueError(f"unknown target metric {self.target!r}")
+        if not self.report:
+            raise ValueError("metric.report must name at least one metric")
         for name in self.report:
             base, at, cut = name.partition("@")
             if base not in REPORT_METRICS:

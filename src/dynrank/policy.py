@@ -39,7 +39,6 @@ class PolicyConfig:
     docs_per_iteration: int = 5
     iterations: int = 10
     selection: str = "sample"  # or "argmax"
-    seed: int = 0
     epoch_cap: int = 5000
     stop_tol: float = 1e-4
 
@@ -189,7 +188,7 @@ class _PoolCache:
 def score_candidates(params: ValueNetParams, state: SessionState, pool: _PoolCache) -> np.ndarray:
     """Value of appending each candidate to the current ranked list.
 
-    Pure eval-mode scoring; candidates share the ranked prefix, so the
+    Dropout-free scoring; candidates share the ranked prefix, so the
     final network step runs batched across them, in ``pool``'s workspace.
     Returns a new array of the scores in the order of ``state.live``, which
     is ascending doc id.
@@ -330,10 +329,12 @@ def train_session(
     config: PolicyConfig,
     metric: MetricSpec | None = None,
     topics: Sequence[str] | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[ValueNetParams, list[EpochStats]]:
     """Stepwise training over full search sessions; updates ``params`` in
-    place and returns it with the epoch log.
+    place and returns it with the epoch log. ``rng`` draws the exploration
+    (and any dropout masks).
 
     Every ranked document triggers one gradient step towards the true
     metric of the list so far; after each block the simulator's feedback
@@ -346,8 +347,6 @@ def train_session(
     """
     metric = metric or MetricSpec()
     topic_list = _check_topics(dataset, topics, "training")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     lr = params.config.learning_rate
     window = params.config.window
     grad = np.empty_like(params.theta)  # every step's gradient, overwritten by backward
@@ -366,7 +365,7 @@ def train_session(
                 raise _diverged(epoch, exc) from None
             state = step_transition(state, pos)
             target = target_value(dataset.judgments, state.topic_id, state.ranked_ids(), metric)
-            value, cache = valuenet.forward(params, forward_inputs(state, window), mode="train", rng=rng)
+            value, cache = valuenet.forward(params, forward_inputs(state, window), rng=rng)
             err = value - target
             loss = err * err  # overflows to inf, where ** 2 raises OverflowError
             if not math.isfinite(loss):  # also catches a non-finite value

@@ -244,11 +244,10 @@ class _Run:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one train-mode forward pass, consumed by backward."""
+    """Intermediates of one forward pass, consumed by backward."""
 
     params: ValueNetParams
     version: int  # params.version the forward ran at
-    mode: str
     inputs: np.ndarray  # scaled inputs, one row per step
     layers: list  # one _Run per LSTM layer
     dense: list  # (layer input, relu mask, dropout mask or None) per hidden layer
@@ -270,9 +269,10 @@ def _cell(pre: np.ndarray, c_prev, c, tc, h) -> None:
     """One LSTM cell step from its gate pre-activation ``pre``, whose gates
     are stacked along axis 0: (4H,) for one step, or (4H, N) for N
     candidates, where each gate is one contiguous (H, N) slab. ``pre`` is
-    activated in place into the gates; the new cell state goes to ``c``, its
-    tanh to ``tc`` (which may alias ``c``) and the hidden state to ``h``.
-    ``c_prev`` broadcasts against one gate (an (H, 1) column for a batch)."""
+    activated in place into the gates; the new cell state goes to ``c``
+    (which may be ``pre``'s forget rows), its tanh to ``tc`` (which may
+    alias ``c``) and the hidden state to ``h``. ``c_prev`` broadcasts
+    against one gate (an (H, 1) column for a batch)."""
     H = len(pre) // 4
     sig = pre[: 3 * H]  # forget, input, output: sigmoid as 0.5*tanh(0.5x)+0.5
     sig *= 0.5
@@ -332,12 +332,12 @@ def _unroll(params: ValueNetParams, X: np.ndarray, runs: list | None = None) -> 
     return out
 
 
-def forward(params: ValueNetParams, inputs: Sequence, mode: str = "eval", rng=None):
-    """Run the network over an input sequence.
+def forward(params: ValueNetParams, inputs: Sequence, rng=None):
+    """Run the network over an input sequence, as training does.
 
-    Only the last ``window`` inputs are used. ``mode='train'`` applies
-    inverted dropout to the dense-head hidden activations (``rng`` seeds
-    the masks); eval mode is a pure function of (params, inputs).
+    Only the last ``window`` inputs are used. A net with dropout applies
+    inverted dropout to the dense-head hidden activations, drawing the
+    masks from ``rng`` (a Generator or a seed), which it then requires.
 
     The stack is unrolled over all inputs but the last, then stepped once.
     When :func:`forward_candidates` last scored exactly those inputs with
@@ -347,14 +347,14 @@ def forward(params: ValueNetParams, inputs: Sequence, mode: str = "eval", rng=No
     Returns (value, cache); the cache feeds :func:`backward`.
     """
     cfg = params.config
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     xs = list(inputs)
     if not xs:
         raise ValueError("empty input sequence")
     X = _scaled_inputs(cfg, xs[-cfg.window :])
-    use_dropout = mode == "train" and cfg.dropout > 0.0
-    if use_dropout and not isinstance(rng, np.random.Generator):
+    use_dropout = cfg.dropout > 0.0
+    if use_dropout:
+        if rng is None:
+            raise ValueError(f"a net with dropout {cfg.dropout} needs an rng for its dropout masks")
         rng = np.random.default_rng(rng)
 
     head, memo = X[:-1], params._prefix
@@ -382,7 +382,7 @@ def forward(params: ValueNetParams, inputs: Sequence, mode: str = "eval", rng=No
     v = out.W @ z + out.b
     v_pre = float(v[0])
     value = float(_sigmoid_(v)[0]) if cfg.output == "sigmoid" else v_pre
-    cache = ForwardCache(params, params.version, mode, X, runs, dense_cache, z, v_pre, value)
+    cache = ForwardCache(params, params.version, X, runs, dense_cache, z, v_pre, value)
     return value, cache
 
 
@@ -400,8 +400,6 @@ def backward(params: ValueNetParams, cache: ForwardCache, target: float,
     """
     if cache.params is not params or cache.version != params.version:
         raise ValueError("cache does not belong to these parameters")
-    if cache.mode != "train":
-        raise ValueError("backward requires a cache from a train-mode forward")
     cfg = params.config
     layout = _layout(cfg)
     grad = np.empty_like(params.theta) if out is None else out  # every block is written below
@@ -516,10 +514,10 @@ def project_docs(params: ValueNetParams, docs, out: np.ndarray) -> np.ndarray:
 
 class ScoringWorkspace:
     """Grow-only scratch buffers for :func:`forward_candidates`: the gate
-    block, the cell state and two hidden-state buffers that alternate
-    between layers, plus a document block and a projection block for
-    :func:`project_docs` to project from and into, each handed out as a
-    C-contiguous (rows, N) view of a flat array that only ever grows.
+    block, one hidden-state block that every layer writes in turn, plus a
+    document block and a projection block for :func:`project_docs` to
+    project from and into, each handed out as a C-contiguous (rows, N)
+    view of a flat array that only ever grows.
 
     One workspace serves a sequence of calls of any shape (such as the
     picks of one session), so batched scoring allocates nothing
@@ -529,7 +527,7 @@ class ScoringWorkspace:
     __slots__ = ("_flat",)
 
     def __init__(self):
-        self._flat = [np.empty(0) for _ in range(6)]  # gates, c, h, h, docs, proj
+        self._flat = [np.empty(0) for _ in range(4)]  # gates, h, docs, proj
 
     def _block(self, slot: int, rows: int, n: int) -> np.ndarray:
         size = rows * n
@@ -539,32 +537,33 @@ class ScoringWorkspace:
 
     def gates(self, rows: int, n: int) -> np.ndarray:
         """The (rows, n) gate block, where :func:`forward_candidates` writes
-        each layer's pre-activation. A caller may gather the first layer's
-        document projections into it and pass its transpose as ``doc_proj``;
-        the first layer then adds the shared vector in place."""
+        each layer's pre-activation and, in its spent forget rows, the cell
+        state. A caller may gather the first layer's document projections
+        into it and pass its transpose as ``doc_proj``; the first layer then
+        adds the shared vector in place."""
         return self._block(0, rows, n)
 
     def proj(self, rows: int, n: int) -> np.ndarray:
         """The (rows, n) projection block: the first layer's document
         projections, whose transpose a caller passes as ``doc_proj``."""
-        return self._block(5, rows, n)
+        return self._block(3, rows, n)
 
     def docs(self, dim: int, n: int) -> np.ndarray:
         """The (dim, n) document block: candidates' document columns, which
         :func:`project_docs` (given its transpose) scales in place."""
-        return self._block(4, dim, n)
+        return self._block(2, dim, n)
 
 
 def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj, query, *,
                        workspace: ScoringWorkspace | None = None) -> np.ndarray:
-    """Eval-mode values for many candidates sharing one ranked prefix.
+    """Dropout-free values for many candidates sharing one ranked prefix.
 
     Candidate ``n``'s input unit is ``doc_n ‖ query``; ``doc_proj[n]`` is
     its :func:`project_docs` row and ``query`` the shared query half (empty
     in feature mode, where the document row is the whole unit). Equivalent
-    to calling :func:`forward` once per candidate with inputs
-    ``prefix + [doc_n ‖ query]``: the prefix is unrolled once, the query
-    half of the first layer is computed once and the final step runs
+    to calling :func:`forward` (without dropout) once per candidate with
+    inputs ``prefix + [doc_n ‖ query]``: the prefix is unrolled once, the
+    query half of the first layer is computed once and the final step runs
     batched, gate-major on (4H, N) blocks. The prefix unroll is memoised on
     ``params``, under its version, for the train forward of the chosen
     candidate.
@@ -572,8 +571,9 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     The final step's intermediates live in ``workspace`` (a fresh one when
     None). The first layer's pre-activation is ``doc_proj`` plus the shared
     vector, written to the workspace's gate block; when ``doc_proj`` is the
-    transpose of that block, the shared vector is added in place. The
-    returned values are a new array.
+    transpose of that block, the shared vector is added in place. A layer's
+    cell state overwrites its spent forget rows, its hidden state the
+    previous layer's. The returned values are a new array.
     """
     cfg = params.config
     prefix = list(prefix_inputs)[-(cfg.window - 1) :] if cfg.window > 1 else []
@@ -596,8 +596,8 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
             pre += (ly.U @ run.h[-1] + ly.b)[:, None]
         else:
             np.add(rows.T, shared[:, None], out=pre)  # in place when rows.T is pre
-        c = ws._block(1, ly.H, n)
-        below = ws._block(2 + j % 2, ly.H, n)
+        c = pre[: ly.H]  # f * c_prev is the first write: each element reads only its own f
+        below = ws._block(1, ly.H, n)
         _cell(pre, run.c[-1][:, None], c, c, below)
     z = below
     for dl in params.dense[:-1]:

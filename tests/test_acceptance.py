@@ -92,7 +92,7 @@ def test_criterion_2_gradient_correctness():
         rng = np.random.default_rng(100 + seed)
         xs = [rng.standard_normal(2) for _ in range(3)]
         target = float(rng.standard_normal())
-        _, cache = forward(params, xs, mode="train")
+        _, cache = forward(params, xs)
         grad = backward(params, cache, target)
         fd = np.zeros_like(grad)
         for i in range(params.theta.size):
@@ -244,7 +244,7 @@ def test_criterion_9_determinism(tmp_path):
         net=NetConfig(layers=2, input_dim=16, hidden_dims=(8, 8), dense_dims=(6,),
                       window=3, dropout=0.0, learning_rate=0.5, output="sigmoid"),
         policy=PolicyConfig(epsilon=0.5, docs_per_iteration=3, iterations=2,
-                            selection="sample", seed=0, epoch_cap=3, stop_tol=0.0),
+                            selection="sample", epoch_cap=3, stop_tol=0.0),
         metric=MetricSpec(target="ndcg", report=("alpha-ndcg", "ndcg@5")),
         feedback="embed-rocchio",
     )

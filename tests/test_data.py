@@ -192,14 +192,14 @@ class TestLoadLetor:
             "2 qid:3 1:0.9 2:0.1\n"
         )
         ds = load_letor(path)
-        assert ds.unjudged_topics() == ["2"]
+        assert [t for t in ds.topic_ids() if not ds.judgments.positive_docs(t)] == ["2"]
         assert ds.judgments.has_topic("2")
         for target in ("dcg", "ndcg", "alpha-ndcg"):
             assert target_value(ds.judgments, "2", list(ds.docs["2"]), MetricSpec(target=target)) == 0.0
         net = NetConfig(layers=1, input_dim=2, hidden_dims=(3,), dense_dims=(2,), window=2,
                         dropout=0.0)
         policy = PolicyConfig(docs_per_iteration=1, iterations=2, epoch_cap=2, stop_tol=0.0)
-        _, log = train_session(init_glorot(net, 0), ds, None, policy)
+        _, log = train_session(init_glorot(net, 0), ds, None, policy, rng=np.random.default_rng(0))
         assert len(log) == 2 and all(np.isfinite(s.mean_loss) for s in log)
 
     def test_inconsistent_width(self, tmp_path):
@@ -252,7 +252,7 @@ class TestGenSynthetic:
 
     def test_every_topic_has_positive_docs(self):
         ds = gen_synthetic(4, 40, 3, 32, seed=0)
-        assert ds.unjudged_topics() == []
+        assert all(ds.judgments.positive_docs(t) for t in ds.topic_ids())
 
     def test_rejects_nonpositive_args(self):
         with pytest.raises(ValueError):

@@ -58,7 +58,7 @@ def tiny_config(out_dir, **kw) -> RunConfig:
         net=NetConfig(layers=1, input_dim=12, hidden_dims=(6,), dense_dims=(4,),
                       window=3, dropout=0.0, learning_rate=0.1, output="sigmoid"),
         policy=PolicyConfig(epsilon=0.3, docs_per_iteration=2, iterations=2,
-                            selection="sample", seed=0, epoch_cap=2, stop_tol=0.0),
+                            selection="sample", epoch_cap=2, stop_tol=0.0),
         metric=MetricSpec(target="ndcg", report=("alpha-ndcg", "ndcg@5")),
         folds=2,
         seed=0,
@@ -630,11 +630,13 @@ class TestCli:
         ('{"metric": {"report": ["alpha-ndcg@-2"]}}',
          "report metric 'alpha-ndcg@-2': the cutoff must be an integer >= 1"),
         ('{"metric": {"report": ["nsdcg@3"]}}', "report metric 'nsdcg@3': nsdcg takes no cutoff"),
+        ('{"metric": {"report": []}}', "metric.report must name at least one metric"),
+        ('{"policy": {"seed": 0}}', "unknown config key policy.seed"),
     ], ids=["int", "null", "num_topics", "docs_per_topic", "subtopics", "dim", "frac_sum",
             "frac_negative", "decay_period", "trec_dd_dim", "type_num_topics", "type_folds",
             "type_bool", "type_null", "type_hidden_dims", "type_dropout", "unknown_nested_key",
             "type_report", "type_report_item", "type_section", "cutoff_text", "cutoff_0",
-            "cutoff_empty", "cutoff_negative", "cutoff_nsdcg"])
+            "cutoff_empty", "cutoff_negative", "cutoff_nsdcg", "report_empty", "policy_seed"])
     def test_bad_config_file_exits_2(self, tmp_path, monkeypatch, capsys, text, message):
         monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("bad config ran"))
         cfg_path = tmp_path / "c.json"
@@ -782,13 +784,13 @@ class TestCli:
         assert code == 0, output
         assert seen[0].metric.report == (metric,) and seen[0].metric.target == target
 
-    def test_seed_override_sets_run_and_policy_seed(self, tmp_path, monkeypatch, capsys):
+    def test_seed_override_sets_run_seed(self, tmp_path, monkeypatch, capsys):
         seen = []
         monkeypatch.setattr(harness, "run", lambda config, command, run_path=None:
                             seen.append(config) or RunReport(command=command, config={}))
         code, output = invoke(capsys, ["ablate", "--out", str(tmp_path), "--seed", "3"])
         assert code == 0, output
-        assert (seen[0].seed, seen[0].policy.seed) == (3, 3)
+        assert seen[0].seed == 3
 
     @pytest.mark.parametrize("target", ["dcg", "alpha-dcg"])
     def test_sigmoid_head_with_unnormalized_target_exits_2(self, tmp_path, target, capsys):
@@ -834,7 +836,7 @@ class TestNonFiniteTraining:
     def config(self, tmp_path):
         return tiny_config(tmp_path / "out", policy=PolicyConfig(
             epsilon=0.0, docs_per_iteration=2, iterations=2, selection="argmax",
-            seed=0, epoch_cap=2, stop_tol=0.0))
+            epoch_cap=2, stop_tol=0.0))
 
     def test_no_checkpoint_written(self, tmp_path):
         config = self.config(tmp_path)
@@ -889,7 +891,7 @@ def test_runs_hold_few_copies_of_the_weights(tmp_path):
                       window=3, dropout=0.0, learning_rate=0.01, output="sigmoid",
                       input_scale=8.0),
         policy=PolicyConfig(epsilon=0.5, docs_per_iteration=2, iterations=2,
-                            selection="sample", seed=0, epoch_cap=1, stop_tol=0.0),
+                            selection="sample", epoch_cap=1, stop_tol=0.0),
         metric=MetricSpec(target="ndcg", report=("ndcg",)),
         feedback="no-feedback",
     )
@@ -940,7 +942,7 @@ class TestFeatureMode:
                           window=2, dropout=0.0, learning_rate=0.1, output="sigmoid",
                           input_scale=2.0),
             policy=PolicyConfig(epsilon=0.3, docs_per_iteration=2, iterations=1,
-                                selection="sample", seed=0, epoch_cap=3, stop_tol=0.0),
+                                selection="sample", epoch_cap=3, stop_tol=0.0),
             metric=MetricSpec(target="ndcg", report=("ndcg@2",)),
             feedback="embed-rocchio",  # must fall back in feature mode
             folds=3,

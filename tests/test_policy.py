@@ -114,7 +114,7 @@ class TestScoreCandidates:
         scores = score_map(params, state)
         for doc in state.candidates()[:3]:
             inputs = forward_inputs(state) + [np.concatenate([state.vectors[doc], state.query])]
-            expected, _ = forward(params, inputs, mode="eval")
+            expected, _ = forward(params, inputs)
             assert scores[doc] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_candidates_rejected(self):
@@ -162,7 +162,7 @@ def reference_scores(params, state):
     """Per-candidate forward over prefix + [candidate unit]."""
     prefix = forward_inputs(state)
     return {
-        doc: forward(params, prefix + [pair_input(state.vectors[doc], state.query)], mode="eval")[0]
+        doc: forward(params, prefix + [pair_input(state.vectors[doc], state.query)])[0]
         for doc in state.candidates()
     }
 
@@ -219,7 +219,7 @@ class TestInPlaceUpdateScoring:
         assert after.tobytes() == want.tobytes()
         nxt = step_transition(state, best_action(after))
         inputs = forward_inputs(nxt, params.config.window)
-        assert forward(params, inputs, mode="train")[0] == forward(fresh, inputs, mode="train")[0]
+        assert forward(params, inputs)[0] == forward(fresh, inputs)[0]
 
     @given(scoring_cases())
     @settings(max_examples=80, deadline=None)
@@ -504,9 +504,14 @@ class TestStepReward:
 
 def quick_policy(**kw):
     defaults = dict(epsilon=0.5, docs_per_iteration=2, iterations=2,
-                    selection="sample", seed=0, epoch_cap=3, stop_tol=0.0)
+                    selection="sample", epoch_cap=3, stop_tol=0.0)
     defaults.update(kw)
     return PolicyConfig(**defaults)
+
+
+def rng0():
+    """A fresh exploration stream from seed 0."""
+    return np.random.default_rng(0)
 
 
 class TestTrainSession:
@@ -515,7 +520,7 @@ class TestTrainSession:
         net = NetConfig(layers=1, input_dim=8, hidden_dims=(4,), dense_dims=(3,),
                         window=3, dropout=0.0, learning_rate=0.01)
         params = init_glorot(net, 0)
-        trained, log = train_session(params, ds, None, quick_policy(epoch_cap=2))
+        trained, log = train_session(params, ds, None, quick_policy(epoch_cap=2), rng=rng0())
         assert len(log) == 2
         assert all(s.epsilon == 0.5 for s in log)
 
@@ -523,7 +528,7 @@ class TestTrainSession:
         ds = tiny_dataset()
         params = init_glorot(NET, 0)
         with pytest.raises(ValueError):
-            train_session(params, ds, None, quick_policy(), topics=[])
+            train_session(params, ds, None, quick_policy(), topics=[], rng=rng0())
 
     def test_loss_decreases_on_separable_corpus(self):
         ds = gen_synthetic(6, 60, 1, 16, seed=0)
@@ -534,7 +539,7 @@ class TestTrainSession:
         config = quick_policy(epsilon=0.1, selection="argmax", epoch_cap=10,
                               docs_per_iteration=5, iterations=2)
         fb = EmbedRocchioFeedback(RocchioParams())
-        trained, log = train_session(params, ds, fb, config, MetricSpec(target="dcg"))
+        trained, log = train_session(params, ds, fb, config, MetricSpec(target="dcg"), rng=rng0())
         assert log[-1].mean_loss < log[0].mean_loss
 
     def test_stop_rule_halts_training(self):
@@ -543,14 +548,14 @@ class TestTrainSession:
                         window=2, dropout=0.0, learning_rate=1e-9)
         params = init_glorot(net, 0)
         config = quick_policy(epsilon=0.0, selection="argmax", epoch_cap=50, stop_tol=1e-4)
-        _, log = train_session(params, ds, None, config)
+        _, log = train_session(params, ds, None, config, rng=rng0())
         # with a frozen net the loss plateau triggers the relative-improvement stop
         assert len(log) == 2
 
     def test_epoch_log_shape(self):
         ds = tiny_dataset()
         params = init_glorot(NET, 0)
-        _, log = train_session(params, ds, None, quick_policy(epoch_cap=3))
+        _, log = train_session(params, ds, None, quick_policy(epoch_cap=3), rng=rng0())
         assert [s.epoch for s in log] == [1, 2, 3]
         assert all(s.mean_loss >= 0 for s in log)
 
@@ -631,7 +636,7 @@ def test_session_loop_feedback_contract(pool, iterations, expected_calls):
                     window=2, dropout=0.0)
     config = quick_policy(iterations=iterations, docs_per_iteration=2, epoch_cap=1)
     train_fb, eval_fb = _RecordingFeedback(), _RecordingFeedback()
-    train_session(init_glorot(net, 0), ds, train_fb, config)
+    train_session(init_glorot(net, 0), ds, train_fb, config, rng=rng0())
     evaluate_session(greedy_pick(init_glorot(net, 0)), ds, eval_fb, config)
     for calls in (train_fb.calls, eval_fb.calls):
         assert [n for n, _, _ in calls] == expected_calls
@@ -661,7 +666,7 @@ def test_pool_projections_per_session_and_step(monkeypatch):
     evaluate_session(greedy_pick(init_glorot(NET, 0)), ds, None, config)
     assert len(calls) == len(ds.topic_ids())
     calls.clear()
-    _, log = train_session(init_glorot(NET, 0), ds, None, config)
+    _, log = train_session(init_glorot(NET, 0), ds, None, config, rng=rng0())
     assert len(calls) == len(log) * len(ds.topic_ids()) * 3 * 2  # one per gradient step
 
 

@@ -158,11 +158,11 @@ class TestForward:
         for run in cache.layers:
             assert not run.c[1:].any()
 
-    def test_eval_mode_deterministic(self):
+    def test_deterministic_without_dropout(self):
         params = tiny_params()
         xs = [np.array([0.3, -0.7]), np.array([1.1, 0.2])]
-        a, _ = forward(params, xs, mode="eval")
-        b, _ = forward(params, xs, mode="eval")
+        a, _ = forward(params, xs)
+        b, _ = forward(params, xs)
         assert a == b
 
     def test_matches_independent_reference(self):
@@ -216,17 +216,23 @@ class TestForward:
                         dropout=0.5, output="linear")
         params = init_glorot(cfg, 0)
         xs = [np.array([0.5, -0.5])]
-        v1, _ = forward(params, xs, mode="train", rng=1)
-        v2, _ = forward(params, xs, mode="train", rng=1)
-        v3, _ = forward(params, xs, mode="train", rng=2)
+        v1, _ = forward(params, xs, rng=1)
+        v2, _ = forward(params, xs, rng=1)
+        v3, _ = forward(params, xs, rng=2)
         assert v1 == v2
         assert v1 != v3
+
+    def test_dropout_without_rng_rejected(self):
+        cfg = NetConfig(layers=1, input_dim=2, hidden_dims=(4,), dense_dims=(8, 8),
+                        dropout=0.5, output="linear")
+        with pytest.raises(ValueError, match="needs an rng"):
+            forward(init_glorot(cfg, 0), [np.array([0.5, -0.5])])
 
 
 class TestBackward:
     def test_target_equal_value_gives_zero_gradient(self):
         params = tiny_params()
-        value, cache = forward(params, [np.array([0.2, 0.4])], mode="train")
+        value, cache = forward(params, [np.array([0.2, 0.4])])
         grad = backward(params, cache, value)
         assert not grad.any()
 
@@ -236,7 +242,7 @@ class TestBackward:
             params = init_glorot(TINY, seed)
             xs = [rng.standard_normal(2) for _ in range(3)]
             target = float(rng.standard_normal())
-            _, cache = forward(params, xs, mode="train")
+            _, cache = forward(params, xs)
             grad = backward(params, cache, target)
             h = 1e-5
             fd = np.zeros_like(grad)
@@ -253,23 +259,17 @@ class TestBackward:
 
     def test_chain_factor_linearity(self):
         params = tiny_params()
-        value, cache = forward(params, [np.array([0.2, 0.4]), np.array([-0.1, 0.9])], mode="train")
+        value, cache = forward(params, [np.array([0.2, 0.4]), np.array([-0.1, 0.9])])
         g1 = backward(params, cache, value - 0.5)
         g2 = backward(params, cache, value - 1.0)
         np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12)
 
     def test_stale_cache_rejected(self):
         params = tiny_params()
-        _, cache = forward(params, [np.zeros(2)], mode="train")
+        _, cache = forward(params, [np.zeros(2)])
         other = tiny_params(7)
         with pytest.raises(ValueError):
             backward(other, cache, 0.0)
-
-    def test_eval_cache_rejected(self):
-        params = tiny_params()
-        _, cache = forward(params, [np.zeros(2)], mode="eval")
-        with pytest.raises(ValueError):
-            backward(params, cache, 0.0)
 
 
 class TestApplyUpdate:
@@ -291,7 +291,7 @@ class TestApplyUpdate:
         params = tiny_params()
         xs = [np.array([0.4, -0.2]), np.array([0.1, 0.8])]
         target = 2.0
-        value, cache = forward(params, xs, mode="train")
+        value, cache = forward(params, xs)
         grad = backward(params, cache, target)
         updated = apply_update(params, grad, 1e-3)
         new_value, _ = forward(updated, xs)
@@ -320,14 +320,14 @@ class TestBatchedScoring:
         prefix = [rng.standard_normal(2) for _ in range(3)]
         rows = rng.standard_normal((6, 2))
         batch = forward_candidates(params, prefix, projected(params, rows), np.zeros(0))
-        singles = np.array([forward(params, prefix + [r], mode="eval")[0] for r in rows])
+        singles = np.array([forward(params, prefix + [r])[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
     def test_empty_prefix(self):
         params = tiny_params()
         rows = np.array([[0.1, 0.2], [0.5, -0.5]])
         batch = forward_candidates(params, [], projected(params, rows), np.zeros(0))
-        singles = np.array([forward(params, [r], mode="eval")[0] for r in rows])
+        singles = np.array([forward(params, [r])[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
     def test_long_prefix_respects_window(self):
@@ -338,7 +338,7 @@ class TestBatchedScoring:
         prefix = [rng.standard_normal(2) for _ in range(5)]
         rows = rng.standard_normal((2, 2))
         batch = forward_candidates(params, prefix, projected(params, rows), np.zeros(0))
-        singles = np.array([forward(params, prefix + [r], mode="eval")[0] for r in rows])
+        singles = np.array([forward(params, prefix + [r])[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 
@@ -485,7 +485,7 @@ class TestUnrollProperties:
     @settings(max_examples=25, deadline=None)
     def test_backward_matches_finite_differences(self, case, target):
         params, xs = case
-        _, cache = forward(params, xs, mode="train")
+        _, cache = forward(params, xs)
         for (z_in, _, _), dl in zip(cache.dense, params.dense):
             assume(np.abs(dl.W @ z_in + dl.b).min() > 1e-3)  # no ReLU kink within reach
         grad = backward(params, cache, target)
@@ -513,7 +513,7 @@ class TestUnrollProperties:
         forward_candidates(params, prefix, projected(params, docs), query)
 
         def run(p, inputs):
-            value, cache = forward(p, inputs, mode="train")
+            value, cache = forward(p, inputs)
             return value, cache, backward(p, cache, 0.5)
 
         calls = []
@@ -717,14 +717,14 @@ class TestInPlaceStep:
     @settings(max_examples=40, deadline=None)
     def test_backward_into_buffer_matches_fresh(self, case, target):
         params, xs = case
-        _, cache = forward(params, xs, mode="train")
+        _, cache = forward(params, xs)
         buf = np.full(params.n_params, np.nan)
         assert backward(params, cache, target, out=buf) is buf
         assert buf.tobytes() == backward(params, cache, target).tobytes()
 
     def test_backward_rejects_cache_from_older_version(self):
         params = tiny_params()
-        _, cache = forward(params, [np.zeros(2)], mode="train")
+        _, cache = forward(params, [np.zeros(2)])
         apply_update(params, np.ones(params.n_params), 0.1)
         with pytest.raises(ValueError):
             backward(params, cache, 0.0)
@@ -735,8 +735,8 @@ class TestInPlaceStep:
         params, xs = case
         forward_candidates(params, xs[:-1], projected(params, xs[-1][None]), np.zeros(0))
         apply_update(params, np.full(params.n_params, 0.25), 0.1)
-        got, cache = forward(params, xs, mode="train")
-        want, fresh = forward(params.copy(), xs, mode="train")
+        got, cache = forward(params, xs)
+        want, fresh = forward(params.copy(), xs)
         assert got == want
         for a, b in zip(cache.layers, fresh.layers):
             assert a.h.tobytes() == b.h.tobytes() and a.c.tobytes() == b.c.tobytes()
