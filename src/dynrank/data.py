@@ -236,6 +236,12 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm, one BLAS dot per row: the sum order, and
+    so the bits, of ``np.linalg.norm`` on that row alone."""
+    return np.sqrt([np.dot(r, r) for r in rows])
+
+
 def gen_synthetic(
     num_topics: int,
     docs_per_topic: int,
@@ -264,6 +270,12 @@ def gen_synthetic(
     their query alignment matches the real centroids'): one-shot ranking
     struggles to tell decoys from relevant clusters, and judged feedback
     is what identifies the real facets.
+
+    A topic's documents are the read-only rows of one ``(docs_per_topic,
+    dim)`` block. The block is built from the same draws and, element by
+    element, the same float operations as one document at a time; every
+    dot product and norm is still one BLAS dot per row, so the bytes do
+    not depend on the blocking.
     """
     if min(num_topics, docs_per_topic, subtopics_per_topic, dim) < 1:
         raise ValueError("all generator arguments must be positive")
@@ -279,6 +291,7 @@ def gen_synthetic(
     # at least one strongly relevant doc so every topic is judged
     n_high = max(int(docs_per_topic * frac_high), 1)
     n_mid = int(docs_per_topic * frac_mid)
+    n_rel = n_high + n_mid
 
     # shared concept dictionary all topics draw their centroids from
     n_concepts = max(4 * subtopics_per_topic, 8)
@@ -288,9 +301,9 @@ def gen_synthetic(
         topic = f"t{ti:03d}"
         concept_ids = rng.choice(n_concepts, size=subtopics_per_topic, replace=False)
         centroids = [dictionary[ci] for ci in concept_ids]
+        centroid_rows = np.stack(centroids)
         subtopic_ids = [f"s{si}" for si in range(subtopics_per_topic)]
-        query_dir = _unit(np.mean(np.stack(centroids), axis=0))
-        n_rel = n_high + n_mid
+        query_dir = _unit(np.mean(centroid_rows, axis=0))
         n_decoy = (docs_per_topic - n_rel) // 2 if decoy_clusters else 0
         decoys: list[np.ndarray] = []
         if decoy_clusters:
@@ -307,30 +320,46 @@ def gen_synthetic(
                 decoys.append(m * query_dir + np.sqrt(1.0 - m**2) * ortho)
         # doc ids carry no role information: roles are assigned to shuffled slots
         id_perm = rng.permutation(docs_per_topic)
-        vectors = docs[topic] = {}
-        for di in range(docs_per_topic):
-            doc_id = f"{topic}-d{id_perm[di]:04d}"
-            if di < n_rel + n_decoy:
-                # relevant documents near a subtopic centroid, decoys near a
-                # fake facet; the first part of each group in the high band
-                k = di - n_rel
-                anchor, high = ((centroids[di % subtopics_per_topic], di < n_high) if k < 0
-                                else (decoys[k % len(decoys)], k < n_decoy // 2))
-                target_cos = rng.uniform(0.91, 0.98) if high else rng.uniform(0.78, 0.87)
-                raw = rng.standard_normal(dim)
-                ortho = _unit(raw - np.dot(raw, anchor) * anchor)
-                vec = target_cos * anchor + np.sqrt(1.0 - target_cos**2) * ortho
-            else:
-                vec = _unit(rng.standard_normal(dim))
-            vectors[doc_id] = vec
-            for sid, centroid in zip(subtopic_ids, centroids):
-                cos = float(np.dot(vec, centroid))  # unit vectors
-                if cos >= 0.9:
-                    judgments.add(topic, sid, doc_id, 2.0)
-                elif cos >= 0.75:
-                    judgments.add(topic, sid, doc_id, 1.0)
+        block = np.empty((docs_per_topic, dim))
+        # the first n_anchored slots are relevant documents near a subtopic
+        # centroid, then decoys near a fake facet; the first part of each
+        # group is in the high band. Each draws its cosine, then its noise.
+        n_anchored = min(n_rel + n_decoy, docs_per_topic)
+        anchors = np.empty((n_anchored, dim))
+        target_cos = np.empty(n_anchored)
+        sin_sq = np.empty(n_anchored)
+        for di in range(n_anchored):
+            k = di - n_rel
+            anchor, high = ((centroids[di % subtopics_per_topic], di < n_high) if k < 0
+                            else (decoys[k % len(decoys)], k < n_decoy // 2))
+            anchors[di] = anchor
+            t = rng.uniform(0.91, 0.98) if high else rng.uniform(0.78, 0.87)
+            # a Python float power: numpy's square rounds some draws differently
+            target_cos[di], sin_sq[di] = t, 1.0 - t**2
+            rng.standard_normal(out=block[di])
+        # the rest is isotropic noise: one call draws what one call per row did
+        noise = block[n_anchored:]
+        rng.standard_normal(out=noise)
+        noise /= _row_norms(noise)[:, None]
+        raw = block[:n_anchored]
+        ortho = raw - np.array([np.dot(r, a) for r, a in zip(raw, anchors)])[:, None] * anchors
+        ortho /= _row_norms(ortho)[:, None]
+        np.add(target_cos[:, None] * anchors, np.sqrt(sin_sq)[:, None] * ortho, out=raw)
+        block.flags.writeable = False
+        doc_ids = [f"{topic}-d{i:04d}" for i in id_perm.tolist()]
+        docs[topic] = dict(zip(doc_ids, block))
+        # one product finds every cosine near a band (its sums may round a
+        # few ulps away from a lone dot's); each is then recomputed as the
+        # one BLAS dot that grades it, in document then subtopic order
+        near = np.nonzero(block @ centroid_rows.T >= 0.75 - 1e-9)
+        for di, si in zip(*(ix.tolist() for ix in near)):
+            cos = float(np.dot(block[di], centroids[si]))  # unit vectors
+            if cos >= 0.9:
+                judgments.add(topic, subtopic_ids[si], doc_ids[di], 2.0)
+            elif cos >= 0.75:
+                judgments.add(topic, subtopic_ids[si], doc_ids[di], 1.0)
         topics[topic] = None
-        query_vectors[topic] = np.mean(np.stack(centroids), axis=0)
+        query_vectors[topic] = np.mean(centroid_rows, axis=0)
         all_centroids[topic] = dict(zip(subtopic_ids, centroids))
 
     return Dataset(

@@ -101,6 +101,8 @@ class RunConfig:
             raise ConfigError(f"unknown feedback variant {self.feedback!r}")
         if self.folds < 2:  # one fold would train on no topics
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.net.output == "sigmoid" and self.metric.target in ("dcg", "alpha-dcg"):
             raise ConfigError(f"a sigmoid head cannot fit the unnormalized {self.metric.target!r} "
                               "target; use a normalized target or net.output 'linear'")

@@ -636,7 +636,8 @@ def save(params: ValueNetParams, path) -> None:
 def load(path) -> ValueNetParams:
     """Read a checkpoint into one float64 array. Raises CheckpointError for
     a bad header, a header whose parameter count disagrees with its config
-    (before allocating), a short payload or trailing bytes."""
+    (before allocating), a short payload, trailing bytes or a parameter
+    that is NaN or infinite."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if len(head) < 8:
@@ -670,4 +671,7 @@ def load(path) -> ValueNetParams:
             raise CheckpointError(f"parameter payload has {got} bytes, expected {8 * n}")
         if fh.read(1):
             raise CheckpointError(f"trailing bytes after the {8 * n}-byte parameter payload")
+    finite = np.isfinite(theta)
+    if not finite.all():
+        raise CheckpointError(f"{n - np.count_nonzero(finite)} of {n} parameters are not finite")
     return ValueNetParams(config, theta)

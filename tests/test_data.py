@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dynrank.data import DataError, gen_synthetic, load_letor, load_trec_dd, split_folds
+from dynrank.data import DataError, Dataset, gen_synthetic, load_letor, load_trec_dd, split_folds
 from dynrank.embedspace import cosine, embed_text
-from dynrank.metrics import doc_relevance
+from dynrank.metrics import JudgmentSet, doc_relevance
 
 
 def write_trec_fixture(tmp_path, docs_as_vectors=False):
@@ -209,7 +211,138 @@ class TestLoadLetor:
             load_letor(path)
 
 
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def reference_gen_synthetic(num_topics, docs_per_topic, subtopics_per_topic, dim, seed,
+                            decoy_clusters=False, frac_high=0.2, frac_mid=0.2) -> Dataset:
+    """The slow reference for ``gen_synthetic``: the same corpus built one
+    document and one judgment at a time, each document its own array."""
+    rng = np.random.default_rng(seed)
+    judgments = JudgmentSet()
+    query_vectors, docs, all_centroids = {}, {}, {}
+    n_high = max(int(docs_per_topic * frac_high), 1)
+    n_mid = int(docs_per_topic * frac_mid)
+    n_concepts = max(4 * subtopics_per_topic, 8)
+    dictionary = [_unit(rng.standard_normal(dim)) for _ in range(n_concepts)]
+    for ti in range(num_topics):
+        topic = f"t{ti:03d}"
+        concept_ids = rng.choice(n_concepts, size=subtopics_per_topic, replace=False)
+        centroids = [dictionary[ci] for ci in concept_ids]
+        subtopic_ids = [f"s{si}" for si in range(subtopics_per_topic)]
+        query_dir = _unit(np.mean(np.stack(centroids), axis=0))
+        n_rel = n_high + n_mid
+        n_decoy = (docs_per_topic - n_rel) // 2 if decoy_clusters else 0
+        decoys = []
+        if decoy_clusters:
+            m = float(np.mean([np.dot(c, query_dir) for c in centroids]))
+            m = min(max(m, -0.99), 0.99)
+            off_topic = [i for i in range(n_concepts) if i not in set(concept_ids)]
+            fake_ids = rng.choice(off_topic, size=min(subtopics_per_topic, len(off_topic)),
+                                  replace=False)
+            for fi in fake_ids:
+                e = dictionary[fi]
+                ortho = _unit(e - np.dot(e, query_dir) * query_dir)
+                decoys.append(m * query_dir + np.sqrt(1.0 - m**2) * ortho)
+        id_perm = rng.permutation(docs_per_topic)
+        vectors = docs[topic] = {}
+        for di in range(docs_per_topic):
+            doc_id = f"{topic}-d{id_perm[di]:04d}"
+            if di < n_rel + n_decoy:
+                k = di - n_rel
+                anchor, high = ((centroids[di % subtopics_per_topic], di < n_high) if k < 0
+                                else (decoys[k % len(decoys)], k < n_decoy // 2))
+                target_cos = rng.uniform(0.91, 0.98) if high else rng.uniform(0.78, 0.87)
+                raw = rng.standard_normal(dim)
+                ortho = _unit(raw - np.dot(raw, anchor) * anchor)
+                vec = target_cos * anchor + np.sqrt(1.0 - target_cos**2) * ortho
+            else:
+                vec = _unit(rng.standard_normal(dim))
+            vectors[doc_id] = vec
+            for sid, centroid in zip(subtopic_ids, centroids):
+                cos = float(np.dot(vec, centroid))
+                if cos >= 0.9:
+                    judgments.add(topic, sid, doc_id, 2.0)
+                elif cos >= 0.75:
+                    judgments.add(topic, sid, doc_id, 1.0)
+        query_vectors[topic] = np.mean(np.stack(centroids), axis=0)
+        all_centroids[topic] = dict(zip(subtopic_ids, centroids))
+    return Dataset(kind="embedded", topics=dict.fromkeys(docs), query_vectors=query_vectors,
+                   judgments=judgments, docs=docs, dim=dim, extras={"centroids": all_centroids})
+
+
+def ordered_grades(judgments: JudgmentSet) -> list[tuple[str, str, str, float]]:
+    """Every (topic, doc, subtopic, grade), in the order the grades were added."""
+    return [(topic, doc, sid, grade) for topic, by_doc in judgments._coverage.items()
+            for doc, by_sub in by_doc.items() for sid, grade in by_sub.items()]
+
+
+def assert_same_corpus(got: Dataset, want: Dataset) -> None:
+    """Same documents in the same order with the same bytes, same queries,
+    centroids and grades, grades in the same order."""
+    assert list(got.topics) == list(want.topics)
+    for topic, pool in want.docs.items():
+        assert list(got.docs[topic]) == list(pool)
+        for doc, vec in pool.items():
+            assert got.docs[topic][doc].dtype == vec.dtype and got.docs[topic][doc].shape == vec.shape
+            assert got.docs[topic][doc].tobytes() == vec.tobytes(), (topic, doc)
+        assert got.query_vectors[topic].tobytes() == want.query_vectors[topic].tobytes()
+        for sid, centroid in want.extras["centroids"][topic].items():
+            assert got.extras["centroids"][topic][sid].tobytes() == centroid.tobytes()
+    assert ordered_grades(got.judgments) == ordered_grades(want.judgments)
+
+
+# (topics, docs per topic, subtopics, dim, decoys, frac_high, frac_mid)
+REFERENCE_SHAPES = {
+    "trend-session": (12, 200, 6, 32, True, 0.2, 0.2),
+    "oneshot-wide": (4, 200, 3, 64, False, 0.2, 0.2),
+    "eval-deep": (2, 1000, 6, 32, True, 0.2, 0.2),
+    "cli": (4, 20, 2, 8, False, 0.2, 0.2),
+    "all-mid": (3, 30, 3, 16, True, 0.0, 1.0),  # one more anchored slot than the pool
+    "no-mid": (3, 30, 2, 12, True, 0.3, 0.0),
+    "high-only": (3, 25, 3, 24, True, 0.0, 0.0),
+    "tiny-full": (3, 3, 4, 5, True, 0.5, 0.5),  # anchored documents fill the pool
+    "one-doc": (2, 1, 1, 3, True, 0.2, 0.2),
+    "odd-dim": (2, 40, 5, 33, True, 0.25, 0.15),
+    "wide-dim": (2, 20, 2, 129, False, 0.2, 0.2),
+}
+
+
 class TestGenSynthetic:
+    @pytest.mark.parametrize("seed", [0, 1, 11])
+    @pytest.mark.parametrize("shape", REFERENCE_SHAPES.values(), ids=REFERENCE_SHAPES.keys())
+    def test_matches_per_document_reference(self, shape, seed):
+        *sizes, decoys, frac_high, frac_mid = shape
+        kw = dict(decoy_clusters=decoys, frac_high=frac_high, frac_mid=frac_mid)
+        assert_same_corpus(gen_synthetic(*sizes, seed, **kw),
+                           reference_gen_synthetic(*sizes, seed, **kw))
+
+    @settings(max_examples=40, deadline=None)
+    @given(num_topics=st.integers(1, 3), docs_per_topic=st.integers(1, 60),
+           subtopics=st.integers(1, 5), dim=st.integers(2, 70), seed=st.integers(0, 2**32 - 1),
+           decoys=st.booleans(), fracs=st.sampled_from([(0.2, 0.2), (0.0, 1.0), (1.0, 0.0),
+                                                        (0.0, 0.0), (0.35, 0.4), (0.5, 0.5)]))
+    def test_matches_reference_on_random_shapes(self, num_topics, docs_per_topic, subtopics, dim,
+                                                seed, decoys, fracs):
+        kw = dict(decoy_clusters=decoys, frac_high=fracs[0], frac_mid=fracs[1])
+        args = (num_topics, docs_per_topic, subtopics, dim, seed)
+        assert_same_corpus(gen_synthetic(*args, **kw), reference_gen_synthetic(*args, **kw))
+
+    def test_documents_are_read_only_rows_of_one_block(self):
+        ds = gen_synthetic(2, 10, 2, 8, seed=0, decoy_clusters=True)
+        for pool in ds.docs.values():
+            blocks = {id(vec.base) for vec in pool.values()}
+            assert len(blocks) == 1
+            vec = next(iter(pool.values()))
+            assert vec.base.shape == (10, 8)
+            with pytest.raises(ValueError, match="read-only"):
+                vec[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                vec *= 2.0
+            with pytest.raises(ValueError):
+                vec.flags.writeable = True
+
     def test_deterministic_bitwise(self):
         a = gen_synthetic(3, 20, 2, 16, seed=7)
         b = gen_synthetic(3, 20, 2, 16, seed=7)

@@ -593,6 +593,7 @@ class TestCli:
         ("--gamma", "0", "gamma must be in (0, 1], got 0.0"),
         ("--iterations", "0", "iterations must be >= 1, got 0"),
         ("--docs-per-iter", "0", "docs_per_iteration must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
     ])
     def test_out_of_range_override_exits_2(self, tmp_path, monkeypatch, capsys, flag, value, message):
         monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("bad override ran"))
@@ -632,11 +633,13 @@ class TestCli:
         ('{"metric": {"report": ["nsdcg@3"]}}', "report metric 'nsdcg@3': nsdcg takes no cutoff"),
         ('{"metric": {"report": []}}', "metric.report must name at least one metric"),
         ('{"policy": {"seed": 0}}', "unknown config key policy.seed"),
+        ('{"seed": -1}', "seed must be >= 0, got -1"),
     ], ids=["int", "null", "num_topics", "docs_per_topic", "subtopics", "dim", "frac_sum",
             "frac_negative", "decay_period", "trec_dd_dim", "type_num_topics", "type_folds",
             "type_bool", "type_null", "type_hidden_dims", "type_dropout", "unknown_nested_key",
             "type_report", "type_report_item", "type_section", "cutoff_text", "cutoff_0",
-            "cutoff_empty", "cutoff_negative", "cutoff_nsdcg", "report_empty", "policy_seed"])
+            "cutoff_empty", "cutoff_negative", "cutoff_nsdcg", "report_empty", "policy_seed",
+            "seed_negative"])
     def test_bad_config_file_exits_2(self, tmp_path, monkeypatch, capsys, text, message):
         monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("bad config ran"))
         cfg_path = tmp_path / "c.json"
@@ -661,6 +664,20 @@ class TestCli:
         code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
         assert code == 3, output
         assert f"data error: {ckpt}: {message}" in output
+
+    def test_non_finite_checkpoint_exits_3_with_path(self, tmp_path, capsys):
+        config = tiny_config(tmp_path / "out")
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(config)))
+        assert invoke(capsys, ["train", "--config", str(cfg_path)])[0] == 0
+        ckpt = tmp_path / "out" / "checkpoints" / "fold1.ckpt"
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+        code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
+        assert code == 3, output
+        n = valuenet.param_count(config.net)
+        assert f"data error: {ckpt}: 1 of {n} parameters are not finite" in output
+        assert not (tmp_path / "out" / "evaluation.csv").exists()
 
     @pytest.mark.parametrize("which", ["topics", "docs"])
     @pytest.mark.parametrize("row", ["5", "null"])

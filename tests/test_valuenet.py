@@ -427,6 +427,16 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="trailing"):
             load(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, value):
+        params = load(FIXTURE)
+        n = params.theta.size
+        theta = params.theta.copy()
+        theta[[0, n - 1]] = value
+        save(ValueNetParams(FIXTURE_NET, theta), tmp_path / "bad.ckpt")
+        with pytest.raises(CheckpointError, match=f"^2 of {n} parameters are not finite$"):
+            load(tmp_path / "bad.ckpt")
+
     def test_count_mismatch_rejected_before_allocating(self, tmp_path, monkeypatch):
         import json
         import struct
