@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class Dataset:
     docs: dict[str, dict[str, np.ndarray]]
     texts: dict[str, str] | None = None
     dim: int = 0
-    extras: dict = field(default_factory=dict)
 
     def topic_ids(self) -> list[str]:
         return sorted(self.topics)
@@ -279,6 +278,8 @@ def gen_synthetic(
     """
     if min(num_topics, docs_per_topic, subtopics_per_topic, dim) < 1:
         raise ValueError("all generator arguments must be positive")
+    if dim < 2:  # a relevant document's noise is orthogonal to its anchor: no room in 1-D
+        raise ValueError(f"dim must be >= 2, got {dim}")
     if frac_high < 0 or frac_mid < 0 or frac_high + frac_mid > 1:
         raise ValueError("relevant fractions must be non-negative and sum to at most 1")
     rng = np.random.default_rng(seed)
@@ -286,7 +287,6 @@ def gen_synthetic(
     topics: dict[str, str | None] = {}
     query_vectors: dict[str, np.ndarray] = {}
     docs: dict[str, dict[str, np.ndarray]] = {}
-    all_centroids: dict[str, dict[str, np.ndarray]] = {}
 
     # at least one strongly relevant doc so every topic is judged
     n_high = max(int(docs_per_topic * frac_high), 1)
@@ -360,7 +360,6 @@ def gen_synthetic(
                 judgments.add(topic, subtopic_ids[si], doc_ids[di], 1.0)
         topics[topic] = None
         query_vectors[topic] = np.mean(centroid_rows, axis=0)
-        all_centroids[topic] = dict(zip(subtopic_ids, centroids))
 
     return Dataset(
         kind="embedded",
@@ -369,7 +368,6 @@ def gen_synthetic(
         judgments=judgments,
         docs=docs,
         dim=dim,
-        extras={"centroids": all_centroids},
     )
 
 

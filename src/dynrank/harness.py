@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import time
 import typing
 from dataclasses import dataclass, field
@@ -79,9 +80,22 @@ class DatasetSpec:
         for name in ("num_topics", "docs_per_topic", "subtopics_per_topic", "dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"dataset.{name} must be >= 1, got {getattr(self, name)}")
+        if self.kind == "synthetic" and self.dim < 2:
+            raise ConfigError(f"dataset.dim must be >= 2 for a synthetic corpus, got {self.dim}")
         if self.frac_high < 0 or self.frac_mid < 0 or self.frac_high + self.frac_mid > 1:
             raise ConfigError("dataset.frac_high and dataset.frac_mid must be >= 0 and sum to "
                               f"at most 1, got {self.frac_high} and {self.frac_mid}")
+
+
+def _numbers(config, prefix: str = ""):
+    """Every float field of a config object and of the config objects in
+    it, as (dotted name, value)."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _numbers(value, f"{prefix}{f.name}.")
+        elif isinstance(value, float):
+            yield prefix + f.name, value
 
 
 @dataclass(frozen=True)
@@ -97,6 +111,9 @@ class RunConfig:
     out_dir: str = "runs/out"
 
     def __post_init__(self):
+        for name, value in _numbers(self):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.feedback not in ABLATION_VARIANTS:
             raise ConfigError(f"unknown feedback variant {self.feedback!r}")
         if self.folds < 2:  # one fold would train on no topics

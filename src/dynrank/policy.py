@@ -145,61 +145,22 @@ def forward_inputs(state: SessionState, window: int | None = None) -> list[np.nd
     return [pair_input(vec, state.query) for _, vec in ranked]
 
 
-class _PoolCache:
-    """A pick's scoring cache: the current session's pool as the columns of
-    one (dim, pool) matrix, in the order of ``SessionState.ids``, the first
-    layer's document projections of the whole pool, and the scoring
-    workspace the picks reuse.
-
-    The projection is gate-major (4H, pool), one column per row of ``ids``,
-    kept with the weights version it was built at. A pick at that version
-    gathers its live columns into the workspace's gate block, where
-    :func:`valuenet.forward_candidates` completes the first layer in place.
-    Any other pick gathers the live columns of the pool matrix and projects
-    them afresh, as training does at every pick, since its weights change
-    at every step; that projection is kept only if it covers the whole
-    pool, because only then can every later state of the session gather
-    from it. So evaluation projects each session's pool once, and the first
-    layer of any state of the session then costs one gather."""
-
-    __slots__ = ("ids", "docs", "version", "proj", "workspace")
-
-    def __init__(self):
-        self.ids = self.docs = self.version = self.proj = None
-        self.workspace = valuenet.ScoringWorkspace()
-
-    def gate_block(self, params: ValueNetParams, state: SessionState) -> np.ndarray:
-        """The live candidates' document projections, (4H, len(state.live))."""
-        live, ws, rows = state.live, self.workspace, 4 * params.lstm[0].H
-        if state.ids is not self.ids:  # a new session: drop the last one's pool first
-            self.ids = self.docs = self.version = self.proj = None
-            self.docs = np.stack([state.vectors[d] for d in state.ids], axis=1)
-            self.ids = state.ids
-        elif self.version == params.version:
-            return np.take(self.proj, live, axis=1, out=ws.gates(rows, len(live)), mode="clip")
-        docs = ws.docs(len(self.docs), len(live))
-        np.take(self.docs, live, axis=1, out=docs, mode="clip")  # "raise" would buffer the output
-        self.proj = ws.proj(rows, len(live))
-        valuenet.project_docs(params, docs.T, out=self.proj.T)
-        self.version = params.version if len(live) == len(state.ids) else None
-        return self.proj
-
-
-def score_candidates(params: ValueNetParams, state: SessionState, pool: _PoolCache) -> np.ndarray:
+def score_candidates(params: ValueNetParams, state: SessionState,
+                     pool: valuenet.ScoringWorkspace) -> np.ndarray:
     """Value of appending each candidate to the current ranked list.
 
     Dropout-free scoring; candidates share the ranked prefix, so the
-    final network step runs batched across them, in ``pool``'s workspace.
-    Returns a new array of the scores in the order of ``state.live``, which
-    is ascending doc id.
+    final network step runs batched across them, in ``pool``, which keeps
+    the document side of the session's scoring. Returns a new array of the
+    scores in the order of ``state.live``, which is ascending doc id.
     """
     if not state.live.size:
         raise ValueError("no candidates to score")
     window = params.config.window
     prefix = forward_inputs(state, window - 1) if window > 1 else []
-    gates = pool.gate_block(params, state)
-    return valuenet.forward_candidates(params, prefix, gates.T, state.query,
-                                       workspace=pool.workspace)
+    return valuenet.forward_candidates(
+        params, prefix, pool.doc_proj(params, state.ids, state.vectors, state.live), state.query,
+        workspace=pool)
 
 
 def best_action(scores: np.ndarray) -> int:
@@ -350,7 +311,7 @@ def train_session(
     lr = params.config.learning_rate
     window = params.config.window
     grad = np.empty_like(params.theta)  # every step's gradient, overwritten by backward
-    pool = _PoolCache()
+    pool = valuenet.ScoringWorkspace()
     log: list[EpochStats] = []
     prev_loss: float | None = None
     for epoch in range(1, config.epoch_cap + 1):
@@ -392,7 +353,7 @@ def train_session(
 def greedy_pick(params: ValueNetParams) -> Pick:
     """The learned ranker: the argmax of the network's scores (epsilon 0,
     no random draws), on a pool projected once per session."""
-    pool = _PoolCache()
+    pool = valuenet.ScoringWorkspace()
 
     def pick(state: SessionState) -> SessionState:
         return step_transition(state, best_action(score_candidates(params, state, pool)))

@@ -252,7 +252,6 @@ class ForwardCache:
     layers: list  # one _Run per LSTM layer
     dense: list  # (layer input, relu mask, dropout mask or None) per hidden layer
     head_in: np.ndarray
-    v_pre: float
     value: float
 
 
@@ -380,9 +379,8 @@ def forward(params: ValueNetParams, inputs: Sequence, rng=None):
         z = zr
     out = params.dense[-1]
     v = out.W @ z + out.b
-    v_pre = float(v[0])
-    value = float(_sigmoid_(v)[0]) if cfg.output == "sigmoid" else v_pre
-    cache = ForwardCache(params, params.version, X, runs, dense_cache, z, v_pre, value)
+    value = float(_sigmoid_(v)[0] if cfg.output == "sigmoid" else v[0])
+    cache = ForwardCache(params, params.version, X, runs, dense_cache, z, value)
     return value, cache
 
 
@@ -489,45 +487,35 @@ def apply_update(params: ValueNetParams, grad: np.ndarray, learning_rate: float)
     return params
 
 
-def project_docs(params: ValueNetParams, docs, out: np.ndarray) -> np.ndarray:
-    """Document half of the first layer's gate pre-activation, one row per
-    document: ``(s * D) @ W_d.T``, where ``W_d`` holds the first ``docs``-width
-    columns of the first layer's input matrix and ``s`` is ``input_scale``.
-
-    Computed gate-major, as ``W_d @ (s * D).T``, into ``out``: the transpose
-    of a C-contiguous (4H, N) block such as a :class:`ScoringWorkspace`
-    projection block, the layout :func:`forward_candidates` works in.
-    ``docs`` is the caller's scratch: it is scaled by ``s`` in place, so
-    nothing document-sized is allocated, and given as the transpose of a
-    C-contiguous (dim, N) array it keeps the matmul free of copies.
-    Returns ``out``.
-    """
-    D = np.atleast_2d(np.asarray(docs, dtype=np.float64))
-    width = D.shape[1]
-    if width > params.config.input_dim:
-        raise ValueError(f"document rows have dim {width}, input_dim is {params.config.input_dim}")
-    scaled = D.T
-    scaled *= params.config.input_scale
-    np.matmul(params.lstm[0].W[:, :width], scaled, out=out.T)
-    return out
+def project_docs(params: ValueNetParams, docs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Document half of the first layer's gate pre-activation, gate-major:
+    ``W_d @ docs`` into ``out`` (4H, N), where ``docs`` holds N documents'
+    columns (dim, N), already multiplied by ``input_scale``, and ``W_d``
+    the first ``dim`` columns of the first layer's input matrix. Returns
+    ``out``."""
+    if len(docs) > params.config.input_dim:
+        raise ValueError(f"document rows have dim {len(docs)}, input_dim is {params.config.input_dim}")
+    return np.matmul(params.lstm[0].W[:, : len(docs)], docs, out=out)
 
 
 class ScoringWorkspace:
-    """Grow-only scratch buffers for :func:`forward_candidates`: the gate
-    block, one hidden-state block that every layer writes in turn, plus a
-    document block and a projection block for :func:`project_docs` to
-    project from and into, each handed out as a C-contiguous (rows, N)
-    view of a flat array that only ever grows.
+    """The document side of batched scoring, for one session at a time,
+    and the scratch :func:`forward_candidates` works in.
 
-    One workspace serves a sequence of calls of any shape (such as the
-    picks of one session), so batched scoring allocates nothing
-    candidate-sized after the first call. Not for concurrent use.
+    It keeps the session's pool (``ids`` and their vectors) as the columns
+    of one (dim, pool) matrix, multiplied by ``input_scale`` once, and the
+    first layer's projection of the whole pool with the weights version it
+    was made at. Its scratch blocks (gates, hidden states and gathered
+    documents) are C-contiguous (rows, N) views of flat arrays that only
+    ever grow, so picks allocate nothing candidate-sized once the first
+    pick of the largest pool has run. Not for concurrent use.
     """
 
-    __slots__ = ("_flat",)
+    __slots__ = ("ids", "scale", "pool", "version", "proj", "_flat")
 
     def __init__(self):
-        self._flat = [np.empty(0) for _ in range(4)]  # gates, h, docs, proj
+        self.ids = self.scale = self.pool = self.version = self.proj = None
+        self._flat = [np.empty(0) for _ in range(3)]  # gates, h, docs
 
     def _block(self, slot: int, rows: int, n: int) -> np.ndarray:
         size = rows * n
@@ -535,23 +523,33 @@ class ScoringWorkspace:
             self._flat[slot] = np.empty(size)
         return self._flat[slot][:size].reshape(rows, n)
 
-    def gates(self, rows: int, n: int) -> np.ndarray:
-        """The (rows, n) gate block, where :func:`forward_candidates` writes
-        each layer's pre-activation and, in its spent forget rows, the cell
-        state. A caller may gather the first layer's document projections
-        into it and pass its transpose as ``doc_proj``; the first layer then
-        adds the shared vector in place."""
-        return self._block(0, rows, n)
+    def doc_proj(self, params: ValueNetParams, ids: tuple, vectors, live: np.ndarray) -> np.ndarray:
+        """The document projections of ``ids[live]``, one row each, as the
+        transpose of a C-contiguous (4H, len(live)) block.
 
-    def proj(self, rows: int, n: int) -> np.ndarray:
-        """The (rows, n) projection block: the first layer's document
-        projections, whose transpose a caller passes as ``doc_proj``."""
-        return self._block(3, rows, n)
-
-    def docs(self, dim: int, n: int) -> np.ndarray:
-        """The (dim, n) document block: candidates' document columns, which
-        :func:`project_docs` (given its transpose) scales in place."""
-        return self._block(2, dim, n)
+        At the version of the kept projection, its live columns are gathered
+        into the gate block, where :func:`forward_candidates` completes the
+        first layer in place. Otherwise the whole pool is projected and
+        kept, so every later state of the session at that version gathers
+        from it, or any other pick's documents are gathered and projected
+        straight into the gate block, as at every training step.
+        """
+        scale = params.config.input_scale
+        if ids is not self.ids or scale != self.scale:  # a new pool: drop the last one first
+            self.ids = self.pool = self.version = self.proj = None
+            pool = np.stack([vectors[d] for d in ids], axis=1)
+            pool *= scale
+            self.ids, self.scale, self.pool = ids, scale, pool
+        gates = self._block(0, 4 * params.lstm[0].H, len(live))
+        if self.version == params.version:
+            return np.take(self.proj, live, axis=1, out=gates, mode="clip").T
+        if len(live) == len(ids):
+            self.proj = project_docs(params, self.pool, np.empty((len(gates), len(ids))))
+            self.version = params.version
+            return self.proj.T
+        docs = self._block(2, len(self.pool), len(live))
+        np.take(self.pool, live, axis=1, out=docs, mode="clip")  # "raise" would buffer the output
+        return project_docs(params, docs, gates).T
 
 
 def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj, query, *,
@@ -559,21 +557,22 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     """Dropout-free values for many candidates sharing one ranked prefix.
 
     Candidate ``n``'s input unit is ``doc_n ‖ query``; ``doc_proj[n]`` is
-    its :func:`project_docs` row and ``query`` the shared query half (empty
-    in feature mode, where the document row is the whole unit). Equivalent
-    to calling :func:`forward` (without dropout) once per candidate with
-    inputs ``prefix + [doc_n ‖ query]``: the prefix is unrolled once, the
-    query half of the first layer is computed once and the final step runs
-    batched, gate-major on (4H, N) blocks. The prefix unroll is memoised on
-    ``params``, under its version, for the train forward of the chosen
-    candidate.
+    its document projection (column ``n`` of :func:`project_docs`) and
+    ``query`` the shared query half (empty in feature mode, where the
+    document row is the whole unit). Equivalent to calling :func:`forward`
+    (without dropout) once per candidate with inputs ``prefix + [doc_n ‖
+    query]``: the prefix is unrolled once, the query half of the first
+    layer is computed once and the final step runs batched, gate-major on
+    (4H, N) blocks. The prefix unroll is memoised on ``params``, under its
+    version, for the train forward of the chosen candidate.
 
     The final step's intermediates live in ``workspace`` (a fresh one when
     None). The first layer's pre-activation is ``doc_proj`` plus the shared
     vector, written to the workspace's gate block; when ``doc_proj`` is the
-    transpose of that block, the shared vector is added in place. A layer's
-    cell state overwrites its spent forget rows, its hidden state the
-    previous layer's. The returned values are a new array.
+    transpose of that block, as :meth:`ScoringWorkspace.doc_proj` may hand
+    it out, the shared vector is added in place. A layer's cell state
+    overwrites its spent forget rows, its hidden state the previous
+    layer's. The returned values are a new array.
     """
     cfg = params.config
     prefix = list(prefix_inputs)[-(cfg.window - 1) :] if cfg.window > 1 else []
@@ -590,7 +589,7 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     d = cfg.input_dim - query.size
     shared = first.W[:, d:] @ (cfg.input_scale * query) + first.U @ runs[0].h[-1] + first.b
     for j, (ly, run) in enumerate(zip(params.lstm, runs)):
-        pre = ws.gates(4 * ly.H, n)
+        pre = ws._block(0, 4 * ly.H, n)
         if j:
             np.matmul(ly.W, below, out=pre)
             pre += (ly.U @ run.h[-1] + ly.b)[:, None]

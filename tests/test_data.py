@@ -218,7 +218,8 @@ def _unit(v):
 def reference_gen_synthetic(num_topics, docs_per_topic, subtopics_per_topic, dim, seed,
                             decoy_clusters=False, frac_high=0.2, frac_mid=0.2) -> Dataset:
     """The slow reference for ``gen_synthetic``: the same corpus built one
-    document and one judgment at a time, each document its own array."""
+    document and one judgment at a time, each document its own array.
+    Returns the corpus and each topic's subtopic centroids."""
     rng = np.random.default_rng(seed)
     judgments = JudgmentSet()
     query_vectors, docs, all_centroids = {}, {}, {}
@@ -268,8 +269,9 @@ def reference_gen_synthetic(num_topics, docs_per_topic, subtopics_per_topic, dim
                     judgments.add(topic, sid, doc_id, 1.0)
         query_vectors[topic] = np.mean(np.stack(centroids), axis=0)
         all_centroids[topic] = dict(zip(subtopic_ids, centroids))
-    return Dataset(kind="embedded", topics=dict.fromkeys(docs), query_vectors=query_vectors,
-                   judgments=judgments, docs=docs, dim=dim, extras={"centroids": all_centroids})
+    dataset = Dataset(kind="embedded", topics=dict.fromkeys(docs), query_vectors=query_vectors,
+                      judgments=judgments, docs=docs, dim=dim)
+    return dataset, all_centroids
 
 
 def ordered_grades(judgments: JudgmentSet) -> list[tuple[str, str, str, float]]:
@@ -279,8 +281,8 @@ def ordered_grades(judgments: JudgmentSet) -> list[tuple[str, str, str, float]]:
 
 
 def assert_same_corpus(got: Dataset, want: Dataset) -> None:
-    """Same documents in the same order with the same bytes, same queries,
-    centroids and grades, grades in the same order."""
+    """Same documents in the same order with the same bytes, same queries
+    and grades, grades in the same order."""
     assert list(got.topics) == list(want.topics)
     for topic, pool in want.docs.items():
         assert list(got.docs[topic]) == list(pool)
@@ -288,8 +290,6 @@ def assert_same_corpus(got: Dataset, want: Dataset) -> None:
             assert got.docs[topic][doc].dtype == vec.dtype and got.docs[topic][doc].shape == vec.shape
             assert got.docs[topic][doc].tobytes() == vec.tobytes(), (topic, doc)
         assert got.query_vectors[topic].tobytes() == want.query_vectors[topic].tobytes()
-        for sid, centroid in want.extras["centroids"][topic].items():
-            assert got.extras["centroids"][topic][sid].tobytes() == centroid.tobytes()
     assert ordered_grades(got.judgments) == ordered_grades(want.judgments)
 
 
@@ -316,7 +316,7 @@ class TestGenSynthetic:
         *sizes, decoys, frac_high, frac_mid = shape
         kw = dict(decoy_clusters=decoys, frac_high=frac_high, frac_mid=frac_mid)
         assert_same_corpus(gen_synthetic(*sizes, seed, **kw),
-                           reference_gen_synthetic(*sizes, seed, **kw))
+                           reference_gen_synthetic(*sizes, seed, **kw)[0])
 
     @settings(max_examples=40, deadline=None)
     @given(num_topics=st.integers(1, 3), docs_per_topic=st.integers(1, 60),
@@ -327,7 +327,7 @@ class TestGenSynthetic:
                                                 seed, decoys, fracs):
         kw = dict(decoy_clusters=decoys, frac_high=fracs[0], frac_mid=fracs[1])
         args = (num_topics, docs_per_topic, subtopics, dim, seed)
-        assert_same_corpus(gen_synthetic(*args, **kw), reference_gen_synthetic(*args, **kw))
+        assert_same_corpus(gen_synthetic(*args, **kw), reference_gen_synthetic(*args, **kw)[0])
 
     def test_documents_are_read_only_rows_of_one_block(self):
         ds = gen_synthetic(2, 10, 2, 8, seed=0, decoy_clusters=True)
@@ -364,7 +364,7 @@ class TestGenSynthetic:
 
     def test_grades_match_recomputed_cosines(self):
         ds = gen_synthetic(3, 25, 3, 24, seed=3)
-        centroids = ds.extras["centroids"]
+        centroids = reference_gen_synthetic(3, 25, 3, 24, seed=3)[1]
         for topic in ds.topic_ids():
             for doc, vec in ds.docs[topic].items():
                 for sid, centroid in centroids[topic].items():
@@ -379,8 +379,9 @@ class TestGenSynthetic:
 
     def test_queries_are_centroid_means(self):
         ds = gen_synthetic(2, 10, 3, 16, seed=5)
+        centroids = reference_gen_synthetic(2, 10, 3, 16, seed=5)[1]
         for topic in ds.topic_ids():
-            cents = np.stack(list(ds.extras["centroids"][topic].values()))
+            cents = np.stack(list(centroids[topic].values()))
             np.testing.assert_allclose(ds.query_vectors[topic], cents.mean(axis=0), atol=1e-15)
 
     def test_every_topic_has_positive_docs(self):
@@ -390,6 +391,12 @@ class TestGenSynthetic:
     def test_rejects_nonpositive_args(self):
         with pytest.raises(ValueError):
             gen_synthetic(0, 10, 1, 8, seed=0)
+
+    def test_rejects_one_dimension(self):
+        """A 1-D relevant document has no direction orthogonal to its anchor
+        for its noise: its vector would be NaN."""
+        with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
+            gen_synthetic(4, 20, 2, 1, seed=0)
 
 
 class TestSplitFolds:

@@ -594,6 +594,8 @@ class TestCli:
         ("--iterations", "0", "iterations must be >= 1, got 0"),
         ("--docs-per-iter", "0", "docs_per_iteration must be >= 1, got 0"),
         ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--c", "nan", "rocchio.c must be finite, got nan"),
+        ("--b", "inf", "rocchio.b must be finite, got inf"),
     ])
     def test_out_of_range_override_exits_2(self, tmp_path, monkeypatch, capsys, flag, value, message):
         monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("bad override ran"))
@@ -634,12 +636,19 @@ class TestCli:
         ('{"metric": {"report": []}}', "metric.report must name at least one metric"),
         ('{"policy": {"seed": 0}}', "unknown config key policy.seed"),
         ('{"seed": -1}', "seed must be >= 0, got -1"),
+        ('{"dataset": {"dim": 1}}', "dataset.dim must be >= 2 for a synthetic corpus, got 1"),
+        ('{"metric": {"bq": NaN, "report": ["nsdcg"]}}', "metric.bq must be finite, got nan"),
+        ('{"net": {"learning_rate": NaN}}', "net.learning_rate must be finite, got nan"),
+        ('{"rocchio": {"b": Infinity}}', "rocchio.b must be finite, got inf"),
+        ('{"net": {"input_scale": Infinity}}', "net.input_scale must be finite, got inf"),
+        ('{"dataset": {"frac_high": NaN}}', "dataset.frac_high must be finite, got nan"),
     ], ids=["int", "null", "num_topics", "docs_per_topic", "subtopics", "dim", "frac_sum",
             "frac_negative", "decay_period", "trec_dd_dim", "type_num_topics", "type_folds",
             "type_bool", "type_null", "type_hidden_dims", "type_dropout", "unknown_nested_key",
             "type_report", "type_report_item", "type_section", "cutoff_text", "cutoff_0",
             "cutoff_empty", "cutoff_negative", "cutoff_nsdcg", "report_empty", "policy_seed",
-            "seed_negative"])
+            "seed_negative", "synthetic_dim_1", "nan_bq", "nan_learning_rate", "inf_rocchio_b",
+            "inf_input_scale", "nan_frac_high"])
     def test_bad_config_file_exits_2(self, tmp_path, monkeypatch, capsys, text, message):
         monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("bad config ran"))
         cfg_path = tmp_path / "c.json"

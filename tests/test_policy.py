@@ -13,7 +13,6 @@ from dynrank.metrics import MetricSpec, alpha_dcg_at_k, dcg_at_k, target_value
 from dynrank.policy import (
     PolicyConfig,
     SessionState,
-    _PoolCache,
     best_action,
     epsilon_schedule,
     evaluate_session,
@@ -38,7 +37,6 @@ from dynrank.valuenet import (
     forward_candidates,
     init_glorot,
     param_count,
-    project_docs,
 )
 
 NET = NetConfig(layers=2, input_dim=8, hidden_dims=(5, 5), dense_dims=(4,),
@@ -65,9 +63,9 @@ def session_start(state):
 
 
 def score_map(params, state, pool=None):
-    """``score_candidates`` as a doc id -> score map, from a fresh pool
+    """``score_candidates`` as a doc id -> score map, from a fresh workspace
     unless ``pool`` is given."""
-    values = score_candidates(params, state, pool or _PoolCache())
+    values = score_candidates(params, state, pool or ScoringWorkspace())
     assert values.shape == (len(state.live),)
     return dict(zip(state.candidates(), values.tolist()))
 
@@ -123,7 +121,7 @@ class TestScoreCandidates:
         state = SessionState(topic_id=state.topic_id, query=state.query,
                              vectors=state.vectors, ids=state.ids)
         with pytest.raises(ValueError):
-            score_candidates(init_glorot(NET, 0), state, _PoolCache())
+            score_candidates(init_glorot(NET, 0), state, ScoringWorkspace())
 
 
 @st.composite
@@ -172,10 +170,10 @@ class TestScoringFastPath:
     @settings(max_examples=150, deadline=None)
     def test_matches_per_candidate_forward(self, case):
         params, state, keep = case
-        # one pool: a fresh projection of the session's start, which it keeps,
-        # then gathers from it for the state, a subset of its candidates and
-        # the state a pick leads to
-        pool = _PoolCache()
+        # one workspace: a fresh projection of the session's start, which it
+        # keeps, then gathers from it for the state, a subset of its
+        # candidates and the state a pick leads to
+        pool = ScoringWorkspace()
         for current in (session_start(state), state):
             for _ in range(2):
                 scores = score_map(params, current, pool)
@@ -209,13 +207,13 @@ class TestInPlaceUpdateScoring:
     @settings(max_examples=80, deadline=None)
     def test_scores_and_train_forward_follow_in_place_update(self, case, seed):
         params, state, _ = case
-        pool = _PoolCache()
+        pool = ScoringWorkspace()
         score_candidates(params, state, pool)  # keeps the projection at this version
         grad = np.random.default_rng(seed).standard_normal(params.n_params)
         apply_update(params, grad, 0.1)
         fresh = params.copy()
         after = score_candidates(params, state, pool)
-        want = score_candidates(fresh, state, _PoolCache())
+        want = score_candidates(fresh, state, ScoringWorkspace())
         assert after.tobytes() == want.tobytes()
         nxt = step_transition(state, best_action(after))
         inputs = forward_inputs(nxt, params.config.window)
@@ -226,18 +224,115 @@ class TestInPlaceUpdateScoring:
     def test_direct_projection_matches_cached_gather(self, case):
         params, state, keep = case
         sub = with_candidates(state, keep)
-        pool = _PoolCache()
-        kept = pool.gate_block(params, session_start(state))
-        assert pool.proj is kept and pool.version == params.version  # the whole pool: kept
-        cached = pool.gate_block(params, sub)  # gathered into the gate block
-        assert cached is not kept and pool.ids is state.ids  # the same session's pool
+        pool = ScoringWorkspace()
+        kept = gate_block(pool, params, session_start(state))
+        assert np.shares_memory(kept, pool.proj) and pool.version == params.version  # the whole pool: kept
+        cached = gate_block(pool, params, sub)  # gathered into the gate block
+        assert not np.shares_memory(cached, kept) and pool.ids is state.ids  # the same session's pool
         assert cached.tobytes() == kept[:, sub.live].tobytes()
-        direct = _PoolCache().gate_block(params, sub)  # its live columns projected
+        direct = gate_block(ScoringWorkspace(), params, sub)  # its live columns projected
         np.testing.assert_allclose(direct, cached, rtol=0, atol=1e-12)
         apply_update(params, np.ones(params.n_params), 0.1)
-        again = pool.gate_block(params, sub)  # new weights: projected again
-        fresh = _PoolCache().gate_block(params, sub)
+        again = gate_block(pool, params, sub)  # new weights: projected again
+        fresh = gate_block(ScoringWorkspace(), params, sub)
         assert again.tobytes() == fresh.tobytes()
+
+
+def gate_block(pool, params, state):
+    """``pool``'s document projections of the live candidates, gate-major
+    (4H, len(state.live))."""
+    return pool.doc_proj(params, state.ids, state.vectors, state.live).T
+
+
+def reference_project_docs(params, docs, out):
+    """The projection scoring used before the workspace kept a scaled pool:
+    ``docs``, the transpose of the caller's (dim, N) scratch, is scaled by
+    ``input_scale`` in place and projected gate-major into ``out.T``."""
+    D = np.atleast_2d(np.asarray(docs, dtype=np.float64))
+    scaled = D.T
+    scaled *= params.config.input_scale
+    np.matmul(params.lstm[0].W[:, : D.shape[1]], scaled, out=out.T)
+    return out
+
+
+class ReferencePoolCache:
+    """The pool cache scoring used before ``ScoringWorkspace.doc_proj``, with
+    grow-only buffers of its own: the session's unscaled pool matrix and the
+    projection with the weights version it was made at, kept only when it
+    covers the whole pool. At that version a pick gathers its live columns;
+    any other pick gathers its documents and projects them afresh."""
+
+    def __init__(self):
+        self.ids = self.docs = self.version = self.proj = None
+        self.flat = [np.empty(0) for _ in range(3)]  # gates, docs, proj
+
+    def block(self, slot, rows, n):
+        if self.flat[slot].size < rows * n:
+            self.flat[slot] = np.empty(rows * n)
+        return self.flat[slot][: rows * n].reshape(rows, n)
+
+    def gate_block(self, params, state):
+        """The live candidates' document projections, (4H, len(state.live))."""
+        live, rows = state.live, 4 * params.lstm[0].H
+        if state.ids is not self.ids:  # a new session: drop the last one's pool first
+            self.ids = self.docs = self.version = self.proj = None
+            self.docs = np.stack([state.vectors[d] for d in state.ids], axis=1)
+            self.ids = state.ids
+        elif self.version == params.version:
+            return np.take(self.proj, live, axis=1, out=self.block(0, rows, len(live)), mode="clip")
+        docs = self.block(1, len(self.docs), len(live))
+        np.take(self.docs, live, axis=1, out=docs, mode="clip")
+        self.proj = self.block(2, rows, len(live))
+        reference_project_docs(params, docs.T, out=self.proj.T)
+        self.version = params.version if len(live) == len(state.ids) else None
+        return self.proj
+
+
+@st.composite
+def doc_proj_sequences(draw):
+    """A random net and session, then a sequence of (operation, seed):
+    rank a candidate, go back to an earlier state of the session, keep a
+    subset of the candidates, update the weights in place, or start a new
+    session on the same pool or on another."""
+    params, state, _ = draw(scoring_cases())
+    ops = st.sampled_from(("step", "back", "subset", "update", "session"))
+    return params, state, draw(st.lists(st.tuples(ops, st.integers(0, 2**32 - 1)), max_size=30))
+
+
+@given(doc_proj_sequences())
+@settings(max_examples=150, deadline=None)
+def test_doc_proj_matches_pool_cache_reference(case):
+    """Every state of every session gets the reference's bits from one
+    workspace, as the transpose of a C-contiguous block, and every pick but
+    one that makes the kept projection gets them in the gate block."""
+    params, state, ops = case
+    ws, ref = ScoringWorkspace(), ReferencePoolCache()
+    seen = [state]
+    dim = len(state.vectors[state.ids[0]])
+    for op, seed in [("score", 0)] + ops:
+        rng = np.random.default_rng(seed)
+        if op == "step" and len(state.live) > 1:
+            state = step_transition(state, int(rng.integers(len(state.live))))
+            seen.append(state)
+        elif op == "back":
+            state = seen[int(rng.integers(len(seen)))]
+        elif op == "subset":
+            live = state.live[rng.random(len(state.live)) < 0.5]
+            state = dataclasses.replace(state, live=live if live.size else state.live[:1])
+        elif op == "update":
+            apply_update(params, rng.standard_normal(params.n_params), 0.1)
+        elif op == "session":
+            vectors = state.vectors if rng.random() < 0.5 else {
+                f"e{i:02d}": rng.standard_normal(dim) for i in range(int(rng.integers(1, 10)))}
+            state = SessionState(topic_id="t", query=state.query, vectors=vectors,
+                                 ids=tuple(sorted(vectors)), live=range(len(vectors)))
+            seen = [state]
+        got = ws.doc_proj(params, state.ids, state.vectors, state.live).T
+        assert got.flags.c_contiguous and got.shape == (4 * params.lstm[0].H, len(state.live))
+        assert got.tobytes() == ref.gate_block(params, state).tobytes()
+        # in the gate block, where the first layer completes in place, unless
+        # it is the whole-pool projection the workspace keeps
+        assert np.shares_memory(got, ws._flat[0]) is not np.shares_memory(got, ws.proj)
 
 
 def reference_best_action(scores):
@@ -674,7 +769,7 @@ def whole_pool_scores(params, state):
     """``score_candidates`` as a gather from a fresh whole-pool projection."""
     whole = np.empty((4 * params.lstm[0].H, len(state.ids)))
     docs = np.stack([state.vectors[d] for d in state.ids], axis=1)
-    project_docs(params, docs.T, out=whole.T)
+    reference_project_docs(params, docs.T, out=whole.T)
     return forward_candidates(params, forward_inputs(state, params.config.window - 1),
                               whole[:, state.live].T, state.query, workspace=ScoringWorkspace())
 
@@ -687,7 +782,7 @@ def test_gathered_projection_matches_fresh_gather():
     ds = tiny_dataset(docs=30)
     params = init_glorot(NET, 4)
     fb = EmbedRocchioFeedback(RocchioParams())
-    pool = _PoolCache()
+    pool = ScoringWorkspace()
     buffers = set()  # the workspace's flat buffers after each pick
     sizes = []  # candidates scored at each pick
 
@@ -695,7 +790,7 @@ def test_gathered_projection_matches_fresh_gather():
         values = score_candidates(params, state, pool)
         assert pool.version == params.version and pool.proj.shape[1] == len(state.ids)
         assert values.tobytes() == whole_pool_scores(params, state).tobytes()
-        buffers.add(tuple(id(buf) for buf in pool.workspace._flat))
+        buffers.add(tuple(id(buf) for buf in pool._flat))
         sizes.append(len(state.live))
         return step_transition(state, best_action(values))
 
@@ -720,10 +815,23 @@ def test_states_out_of_order_gather_from_the_kept_projection(monkeypatch):
     siblings = [step_transition(line[2], pos) for pos in (1, 5)]
     want = {id(state): whole_pool_scores(params, state) for state in line + siblings}
     calls = count_projections(monkeypatch)
-    pool = _PoolCache()
+    pool = ScoringWorkspace()
     for state in (start, line[4], line[1], siblings[0], line[3], siblings[1], line[2], start):
         assert score_candidates(params, state, pool).tobytes() == want[id(state)].tobytes()
     assert len(calls) == 1
+
+
+def test_pool_follows_the_input_scale():
+    """One workspace scoring one session with nets of two input scales
+    scales the pool for each: every pick gets the bits of a gather from a
+    fresh whole-pool projection."""
+    start = new_session(tiny_dataset(), "t000")
+    later = step_transition(start, 2)
+    nets = [init_glorot(dataclasses.replace(NET, input_scale=s), 0) for s in (1.0, 3.0)]
+    pool = ScoringWorkspace()
+    for params in nets * 2:
+        for state in (start, later):
+            assert score_candidates(params, state, pool).tobytes() == whole_pool_scores(params, state).tobytes()
 
 
 def test_partial_projection_is_not_kept(monkeypatch):
@@ -735,7 +843,7 @@ def test_partial_projection_is_not_kept(monkeypatch):
     later = step_transition(step_transition(start, 4), 0)
     want = whole_pool_scores(params, start)
     calls = count_projections(monkeypatch)
-    pool = _PoolCache()
+    pool = ScoringWorkspace()
     partial = score_candidates(params, later, pool)
     assert pool.version is None
     assert score_candidates(params, start, pool).tobytes() == want.tobytes()
@@ -760,7 +868,7 @@ def test_greedy_pick_ranks_sessions_in_a_row(monkeypatch):
         values = real(p, state, pool)
         assert values.tobytes() == whole_pool_scores(p, state).tobytes()
         assert pool.ids is state.ids
-        seen.append((state.topic_id, pool, list(pool.workspace._flat)))
+        seen.append((state.topic_id, pool, list(pool._flat)))
         return values
 
     monkeypatch.setattr(policy, "score_candidates", checked)

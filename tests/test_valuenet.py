@@ -33,11 +33,11 @@ def tiny_params(seed=42) -> ValueNetParams:
 
 
 def projected(params, docs):
-    """:func:`project_docs` rows of a copy of ``docs``, which it would scale
-    in place."""
-    docs = np.array(docs, dtype=np.float64, ndmin=2)
-    out = np.empty((4 * params.lstm[0].H, len(docs)))
-    return project_docs(params, docs, out=out.T)
+    """The document projections of ``docs`` (one document per row), one
+    row each: :func:`project_docs` of their columns times ``input_scale``."""
+    scaled = np.array(docs, dtype=np.float64, ndmin=2).T * params.config.input_scale
+    out = np.empty((4 * params.lstm[0].H, scaled.shape[1]))
+    return project_docs(params, np.ascontiguousarray(scaled), out).T
 
 
 def closed_form_count(cfg: NetConfig) -> int:
@@ -631,7 +631,8 @@ def scoring_sequences(draw):
     """A random net (1-3 layers of unequal widths, either head), two sets of
     its weights, an embedding- or feature-mode query, a pool of documents
     and a sequence of scoring calls: (weights index, prefix, candidate rows),
-    whose candidate count shrinks and grows past every earlier count."""
+    whose candidate count shrinks and grows past every earlier count, then
+    covers the whole pool, whose projection a workspace keeps, and one row."""
     layers = draw(st.integers(1, 3))
     feature_mode = draw(st.booleans())
     doc_dim = draw(st.integers(1, 4))
@@ -653,7 +654,7 @@ def scoring_sequences(draw):
     pool = rng.standard_normal((14, doc_dim))
     counts = draw(st.lists(st.integers(1, 12), min_size=2, max_size=5))
     calls = []
-    for n in counts + [max(counts) + 1, 1]:
+    for n in counts + [max(counts) + 1, len(pool), 1]:
         rows = np.sort(rng.choice(len(pool), n, replace=False))
         prefix = [np.concatenate([rng.standard_normal(doc_dim), query])
                   for _ in range(draw(st.integers(0, net.window + 1)))]
@@ -661,12 +662,19 @@ def scoring_sequences(draw):
     return params, query, pool, calls
 
 
-def _score_in_workspace(params, prefix, proj, rows, query, ws):
-    """Score with the candidates' columns of the gate-major projection in
-    the workspace's gate block, so the first layer runs in place there."""
-    gates = ws.gates(len(proj), len(rows))
-    np.take(proj, rows, axis=1, out=gates, mode="clip")
-    return forward_candidates(params, prefix, gates.T, query, workspace=ws)
+def _score_in_workspace(params, prefix, ids, vectors, rows, query, ws):
+    """Score the pool rows ``rows`` with the workspace's document
+    projections, so the first layer runs in place in its gate block
+    whenever it hands them out there. Returns the values and a copy of the
+    projections they were scored from."""
+    doc_proj = ws.doc_proj(params, ids, vectors, rows)
+    rows_proj = doc_proj.copy()
+    return forward_candidates(params, prefix, doc_proj, query, workspace=ws), rows_proj
+
+
+def _pool_ids(pool):
+    ids = tuple(f"d{i:02d}" for i in range(len(pool)))
+    return ids, dict(zip(ids, pool))
 
 
 class TestScoringWorkspace:
@@ -675,11 +683,11 @@ class TestScoringWorkspace:
     def test_shared_workspace_matches_fresh_buffers(self, case):
         params, query, pool, calls = case
         ws = valuenet.ScoringWorkspace()
+        ids, vectors = _pool_ids(pool)
         for which, prefix, rows in calls:
             p = params[which]
-            proj = projected(p, pool).T
-            shared = _score_in_workspace(p, prefix, proj, rows, query, ws)
-            fresh = forward_candidates(p, prefix, proj.T[rows], query)
+            shared, rows_proj = _score_in_workspace(p, prefix, ids, vectors, rows, query, ws)
+            fresh = forward_candidates(p, prefix, rows_proj, query)
             assert shared.tobytes() == fresh.tobytes()
             assert not any(np.shares_memory(shared, buf) for buf in ws._flat)
             units = [np.concatenate([pool[r], query]) for r in rows]
@@ -691,14 +699,15 @@ class TestScoringWorkspace:
     def test_nothing_leaks_between_calls(self, case):
         params, query, pool, calls = case
         ws = valuenet.ScoringWorkspace()
+        ids, vectors = _pool_ids(pool)
         for which, prefix, rows in calls:
             p = params[which]
-            proj = projected(p, pool).T
             for buf in ws._flat:
                 buf.fill(np.nan)
-            values = _score_in_workspace(p, prefix, proj, rows, query, ws)
+            values, rows_proj = _score_in_workspace(p, prefix, ids, vectors, rows, query, ws)
             assert np.isfinite(values).all()
-            assert values.tobytes() == forward_candidates(p, prefix, proj.T[rows], query).tobytes()
+            assert values.tobytes() == forward_candidates(p, prefix, rows_proj, query).tobytes()
+            np.testing.assert_allclose(rows_proj, projected(p, pool)[rows], rtol=0, atol=1e-12)
 
 
 class TestInPlaceStep:
