@@ -250,17 +250,11 @@ def report_to_dict(report: RunReport) -> dict:
     return {"schema": _SCHEMA, **{k: getattr(report, k) for k in fields}}
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 # report tables written as CSV: table name -> (file name, header)
@@ -301,6 +295,11 @@ def _ckpt_path(out: Path, fold: int) -> Path:
     return out / "checkpoints" / f"fold{fold}.ckpt"
 
 
+def _split_path(out: Path) -> Path:
+    """The split record: each fold's test topics as ``train`` split them."""
+    return out / "checkpoints" / "split.json"
+
+
 def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     """Train one network per fold; writes checkpoints and training logs."""
     if dataset is None:
@@ -311,6 +310,7 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     report = RunReport(command="train", config=valuenet.config_to_dict(config))
     fb, report.notes = make_feedback(config, dataset)
     folds = split_folds(dataset, config.folds, config.seed)
+    _split_path(out).unlink(missing_ok=True)  # written again once every fold is trained
     for i, (train_topics, test_topics) in enumerate(folds):
         params = init_glorot(config.net, _fold_rng(config.seed, i, 1))
         try:
@@ -339,6 +339,8 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
             "first_loss": float(log[0].mean_loss),
             "final_loss": float(log[-1].mean_loss),
         })
+    with atomic_open(_split_path(out)) as fh:
+        fh.write(json.dumps({"test_topics": [list(test) for _, test in folds]}, sort_keys=True) + "\n")
     return report
 
 
@@ -370,6 +372,16 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
     report = RunReport(command="evaluate", config=valuenet.config_to_dict(config))
     fb, report.notes = make_feedback(config, dataset)
     folds = split_folds(dataset, config.folds, config.seed)
+    record = _split_path(out)
+    if record.exists():  # checkpoints without a record are evaluated as they are
+        try:
+            trained = json.loads(record.read_text(encoding="utf-8"))["test_topics"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{record}: {exc}") from None
+        for i, (was, now) in enumerate(itertools.zip_longest(trained, [list(t) for _, t in folds])):
+            if was != now:  # another --folds or --seed: a fold would test on its training topics
+                raise ConfigError(f"{record}: fold {i} was trained with test topics {was}, but this run "
+                                  f"tests it on {now}; evaluate with the train run's folds and seed")
     values: dict = {}
     ranked: dict[str, RankedList] = {}
     by_fold = []

@@ -17,7 +17,7 @@ import copy
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,34 +73,27 @@ class SessionState:
     """Search context: current query, ranked list and remaining candidates.
 
     The candidates are rows of ``ids``, the session's pool in ascending id
-    order: ``live`` holds the rows not ranked yet, ascending. Transitions
-    share ``ids`` and never modify a state's arrays, so every state of a
-    session stays valid."""
+    order: ``live`` holds the rows not ranked yet, ascending, and ``ranked``
+    the ids ranked so far. Transitions share ``ids`` and never modify a
+    state's arrays, so every state of a session stays valid."""
 
     topic_id: str
     query: np.ndarray
     vectors: Mapping[str, np.ndarray]
     ids: tuple[str, ...] = ()
     live: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
-    ranked: tuple[tuple[str, np.ndarray], ...] = ()
-    n: int = 1
+    ranked: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"iteration index must be >= 1, got {self.n}")
-        ranked_ids = [d for d, _ in self.ranked]
-        if len(set(ranked_ids)) != len(ranked_ids):
+        if len(set(self.ranked)) != len(self.ranked):
             raise ValueError("duplicate documents in ranked list")
         live = self.live = np.asarray(self.live, dtype=np.intp)
         if live.ndim != 1 or (np.diff(live) <= 0).any():
             raise ValueError("live rows must be one ascending array")
         if live.size and (live[0] < 0 or live[-1] >= len(self.ids)):
             raise ValueError(f"live rows must index the {len(self.ids)} pool ids")
-        if not set(ranked_ids).isdisjoint(self.candidates()):
+        if not set(self.ranked).isdisjoint(self.candidates()):
             raise ValueError("ranked list and candidate set overlap")
-
-    def ranked_ids(self) -> list[str]:
-        return [d for d, _ in self.ranked]
 
     def candidates(self) -> list[str]:
         """The ids of the candidates not ranked yet, ascending."""
@@ -132,17 +125,15 @@ def new_session(dataset: Dataset, topic: str) -> SessionState:
 
 
 def pair_input(doc_vec: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """One network input unit. Feature-mode queries are empty and the
-    document's feature vector is the whole unit."""
-    if query.size == 0:
-        return doc_vec
+    """One network input unit: the document's vector, then the query's.
+    Feature-mode queries are empty, so the unit is the feature vector."""
     return np.concatenate([doc_vec, query])
 
 
 def forward_inputs(state: SessionState, window: int | None = None) -> list[np.ndarray]:
     """Input sequence for the current ranked list, most recent last."""
     ranked = state.ranked if window is None else state.ranked[-window:]
-    return [pair_input(vec, state.query) for _, vec in ranked]
+    return [pair_input(state.vectors[d], state.query) for d in ranked]
 
 
 def score_candidates(params: ValueNetParams, state: SessionState,
@@ -212,7 +203,7 @@ def step_transition(state: SessionState, pos: int) -> SessionState:
     rest = np.empty(live.size - 1, np.intp)
     rest[:pos] = live[:pos]
     rest[pos:] = live[pos + 1:]
-    return _evolve(state, ranked=state.ranked + ((doc, state.vectors[doc]),), live=rest)
+    return _evolve(state, ranked=state.ranked + (doc,), live=rest)
 
 
 def session_transition(state: SessionState, new_query: np.ndarray) -> SessionState:
@@ -220,7 +211,7 @@ def session_transition(state: SessionState, new_query: np.ndarray) -> SessionSta
     new_query = np.asarray(new_query, dtype=np.float64)
     if new_query.shape != state.query.shape:
         raise ValueError(f"query dimension mismatch: {new_query.shape} vs {state.query.shape}")
-    return _evolve(state, query=new_query, n=state.n + 1)
+    return _evolve(state, query=new_query)
 
 
 FeedbackFn = Callable[[SessionState, FeedbackRecord], np.ndarray]
@@ -233,15 +224,15 @@ def run_session(
     feedback_fn: FeedbackFn | None,
     config: PolicyConfig,
     pick: Pick,
-) -> Iterator[tuple[int, SessionState, list[int]]]:
-    """One search session: the episode training and evaluation share.
+) -> RankedList:
+    """One search session, the episode training and evaluation share;
+    returns the topic's ranked list, one block per iteration that ranked a
+    document.
 
     Each iteration asks ``pick`` (state -> state with one more document) for
-    up to ``docs_per_iteration`` documents, fewer once the pool runs out, and
-    yields ``(iteration, state, boundaries)``, the last being the session's
-    live list of block ends. Between iterations the simulator judges the
-    block and ``feedback_fn`` rewrites the query; no block or no reformulator
-    keeps it.
+    up to ``docs_per_iteration`` documents, fewer once the pool runs out.
+    Between iterations the simulator judges the block and ``feedback_fn``
+    rewrites the query; no block or no reformulator keeps it.
     """
     state = new_session(dataset, topic)
     boundaries: list[int] = []
@@ -251,15 +242,15 @@ def run_session(
             if not state.live.size:
                 break
             state = pick(state)
-        block = [d for d, _ in state.ranked[start:]]
+        block = state.ranked[start:]
         if block:
             boundaries.append(len(state.ranked))
-        yield it, state, boundaries
         if it < config.iterations:
             query = state.query
             if block and feedback_fn is not None:
-                query = feedback_fn(state, simulate_feedback(dataset.judgments, topic, block, state.n))
+                query = feedback_fn(state, simulate_feedback(dataset.judgments, topic, block, it))
             state = session_transition(state, query)
+    return RankedList(topic, list(state.ranked), boundaries)
 
 
 def _check_topics(dataset: Dataset, topics: Sequence[str] | None, purpose: str) -> list[str]:
@@ -325,7 +316,7 @@ def train_session(
             except FloatingPointError as exc:
                 raise _diverged(epoch, exc) from None
             state = step_transition(state, pos)
-            target = target_value(dataset.judgments, state.topic_id, state.ranked_ids(), metric)
+            target = target_value(dataset.judgments, state.topic_id, state.ranked, metric)
             value, cache = valuenet.forward(params, forward_inputs(state, window), rng=rng)
             err = value - target
             loss = err * err  # overflows to inf, where ** 2 raises OverflowError
@@ -337,8 +328,7 @@ def train_session(
             return state
 
         for topic in topic_list:
-            for _ in run_session(dataset, topic, feedback_fn, config, pick):
-                pass
+            run_session(dataset, topic, feedback_fn, config, pick)
         mean_loss = float(np.mean(losses)) if losses else 0.0
         log.append(EpochStats(epoch, mean_loss, eps))
         # plateau detection: epsilon-greedy losses are noisy, so a large
@@ -398,12 +388,8 @@ def evaluate_session(
     Iteration 1 is a pure one-shot ranking; feedback only applies between
     iterations.
     """
-    ranked: dict[str, RankedList] = {}
-    for topic in _check_topics(dataset, topics, "evaluation"):
-        for _, state, boundaries in run_session(dataset, topic, feedback_fn, config, pick):
-            pass
-        ranked[topic] = RankedList(topic, state.ranked_ids(), list(boundaries))
-    return ranked
+    return {topic: run_session(dataset, topic, feedback_fn, config, pick)
+            for topic in _check_topics(dataset, topics, "evaluation")}
 
 
 def iteration_values(

@@ -142,6 +142,12 @@ class TestReportSerialization:
         assert lines[0] == "iteration,metric_name,mean,stddev"
         assert len(lines) == 3
 
+    def test_csv_cells_of_numpy_floats_are_plain_numbers(self, tmp_path):
+        report = RunReport(command="evaluate", config={},
+                           tables={"evaluation": [(1, "ndcg", np.float64(0.1), 0.25)]})
+        emit_report(report, tmp_path)
+        assert (tmp_path / "evaluation.csv").read_text().splitlines()[1] == "1,ndcg,0.1,0.25"
+
     def test_wall_time_lands_in_sidecar(self, tmp_path):
         report = RunReport(command="train", config={}, wall_time=2.0)
         emit_report(report, tmp_path)
@@ -526,7 +532,13 @@ class TestBaselines:
         pick = random_pick(4) if method == "random" else cosine_pick
         config = PolicyConfig(iterations=3, docs_per_iteration=4)
         for topic in ds.topic_ids():
-            queries = [state.query for _, state, _ in run_session(ds, topic, fb, config, pick)]
+            queries = [ds.query_vectors[topic]]  # each iteration's query
+
+            def recording(state, record):
+                queries.append(fb(state, record))
+                return queries[-1]
+
+            run_session(ds, topic, recording, config, pick)
             assert not np.array_equal(queries[0], queries[1])
             assert not np.array_equal(queries[1], queries[2])
         lists = baseline_lists(ds, pick, 4, fb, iterations=3)
@@ -673,6 +685,8 @@ class TestCli:
         code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
         assert code == 3, output
         assert f"data error: {ckpt}: {message}" in output
+        assert not (tmp_path / "out" / "evaluation.csv").exists()
+        assert not (tmp_path / "out" / "run.jsonl").exists()
 
     def test_non_finite_checkpoint_exits_3_with_path(self, tmp_path, capsys):
         config = tiny_config(tmp_path / "out")
@@ -687,6 +701,37 @@ class TestCli:
         n = valuenet.param_count(config.net)
         assert f"data error: {ckpt}: 1 of {n} parameters are not finite" in output
         assert not (tmp_path / "out" / "evaluation.csv").exists()
+        assert not (tmp_path / "out" / "run.jsonl").exists()
+
+    def test_evaluate_on_another_split_exits_2(self, tmp_path, capsys):
+        """``train`` records each fold's test topics beside the checkpoints.
+        Evaluating with other folds or another seed would test fold networks
+        on their own training topics: a config error naming the record and
+        the first fold that differs, and nothing is written."""
+        out = tmp_path / "out"
+        six = DatasetSpec(kind="synthetic", num_topics=6, docs_per_topic=10, subtopics_per_topic=2, dim=6)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(tiny_config(out, dataset=six))))
+        cfg = ["--config", str(cfg_path)]
+        code, output = invoke(capsys, ["train", *cfg, "--folds", "3"])
+        assert code == 0, output
+        record = out / "checkpoints" / "split.json"
+        tests = [fold["test_topics"] for fold in json.loads((out / "report.json").read_text())["folds"]]
+        assert record.read_text() == json.dumps({"test_topics": tests}, sort_keys=True) + "\n"
+        before = tree_bytes(out)
+        for args in (["--folds", "2"], ["--folds", "3", "--seed", "1"]):
+            code, output = invoke(capsys, ["evaluate", *cfg, *args])
+            assert code == 2, output
+            assert output.startswith(f"config error: {record}: fold 0 was trained with test topics "
+                                     f"{tests[0]}, but this run tests it on ")
+            assert tree_bytes(out) == before
+        record.write_text("{")
+        code, output = invoke(capsys, ["evaluate", *cfg, "--folds", "3"])
+        assert code == 3 and output.startswith(f"data error: {record}: "), output
+        assert tree_bytes(out) == {**before, "checkpoints/split.json": b"{"}
+        record.unlink()  # checkpoints without a record are evaluated as they are
+        code, output = invoke(capsys, ["evaluate", *cfg, "--folds", "3"])
+        assert code == 0, output
 
     @pytest.mark.parametrize("which", ["topics", "docs"])
     @pytest.mark.parametrize("row", ["5", "null"])
@@ -715,6 +760,7 @@ class TestCli:
         code, output = invoke(capsys, ["metrics", "--config", str(cfg_path), "--run", str(runfile)])
         assert code == 3, output
         assert f"{runfile}: line 2: topic 't000': document 'd1' repeated" in output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("iterations, missing, later", [
         ((1, 3), 2, 3), ((2,), 1, 2), ((4, 1), 2, 4),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from dynrank.data import gen_synthetic
-from dynrank.feedback import EmbedRocchioFeedback, RocchioParams
+from dynrank.feedback import EmbedRocchioFeedback, RocchioParams, simulate_feedback
 from dynrank.metrics import MetricSpec, alpha_dcg_at_k, dcg_at_k, target_value
 from dynrank.policy import (
     PolicyConfig,
@@ -21,6 +21,7 @@ from dynrank.policy import (
     iteration_values,
     new_session,
     pair_input,
+    random_pick,
     run_session,
     score_candidates,
     select_action,
@@ -473,7 +474,7 @@ class TestTransitions:
         nxt = step_transition(state, 0)
         assert len(nxt.ranked) == n_ranked + 1
         assert len(nxt.live) == n_cand - 1
-        assert nxt.ranked[-1][0] == doc
+        assert nxt.ranked[-1] == doc
         assert len(state.live) == n_cand  # the old state is untouched
 
     def test_repeat_doc_rejected(self):
@@ -500,7 +501,7 @@ class TestTransitions:
         docs = state.candidates()[:3]
         for d in docs:
             state = rank(state, d)
-        assert state.ranked_ids() == docs
+        assert list(state.ranked) == docs
 
     def test_invariant_after_many_steps(self):
         ds = tiny_dataset()
@@ -509,7 +510,7 @@ class TestTransitions:
         rng = np.random.default_rng(0)
         for _ in range(6):
             state = step_transition(state, int(rng.integers(len(state.live))))
-            assert not (set(state.ranked_ids()) & set(state.candidates()))
+            assert not (set(state.ranked) & set(state.candidates()))
             assert len(state.ranked) + len(state.live) == total
             assert (np.diff(state.live) > 0).all()
 
@@ -519,7 +520,6 @@ class TestTransitions:
         state = step_transition(state, 0)
         new_q = state.query + 1.0
         nxt = session_transition(state, new_q)
-        assert nxt.n == state.n + 1
         assert nxt.ranked == state.ranked
         assert nxt.candidates() == state.candidates()
         np.testing.assert_array_equal(nxt.query, new_q)
@@ -537,7 +537,8 @@ class TestTransitions:
             state = step_transition(state, 0)
         new_q = state.query * 2.0 + 0.5
         state = session_transition(state, new_q)
-        for unit, (_, vec) in zip(forward_inputs(state), state.ranked):
+        for unit, doc in zip(forward_inputs(state), state.ranked):
+            vec = state.vectors[doc]
             np.testing.assert_array_equal(unit[: vec.size], vec)
             np.testing.assert_array_equal(unit[vec.size:], new_q)
 
@@ -559,21 +560,21 @@ class TestStepReward:
         from dynrank.metrics import doc_relevance
 
         expected = doc_relevance(ds.judgments, topic, pos)
-        assert target_value(ds.judgments, topic, state.ranked_ids(), MetricSpec(target="dcg")) == expected
+        assert target_value(ds.judgments, topic, state.ranked, MetricSpec(target="dcg")) == expected
 
     def test_unjudged_first_step_is_zero(self):
         ds = tiny_dataset()
         topic = "t000"
         unjudged = next(d for d in sorted(ds.docs[topic]) if not ds.judgments.coverage(topic, d))
         state = self.make_state(ds, topic, [unjudged])
-        assert target_value(ds.judgments, topic, state.ranked_ids(), MetricSpec(target="dcg")) == 0.0
+        assert target_value(ds.judgments, topic, state.ranked, MetricSpec(target="dcg")) == 0.0
 
     def test_alpha_dcg_matches_metrics_module(self):
         ds = tiny_dataset()
         topic = "t000"
         docs = sorted(ds.judgments.positive_docs(topic))[:2]
         state = self.make_state(ds, topic, docs)
-        got = target_value(ds.judgments, topic, state.ranked_ids(), MetricSpec(target="alpha-dcg", alpha=0.5))
+        got = target_value(ds.judgments, topic, state.ranked, MetricSpec(target="alpha-dcg", alpha=0.5))
         cov = [ds.judgments.coverage(topic, d) for d in docs]
         assert got == pytest.approx(alpha_dcg_at_k(cov, 2, 0.5))
 
@@ -585,7 +586,7 @@ class TestStepReward:
         last = 0.0
         for _ in range(6):
             state = step_transition(state, 0)
-            val = target_value(ds.judgments, topic, state.ranked_ids(), spec)
+            val = target_value(ds.judgments, topic, state.ranked, spec)
             assert val >= last - 1e-12
             last = val
 
@@ -594,7 +595,7 @@ class TestStepReward:
         state = new_session(ds, "t000")
         state = step_transition(state, 0)
         with pytest.raises(ValueError):
-            target_value(ds.judgments, "nope", state.ranked_ids(), MetricSpec())
+            target_value(ds.judgments, "nope", state.ranked, MetricSpec())
 
 
 def quick_policy(**kw):
@@ -710,13 +711,13 @@ class TestEvaluateSession:
 
 
 class _RecordingFeedback:
-    """Keeps every call's (state.n, record, ranked ids) and keeps the query."""
+    """Keeps every call's (record.iteration, record, ranked ids) and keeps the query."""
 
     def __init__(self):
         self.calls = []
 
     def __call__(self, state, record):
-        self.calls.append((state.n, record, tuple(state.ranked_ids())))
+        self.calls.append((record.iteration, record, state.ranked))
         return state.query
 
 
@@ -741,6 +742,66 @@ def test_session_loop_feedback_contract(pool, iterations, expected_calls):
             assert len(record.returned) == min(2, pool - 2 * (n - 1))
             assert record.returned == ranked[ranked_before:]  # the block just ranked
             ranked_before = len(ranked)
+
+
+def reference_run_session(dataset, topic, feedback_fn, config, pick):
+    """The session loop as a generator of ``(iteration, state, boundaries)``,
+    the last being the session's live list of block ends."""
+    state = new_session(dataset, topic)
+    boundaries = []
+    for it in range(1, config.iterations + 1):
+        start = len(state.ranked)
+        for _ in range(config.docs_per_iteration):
+            if not state.live.size:
+                break
+            state = pick(state)
+        block = list(state.ranked[start:])
+        if block:
+            boundaries.append(len(state.ranked))
+        yield it, state, boundaries
+        if it < config.iterations:
+            query = state.query
+            if block and feedback_fn is not None:
+                query = feedback_fn(state, simulate_feedback(dataset.judgments, topic, block, it))
+            state = session_transition(state, query)
+
+
+class _WrappedFeedback:
+    """A reformulator that keeps every call's (iteration, block, query)."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def __call__(self, state, record):
+        self.calls.append((record.iteration, record.returned, state.query.tobytes()))
+        return self.inner(state, record)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=st.integers(1, 12), iterations=st.integers(1, 5), per_iteration=st.integers(1, 4),
+       reformulate=st.booleans(), greedy=st.booleans(), seed=st.integers(0, 2**16))
+def test_run_session_matches_the_generator_loop(pool, iterations, per_iteration, reformulate, greedy, seed):
+    """``run_session`` returns the final ids and block ends of the generator
+    loop, and calls the reformulator with the same iterations, blocks and
+    queries."""
+    ds = gen_synthetic(1, pool, 2, 4, seed=seed)
+    config = quick_policy(iterations=iterations, docs_per_iteration=per_iteration)
+    params = init_glorot(NET, seed)
+    runs = []
+    for loop in (run_session, reference_run_session):
+        fb = _WrappedFeedback(EmbedRocchioFeedback(RocchioParams())) if reformulate else None
+        pick = greedy_pick(params) if greedy else random_pick(seed)
+        result = loop(ds, "t000", fb, config, pick)
+        if loop is reference_run_session:
+            *_, (_, state, boundaries) = result
+            result = (list(state.ranked), boundaries)
+        else:
+            result = (result.doc_ids, result.boundaries)
+        runs.append((result, fb.calls if fb else None))
+    assert runs[0] == runs[1]
+    (doc_ids, boundaries), _ = runs[0]
+    assert len(doc_ids) == min(pool, iterations * per_iteration)
+    assert boundaries[-1] == len(doc_ids)
 
 
 def count_projections(monkeypatch):
@@ -796,8 +857,7 @@ def test_gathered_projection_matches_fresh_gather():
 
     config = quick_policy(iterations=4, docs_per_iteration=8)  # the pool of 30 runs out
     for topic in ds.topic_ids():
-        for _ in run_session(ds, topic, fb, config, pick):
-            pass
+        run_session(ds, topic, fb, config, pick)
     assert sizes == list(range(30, 0, -1)) * len(ds.topic_ids())
     assert len(buffers) == 1
 
