@@ -27,6 +27,16 @@ class DataError(Exception):
     """Malformed or inconsistent input data."""
 
 
+def read_lines(path):
+    """Yield ``(line number, line)`` over a UTF-8 text file. A file that is
+    missing, a directory, unreadable or not UTF-8 is a DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 @dataclass
 class Dataset:
     """Topics, hidden judgments and the documents' vectors.
@@ -56,25 +66,24 @@ class Dataset:
 def _read_qrels(path) -> tuple[JudgmentSet, list[tuple[int, str, str, str, float]]]:
     judgments = JudgmentSet()
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cells = line.split("\t")
-            if len(cells) != 4:
-                raise DataError(f"{path}: line {lineno}: expected 4 tab-separated columns, got {len(cells)}")
-            topic, subtopic, doc = cells[0], cells[1], cells[2]
-            try:
-                grade = float(cells[3])
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: malformed grade {cells[3]!r}") from None
-            if not math.isfinite(grade):
-                raise DataError(f"{path}: line {lineno}: non-finite grade {cells[3]!r}")
-            if grade < 0:
-                raise DataError(f"{path}: line {lineno}: negative grade {grade}")
-            judgments.add(topic, subtopic, doc, grade)
-            rows.append((lineno, topic, subtopic, doc, grade))
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        cells = line.split("\t")
+        if len(cells) != 4:
+            raise DataError(f"{path}: line {lineno}: expected 4 tab-separated columns, got {len(cells)}")
+        topic, subtopic, doc = cells[0], cells[1], cells[2]
+        try:
+            grade = float(cells[3])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: malformed grade {cells[3]!r}") from None
+        if not math.isfinite(grade):
+            raise DataError(f"{path}: line {lineno}: non-finite grade {cells[3]!r}")
+        if grade < 0:
+            raise DataError(f"{path}: line {lineno}: negative grade {grade}")
+        judgments.add(topic, subtopic, doc, grade)
+        rows.append((lineno, topic, subtopic, doc, grade))
     return judgments, rows
 
 
@@ -85,22 +94,21 @@ def _read_jsonl_map(path, key: str, value: str, noun: str,
     errors."""
     out: dict[str, str] = {}
     lines: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            if not isinstance(row, dict):
-                raise DataError(f"{path}: line {lineno}: expected a JSON object, got {type(row).__name__}")
-            if key not in row or value not in row:
-                raise DataError(f"{path}: line {lineno}: expected keys {key!r} and {value!r}")
-            k = str(row[key])
-            if k in out:
-                raise DataError(f"{path}: line {lineno}: duplicate {noun} {k!r}")
-            out[k], lines[k] = str(row[value]), lineno
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        if not isinstance(row, dict):
+            raise DataError(f"{path}: line {lineno}: expected a JSON object, got {type(row).__name__}")
+        if key not in row or value not in row:
+            raise DataError(f"{path}: line {lineno}: expected keys {key!r} and {value!r}")
+        k = str(row[key])
+        if k in out:
+            raise DataError(f"{path}: line {lineno}: duplicate {noun} {k!r}")
+        out[k], lines[k] = str(row[value]), lineno
     if not out:
         raise DataError(f"{path}: no {plural} found")
     return out, lines
@@ -116,8 +124,7 @@ def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, 
     topics, topic_lines = _read_jsonl_map(topics_path, "topic_id", "query", "topic", "topics")
     judgments, qrel_rows = _read_qrels(qrels_path)
 
-    with open(docs_or_vectors_path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
+    first = next(read_lines(docs_or_vectors_path), (0, ""))[1]
     texts: dict[str, str] | None = None
     if first.startswith("#dim="):
         try:
@@ -158,62 +165,61 @@ def load_letor(path) -> Dataset:
     docs: dict[str, dict[str, np.ndarray]] = {}
     judgments = JudgmentSet()
     feature_len: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            body, _, comment = line.partition("#")
-            parts = body.split()
-            if len(parts) < 2:
-                raise DataError(f"{path}: line {lineno}: expected 'grade qid:N features...'")
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        body, _, comment = line.partition("#")
+        parts = body.split()
+        if len(parts) < 2:
+            raise DataError(f"{path}: line {lineno}: expected 'grade qid:N features...'")
+        try:
+            grade = int(parts[0])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: malformed grade {parts[0]!r}") from None
+        if grade not in (0, 1, 2):
+            raise DataError(f"{path}: line {lineno}: grade must be 0, 1 or 2, got {grade}")
+        if not parts[1].startswith("qid:"):
+            raise DataError(f"{path}: line {lineno}: expected 'qid:N', got {parts[1]!r}")
+        qid = parts[1][4:]
+        feats: dict[int, float] = {}
+        for token in parts[2:]:
+            idx, _, val = token.partition(":")
             try:
-                grade = int(parts[0])
+                index, value = int(idx), float(val)
             except ValueError:
-                raise DataError(f"{path}: line {lineno}: malformed grade {parts[0]!r}") from None
-            if grade not in (0, 1, 2):
-                raise DataError(f"{path}: line {lineno}: grade must be 0, 1 or 2, got {grade}")
-            if not parts[1].startswith("qid:"):
-                raise DataError(f"{path}: line {lineno}: expected 'qid:N', got {parts[1]!r}")
-            qid = parts[1][4:]
-            feats: dict[int, float] = {}
-            for token in parts[2:]:
-                idx, _, val = token.partition(":")
-                try:
-                    index, value = int(idx), float(val)
-                except ValueError:
-                    raise DataError(f"{path}: line {lineno}: malformed feature {token!r}") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}: line {lineno}: non-finite feature {token!r}")
-                if index < 1:
-                    raise DataError(f"{path}: line {lineno}: feature index must be >= 1 in {token!r}")
-                feats[index] = value
-            if not feats:
-                raise DataError(f"{path}: line {lineno}: no features")
-            width = max(feats)
-            if feature_len is None:
-                feature_len = width
-            elif width != feature_len:
-                raise DataError(
-                    f"{path}: line {lineno}: {width} features, expected {feature_len}"
-                )
-            vec = np.zeros(feature_len, dtype=np.float64)
-            for idx, val in feats.items():
-                vec[idx - 1] = val
-            doc_id = None
-            if comment:
-                tokens = comment.split()
-                if len(tokens) >= 3 and tokens[0] == "docid" and tokens[1] == "=":
-                    doc_id = tokens[2]
-            if doc_id is None:
-                doc_id = f"{qid}-{lineno}"
-            pool = docs.setdefault(qid, {})
-            if doc_id in pool:
-                raise DataError(f"{path}: line {lineno}: duplicate document {doc_id!r} for qid {qid!r}")
-            pool[doc_id] = vec
-            # grade 0 is a judgment too: a query judged all-irrelevant stays a
-            # known topic and trains with target 0
-            judgments.add(qid, "0", doc_id, float(grade))
+                raise DataError(f"{path}: line {lineno}: malformed feature {token!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: line {lineno}: non-finite feature {token!r}")
+            if index < 1:
+                raise DataError(f"{path}: line {lineno}: feature index must be >= 1 in {token!r}")
+            feats[index] = value
+        if not feats:
+            raise DataError(f"{path}: line {lineno}: no features")
+        width = max(feats)
+        if feature_len is None:
+            feature_len = width
+        elif width != feature_len:
+            raise DataError(
+                f"{path}: line {lineno}: {width} features, expected {feature_len}"
+            )
+        vec = np.zeros(feature_len, dtype=np.float64)
+        for idx, val in feats.items():
+            vec[idx - 1] = val
+        doc_id = None
+        if comment:
+            tokens = comment.split()
+            if len(tokens) >= 3 and tokens[0] == "docid" and tokens[1] == "=":
+                doc_id = tokens[2]
+        if doc_id is None:
+            doc_id = f"{qid}-{lineno}"
+        pool = docs.setdefault(qid, {})
+        if doc_id in pool:
+            raise DataError(f"{path}: line {lineno}: duplicate document {doc_id!r} for qid {qid!r}")
+        pool[doc_id] = vec
+        # grade 0 is a judgment too: a query judged all-irrelevant stays a
+        # known topic and trains with target 0
+        judgments.add(qid, "0", doc_id, float(grade))
     if not docs:
         raise DataError(f"{path}: no data lines")
     return Dataset(

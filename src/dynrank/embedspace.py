@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -57,24 +57,6 @@ def _as_vector(v) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
     return arr
-
-
-def mean_vectors(vectors: Iterable, dim: int | None = None) -> np.ndarray:
-    """Arithmetic mean of a collection of vectors.
-
-    An empty collection yields the zero vector, in which case ``dim``
-    must be given.
-    """
-    vecs = [_as_vector(v) for v in vectors]
-    if not vecs:
-        if dim is None:
-            raise ValueError("dim is required to take the mean of an empty set")
-        return np.zeros(dim, dtype=np.float64)
-    d = vecs[0].shape[0]
-    for v in vecs[1:]:
-        if v.shape[0] != d:
-            raise ValueError(f"mixed dimensions: {d} vs {v.shape[0]}")
-    return np.mean(np.stack(vecs), axis=0)
 
 
 def cosine(a, b) -> float:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from dynrank.embedspace import embed_term_weights, embed_text, mean_vectors, tokenize
+from dynrank.embedspace import embed_term_weights, embed_text, tokenize
 from dynrank.metrics import JudgmentSet
 
 
@@ -91,35 +91,32 @@ def rocchio_embed(
     fb: FeedbackRecord,
     vectors: Mapping[str, np.ndarray],
     params: RocchioParams = RocchioParams(),
-    n: int | None = None,
 ) -> np.ndarray:
     """Reformulate a query vector from one block of feedback.
 
     q' = (1 - gamma^n (b - c)) q + gamma^n (b mean(D_r) - c mean(D_nr)),
-    where D_r are returned documents with any positive feedback and D_nr
-    the remaining returned documents. Empty centroids are zero vectors.
+    where n is the block's iteration, D_r are returned documents with any
+    positive feedback and D_nr the rest. Empty centroids are zero vectors.
     """
     q_n = np.asarray(q_n, dtype=np.float64)
-    if n is None:
-        n = fb.iteration
-    if n < 1:
-        raise ValueError(f"iteration must be >= 1, got {n}")
     dim = q_n.shape[0]
 
     def centroid(doc_ids) -> np.ndarray:
-        vecs = []
+        rows = []
         for doc in sorted(doc_ids):
             if doc not in vectors:
                 raise ValueError(f"feedback document {doc!r} missing from corpus")
-            vecs.append(vectors[doc])
-        mean = mean_vectors(vecs, dim=dim)
-        if mean.shape[0] != dim:
-            raise ValueError(f"dimension mismatch: query {dim}, documents {mean.shape[0]}")
-        return mean
+            if np.shape(vectors[doc]) != (dim,):
+                raise ValueError(f"dimension mismatch: query {dim}, {doc!r} {np.shape(vectors[doc])}")
+            rows.append(vectors[doc])
+        return np.mean(rows, axis=0) if rows else np.zeros(dim)
 
-    decay = params.gamma**n
+    decay = params.gamma**fb.iteration
     blend = (1.0 - decay * (params.b - params.c)) * q_n
     return blend + decay * (params.b * centroid(fb.positive_docs()) - params.c * centroid(fb.negative_docs()))
+
+
+_TOP_TERMS = 50  # terms a classic Rocchio query keeps
 
 
 def _tf_unit(text: str) -> dict[str, float]:
@@ -135,19 +132,12 @@ def rocchio_classic(
     fb: FeedbackRecord,
     corpus_texts: Mapping[str, str],
     params: RocchioParams = RocchioParams(),
-    n: int | None = None,
-    top_terms: int = 50,
 ) -> dict[str, float]:
     """Classic term-space Rocchio over L2-normalized term frequencies.
 
     Same blend algebra as the embedding variant, applied to sparse term
-    maps; the result keeps only the ``top_terms`` highest-weight terms.
+    maps; the result keeps only the ``_TOP_TERMS`` highest-weight terms.
     """
-    if n is None:
-        n = fb.iteration
-    if n < 1:
-        raise ValueError(f"iteration must be >= 1, got {n}")
-
     def centroid(doc_ids) -> dict[str, float]:
         docs = sorted(doc_ids)
         acc: dict[str, float] = {}
@@ -158,7 +148,7 @@ def rocchio_classic(
                 acc[t] = acc.get(t, 0.0) + w
         return {t: w / len(docs) for t, w in acc.items()} if docs else {}
 
-    decay = params.gamma**n
+    decay = params.gamma**fb.iteration
     coef = 1.0 - decay * (params.b - params.c)
     result: dict[str, float] = {t: coef * w for t, w in query_terms.items()}
     for t, w in centroid(fb.positive_docs()).items():
@@ -169,7 +159,7 @@ def rocchio_classic(
     kept = sorted(
         ((t, w) for t, w in result.items() if w != 0.0),
         key=lambda kv: (-kv[1], kv[0]),
-    )[:top_terms]
+    )[:_TOP_TERMS]
     return dict(kept)
 
 
@@ -206,13 +196,15 @@ class EmbedRocchioFeedback:
         self.params = params
 
     def __call__(self, state, record: FeedbackRecord) -> np.ndarray:
-        return rocchio_embed(state.query, record, state.vectors, self.params, n=record.iteration)
+        return rocchio_embed(state.query, record, state.vectors, self.params)
 
 
 class ClassicRocchioFeedback:
     """Term-space Rocchio; the reformulated term map is re-embedded by hashing.
 
-    Tracks the current term map per topic across iterations.
+    Holds the live session's ``(topic, term map)``: a session's first
+    record, or a record for another topic, restarts from the topic's query.
+    A session is one ``run_session`` call, so nothing else is kept.
     """
 
     def __init__(
@@ -222,31 +214,27 @@ class ClassicRocchioFeedback:
         params: RocchioParams = RocchioParams(),
         dim: int = 512,
         seed: int = 0,
-        top_terms: int = 50,
     ):
         self.texts = corpus_texts
-        self.query_texts = dict(query_texts)
+        self.query_texts = query_texts
         self.params = params
         self.dim = dim
         self.seed = seed
-        self.top_terms = top_terms
-        self._terms: dict[str, dict[str, float]] = {}
+        self._session: tuple[str | None, dict[str, float]] = (None, {})
 
     def __call__(self, state, record: FeedbackRecord) -> np.ndarray:
-        topic = state.topic_id
-        if record.iteration == 1 or topic not in self._terms:
-            # a fresh session restarts from the original query terms
-            self._terms[topic] = _tf_unit(self.query_texts.get(topic, "") or "")
-        new_terms = rocchio_classic(
-            self._terms[topic], record, self.texts, self.params,
-            n=record.iteration, top_terms=self.top_terms,
-        )
-        self._terms[topic] = new_terms
-        return embed_term_weights(new_terms, self.dim, self.seed)
+        topic, terms = self._session
+        if record.iteration == 1 or topic != state.topic_id:
+            terms = _tf_unit(self.query_texts[state.topic_id])
+        terms = rocchio_classic(terms, record, self.texts, self.params)
+        self._session = (state.topic_id, terms)
+        return embed_term_weights(terms, self.dim, self.seed)
 
 
 class NQEFeedback:
-    """Naive query expansion; the expanded text is re-embedded by hashing."""
+    """Naive query expansion; the expanded text is re-embedded by hashing.
+    Holds the live session's ``(topic, text)`` as ``ClassicRocchioFeedback``
+    holds its term map."""
 
     def __init__(
         self,
@@ -257,18 +245,16 @@ class NQEFeedback:
         top_m: int = 10,
     ):
         self.texts = corpus_texts
-        self.query_texts = dict(query_texts)
+        self.query_texts = query_texts
         self.dim = dim
         self.seed = seed
         self.top_m = top_m
-        self._current: dict[str, str] = {}
+        self._session: tuple[str | None, str] = (None, "")
 
     def __call__(self, state, record: FeedbackRecord) -> np.ndarray:
-        topic = state.topic_id
-        if record.iteration == 1:
-            self._current.pop(topic, None)
-        text = self._current.get(topic, self.query_texts.get(topic, "") or "")
-        expanded = nqe_expand(text, record, self.texts, self.top_m)
-        self._current[topic] = expanded
-        return embed_text(expanded, self.dim, self.seed)
-
+        topic, text = self._session
+        if record.iteration == 1 or topic != state.topic_id:
+            text = self.query_texts[state.topic_id]
+        text = nqe_expand(text, record, self.texts, self.top_m)
+        self._session = (state.topic_id, text)
+        return embed_text(text, self.dim, self.seed)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from dynrank import valuenet
-from dynrank.data import DataError, Dataset, gen_synthetic, load_letor, load_trec_dd, split_folds
+from dynrank.data import DataError, Dataset, gen_synthetic, load_letor, load_trec_dd, read_lines, split_folds
 from dynrank.feedback import (
     ClassicRocchioFeedback,
     EmbedRocchioFeedback,
@@ -172,7 +172,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected a JSON object at the top level, got {type(d).__name__}")
@@ -218,16 +218,15 @@ def make_feedback(config: RunConfig, dataset: Dataset):
         return None, notes
     if name == "embed-rocchio":
         return EmbedRocchioFeedback(config.rocchio), notes
-    query_texts = {t: q for t, q in dataset.topics.items() if q}
-    if not dataset.texts or len(query_texts) < len(dataset.topics):
+    if not dataset.texts or not all(dataset.topics.values()):
         notes.append(f"feedback {name!r} needs document and query text; corpus is vector-only, "
                      "falling back to the identity reformulation")
         return None, notes
     if name == "classic-rocchio":
         return ClassicRocchioFeedback(
-            dataset.texts, query_texts, config.rocchio, dim=dataset.dim, seed=config.seed
+            dataset.texts, dataset.topics, config.rocchio, dim=dataset.dim, seed=config.seed
         ), notes
-    return NQEFeedback(dataset.texts, query_texts, dim=dataset.dim, seed=config.seed), notes
+    return NQEFeedback(dataset.texts, dataset.topics, dim=dataset.dim, seed=config.seed), notes
 
 
 @dataclass
@@ -300,6 +299,12 @@ def _split_path(out: Path) -> Path:
     return out / "checkpoints" / "split.json"
 
 
+def _clear_checkpoints(out: Path) -> None:
+    """Remove the fold checkpoints and the split record a ``train`` writes."""
+    for path in [_split_path(out), *(out / "checkpoints").glob("fold*.ckpt")]:
+        path.unlink(missing_ok=True)
+
+
 def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     """Train one network per fold; writes checkpoints and training logs."""
     if dataset is None:
@@ -310,37 +315,43 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     report = RunReport(command="train", config=valuenet.config_to_dict(config))
     fb, report.notes = make_feedback(config, dataset)
     folds = split_folds(dataset, config.folds, config.seed)
-    _split_path(out).unlink(missing_ok=True)  # written again once every fold is trained
-    for i, (train_topics, test_topics) in enumerate(folds):
-        params = init_glorot(config.net, _fold_rng(config.seed, i, 1))
-        try:
-            log = train_session(
-                params, dataset, fb, config.policy, config.metric,
-                topics=train_topics, rng=_fold_rng(config.seed, i, 2),
-            )[1]
-        except FloatingPointError as exc:
-            raise RuntimeError(f"fold {i}: {exc}; no checkpoint written") from None
-        # every step's loss was finite, but an epoch mean may overflow and
-        # the last update may leave non-finite weights
-        bad = [s.epoch for s in log if not np.isfinite(s.mean_loss)]
-        if bad or not np.isfinite(params.theta).all():
-            epoch = bad[0] if bad else log[-1].epoch
-            raise RuntimeError(f"fold {i}: training diverged at epoch {epoch} (non-finite "
-                               "loss or weights); no checkpoint written")
-        valuenet.save(params, _ckpt_path(out, i))
-        params = None  # one fold's weights at a time: drop them before the next fold's exist
-        _write_csv(out / f"train_fold{i}.csv", ("epoch", "mean_loss", "epsilon"),
-                   [(s.epoch, float(s.mean_loss), float(s.epsilon)) for s in log])
-        report.folds.append({
-            "fold": i,
-            "train_topics": list(train_topics),
-            "test_topics": list(test_topics),
-            "epochs": len(log),
-            "first_loss": float(log[0].mean_loss),
-            "final_loss": float(log[-1].mean_loss),
-        })
-    with atomic_open(_split_path(out)) as fh:
-        fh.write(json.dumps({"test_topics": [list(test) for _, test in folds]}, sort_keys=True) + "\n")
+    # an earlier run's folds go first, and a run that stops early leaves none,
+    # so evaluate never reads fold networks without the split record beside them
+    _clear_checkpoints(out)
+    try:
+        for i, (train_topics, test_topics) in enumerate(folds):
+            params = init_glorot(config.net, _fold_rng(config.seed, i, 1))
+            try:
+                log = train_session(
+                    params, dataset, fb, config.policy, config.metric,
+                    topics=train_topics, rng=_fold_rng(config.seed, i, 2),
+                )[1]
+            except FloatingPointError as exc:
+                raise RuntimeError(f"fold {i}: {exc}; no checkpoint written") from None
+            # every step's loss was finite, but an epoch mean may overflow and
+            # the last update may leave non-finite weights
+            bad = [s.epoch for s in log if not np.isfinite(s.mean_loss)]
+            if bad or not np.isfinite(params.theta).all():
+                epoch = bad[0] if bad else log[-1].epoch
+                raise RuntimeError(f"fold {i}: training diverged at epoch {epoch} (non-finite "
+                                   "loss or weights); no checkpoint written")
+            valuenet.save(params, _ckpt_path(out, i))
+            params = None  # one fold's weights at a time: drop them before the next fold's exist
+            _write_csv(out / f"train_fold{i}.csv", ("epoch", "mean_loss", "epsilon"),
+                       [(s.epoch, float(s.mean_loss), float(s.epsilon)) for s in log])
+            report.folds.append({
+                "fold": i,
+                "train_topics": list(train_topics),
+                "test_topics": list(test_topics),
+                "epochs": len(log),
+                "first_loss": float(log[0].mean_loss),
+                "final_loss": float(log[-1].mean_loss),
+            })
+        with atomic_open(_split_path(out)) as fh:
+            fh.write(json.dumps({"test_topics": [list(test) for _, test in folds]}, sort_keys=True) + "\n")
+    except BaseException:
+        _clear_checkpoints(out)
+        raise
     return report
 
 
@@ -376,7 +387,7 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
     if record.exists():  # checkpoints without a record are evaluated as they are
         try:
             trained = json.loads(record.read_text(encoding="utf-8"))["test_topics"]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{record}: {exc}") from None
         for i, (was, now) in enumerate(itertools.zip_longest(trained, [list(t) for _, t in folds])):
             if was != now:  # another --folds or --seed: a fold would test on its training topics
@@ -392,7 +403,7 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
         params = None  # drop the previous fold's weights before loading this fold's
         try:
             params = valuenet.load(path)
-        except valuenet.CheckpointError as exc:
+        except (OSError, valuenet.CheckpointError) as exc:
             raise DataError(f"{path}: {exc}") from None
         if params.config != config.net:
             trained, wanted = valuenet.config_to_dict(params.config), valuenet.config_to_dict(config.net)
@@ -516,28 +527,27 @@ def metrics_run(config: RunConfig, run_path, dataset: Dataset | None = None) -> 
         dataset = load_dataset(config.dataset, config.seed)
     blocks: dict[str, dict[int, list[str]]] = {}
     seen: dict[str, set[str]] = {}  # each topic's documents so far
-    with open(run_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                topic, it, doc_ids = str(row["topic_id"]), row["iteration"], row["doc_ids"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{run_path}: line {lineno}: {exc}") from None
-            where = f"{run_path}: line {lineno}: topic {topic!r}"
-            if type(it) is not int or it < 1:
-                raise DataError(f"{where}: iteration must be an integer >= 1, got {it!r}")
-            its, docs = blocks.setdefault(topic, {}), seen.setdefault(topic, set())
-            if it in its:
-                raise DataError(f"{where}: iteration {it} repeated")
-            if not doc_ids or not isinstance(doc_ids, list) or not all(isinstance(d, str) for d in doc_ids):
-                raise DataError(f"{where}: doc_ids must be a non-empty list of strings")
-            for doc in doc_ids:
-                if doc in docs:
-                    raise DataError(f"{where}: document {doc!r} repeated")
-                docs.add(doc)
-            its[it] = doc_ids
+    for lineno, line in read_lines(run_path):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            topic, it, doc_ids = str(row["topic_id"]), row["iteration"], row["doc_ids"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{run_path}: line {lineno}: {exc}") from None
+        where = f"{run_path}: line {lineno}: topic {topic!r}"
+        if type(it) is not int or it < 1:
+            raise DataError(f"{where}: iteration must be an integer >= 1, got {it!r}")
+        its, docs = blocks.setdefault(topic, {}), seen.setdefault(topic, set())
+        if it in its:
+            raise DataError(f"{where}: iteration {it} repeated")
+        if not doc_ids or not isinstance(doc_ids, list) or not all(isinstance(d, str) for d in doc_ids):
+            raise DataError(f"{where}: doc_ids must be a non-empty list of strings")
+        for doc in doc_ids:
+            if doc in docs:
+                raise DataError(f"{where}: document {doc!r} repeated")
+            docs.add(doc)
+        its[it] = doc_ids
     if not blocks:
         raise DataError(f"{run_path}: no run rows")
     ranked: dict[str, RankedList] = {}

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from dynrank import harness, valuenet
 from dynrank.data import gen_synthetic
@@ -115,7 +114,7 @@ def test_criterion_2_gradient_correctness():
 def test_criterion_3_rocchio_algebra():
     fb = FeedbackRecord(1, ("p",), (("p", "s1", 1.0),))
     out = rocchio_embed(np.array([1.0, 0.0]), fb, {"p": np.array([0.0, 1.0])},
-                        RocchioParams(0.9, 0.75, 0.25), n=1)
+                        RocchioParams(0.9, 0.75, 0.25))
     np.testing.assert_allclose(out, [0.55, 0.675], atol=1e-12)
 
     rng = np.random.default_rng(33)
@@ -129,17 +128,17 @@ def test_criterion_3_rocchio_algebra():
         w = float(rng.uniform(0.0, 1.0))
         gamma = float(rng.uniform(0.1, 1.0))
         # b == c: the coefficient on the query is exactly 1
-        out = rocchio_embed(q, record, corpus, RocchioParams(gamma, w, w), n=record.iteration)
+        out = rocchio_embed(q, record, corpus, RocchioParams(gamma, w, w))
         increment = gamma**record.iteration * w * (pos - neg)
         np.testing.assert_allclose(out, q + increment, atol=1e-10)
         # b == c == 0: identity
-        out0 = rocchio_embed(q, record, corpus, RocchioParams(gamma, 0.0, 0.0), n=record.iteration)
+        out0 = rocchio_embed(q, record, corpus, RocchioParams(gamma, 0.0, 0.0))
         np.testing.assert_allclose(out0, q, atol=1e-12)
     report(3, "hand-computed reformulation exact to 1e-12; "
               "unit-coefficient and identity algebra on 100 random fixtures")
 
 
-def test_criterion_4_policy_distributions():
+def test_criterion_4_policy_distributions(chi2_ppf_99):
     start = time.time()
     rng = np.random.default_rng(0)
     scores = np.arange(5.0)  # candidate i scores i
@@ -149,7 +148,7 @@ def test_criterion_4_policy_distributions():
         counts[select_action(scores, 1.0, "argmax", rng)] += 1
     expected = n / len(scores)
     stat = sum((c - expected) ** 2 / expected for c in counts)
-    band = chi2.ppf(0.99, df=len(scores) - 1)
+    band = chi2_ppf_99(len(scores) - 1)
     assert stat < band
 
     rng = np.random.default_rng(123)

@@ -9,7 +9,6 @@ from dynrank.embedspace import (
     cosine,
     embed_text,
     embed_term_weights,
-    mean_vectors,
     read_vectors_tsv,
     tokenize,
     token_bucket,
@@ -74,34 +73,6 @@ def test_tokenize_splits_on_non_alphanumerics():
 def test_token_bucket_in_range():
     for tok in ("a", "bb", "unicodeé"):
         assert 0 <= token_bucket(tok, 7, 5) < 7
-
-
-class TestMeanVectors:
-    def test_empty_set_is_zero(self):
-        out = mean_vectors([], dim=3)
-        np.testing.assert_array_equal(out, np.zeros(3))
-
-    def test_empty_without_dim_rejected(self):
-        with pytest.raises(ValueError):
-            mean_vectors([])
-
-    def test_singleton(self):
-        np.testing.assert_array_equal(mean_vectors([[2.0, 0.0]]), [2.0, 0.0])
-
-    def test_two_basis_vectors(self):
-        np.testing.assert_allclose(mean_vectors([[1, 0], [0, 1]]), [0.5, 0.5])
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            mean_vectors([[1.0, 0.0], [1.0]])
-
-    @given(st.lists(st.lists(st.floats(-3, 3), min_size=3, max_size=3), min_size=1, max_size=6),
-           st.randoms())
-    @settings(max_examples=30, deadline=None)
-    def test_permutation_invariant(self, vecs, rnd):
-        shuffled = list(vecs)
-        rnd.shuffle(shuffled)
-        np.testing.assert_allclose(mean_vectors(vecs), mean_vectors(shuffled), atol=1e-12)
 
 
 class TestCosine:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from dynrank.feedback import (
     FeedbackRecord,
     NQEFeedback,
     RocchioParams,
+    _tf_unit,
     nqe_expand,
     rocchio_classic,
     rocchio_embed,
@@ -84,7 +87,7 @@ class TestRocchioEmbed:
     def test_hand_computed_example(self):
         fb = FeedbackRecord(1, ("p",), (("p", "s1", 1.0),))
         corpus = {"p": np.array([0.0, 1.0])}
-        out = rocchio_embed(np.array([1.0, 0.0]), fb, corpus, RocchioParams(0.9, 0.75, 0.25), n=1)
+        out = rocchio_embed(np.array([1.0, 0.0]), fb, corpus, RocchioParams(0.9, 0.75, 0.25))
         np.testing.assert_allclose(out, [0.55, 0.675], atol=1e-12)
 
     def test_equal_weights_keep_query_coefficient_one(self):
@@ -93,14 +96,14 @@ class TestRocchioEmbed:
         fb = FeedbackRecord(2, ("p", "n"), (("p", "s", 1.0),))
         corpus = {"p": rng.standard_normal(4), "n": rng.standard_normal(4)}
         params = RocchioParams(0.9, 0.4, 0.4)
-        out = rocchio_embed(q, fb, corpus, params, n=2)
+        out = rocchio_embed(q, fb, corpus, params)
         increment = 0.9**2 * 0.4 * (corpus["p"] - corpus["n"])
         np.testing.assert_allclose(out, q + increment, atol=1e-12)
 
     def test_zero_weights_identity(self):
         q = np.array([0.3, -0.2, 0.5])
         fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
-        out = rocchio_embed(q, fb, {"p": np.ones(3)}, RocchioParams(0.9, 0.0, 0.0), n=1)
+        out = rocchio_embed(q, fb, {"p": np.ones(3)}, RocchioParams(0.9, 0.0, 0.0))
         np.testing.assert_allclose(out, q, atol=1e-15)
 
     def test_linear_in_query(self):
@@ -109,9 +112,9 @@ class TestRocchioEmbed:
         fb = FeedbackRecord(1, ("p", "n"), (("p", "s", 2.0),))
         corpus = {"p": rng.standard_normal(3), "n": rng.standard_normal(3)}
         params = RocchioParams()
-        base = rocchio_embed(np.zeros(3), fb, corpus, params, n=1)
-        out1 = rocchio_embed(q, fb, corpus, params, n=1)
-        out2 = rocchio_embed(3.0 * q, fb, corpus, params, n=1)
+        base = rocchio_embed(np.zeros(3), fb, corpus, params)
+        out1 = rocchio_embed(q, fb, corpus, params)
+        out2 = rocchio_embed(3.0 * q, fb, corpus, params)
         np.testing.assert_allclose(out2 - base, 3.0 * (out1 - base), atol=1e-12)
 
     def test_moves_towards_positive_centroid(self):
@@ -120,29 +123,67 @@ class TestRocchioEmbed:
             q = rng.standard_normal(8)
             pos = rng.standard_normal(8)
             fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
-            out = rocchio_embed(q, fb, {"p": pos}, RocchioParams(), n=1)
+            out = rocchio_embed(q, fb, {"p": pos}, RocchioParams())
             if abs(cosine(q, pos)) < 0.999:
                 assert cosine(out, pos) > cosine(q, pos)
 
     def test_increment_norm_decays_with_iteration(self):
         q = np.zeros(3)
-        fb1 = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
         corpus = {"p": np.array([1.0, 2.0, 3.0])}
         norms = []
         for n in (1, 2, 3, 5):
-            out = rocchio_embed(q, fb1, corpus, RocchioParams(), n=n)
+            fb = FeedbackRecord(n, ("p",), (("p", "s", 1.0),))
+            out = rocchio_embed(q, fb, corpus, RocchioParams())
             norms.append(np.linalg.norm(out))
         assert all(a >= b for a, b in zip(norms, norms[1:]))
 
     def test_missing_document_rejected(self):
         fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
         with pytest.raises(ValueError):
-            rocchio_embed(np.zeros(2), fb, {}, RocchioParams(), n=1)
+            rocchio_embed(np.zeros(2), fb, {}, RocchioParams())
 
     def test_dimension_mismatch_rejected(self):
         fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
         with pytest.raises(ValueError):
-            rocchio_embed(np.zeros(2), fb, {"p": np.zeros(3)}, RocchioParams(), n=1)
+            rocchio_embed(np.zeros(2), fb, {"p": np.zeros(3)}, RocchioParams())
+
+    def test_block_without_positive_document_has_zero_positive_centroid(self):
+        fb = FeedbackRecord(1, ("n",), ())
+        corpus = {"n": np.array([0.0, 2.0])}
+        out = rocchio_embed(np.array([1.0, 0.0]), fb, corpus, RocchioParams(0.9, 0.75, 0.25))
+        np.testing.assert_allclose(out, [0.55, -0.45], atol=1e-12)
+
+    def test_centroid_of_one_document_is_that_document(self):
+        fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
+        corpus = {"p": np.array([2.0, 0.0])}
+        out = rocchio_embed(np.array([-1.0, 3.0]), fb, corpus, RocchioParams(1.0, 1.0, 0.0))
+        np.testing.assert_array_equal(out, [2.0, 0.0])
+
+    def test_centroid_of_mixed_width_documents_rejected(self):
+        fb = FeedbackRecord(1, ("p", "m"), (("p", "s", 1.0), ("m", "s", 1.0)))
+        corpus = {"p": np.array([1.0, 0.0]), "m": np.array([1.0])}
+        with pytest.raises(ValueError):
+            rocchio_embed(np.zeros(2), fb, corpus, RocchioParams())
+
+    def test_centroid_of_two_documents(self):
+        fb = FeedbackRecord(1, ("p", "m"), (("p", "s", 1.0), ("m", "s", 2.0)))
+        corpus = {"p": np.array([1.0, 0.0]), "m": np.array([0.0, 1.0])}
+        out = rocchio_embed(np.zeros(2), fb, corpus, RocchioParams(1.0, 1.0, 0.0))
+        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
+
+    @given(st.lists(st.lists(st.floats(-3, 3), min_size=3, max_size=3), min_size=1, max_size=6),
+           st.randoms())
+    @settings(max_examples=30, deadline=None)
+    def test_returned_order_keeps_bits(self, vecs, rnd):
+        corpus = {f"d{i}": np.array(v) for i, v in enumerate(vecs)}
+        block = list(corpus)
+        positive = tuple((d, "s", 1.0) for d in block if rnd.random() < 0.5)
+        shuffled = list(block)
+        rnd.shuffle(shuffled)
+        q = np.array([0.5, -1.0, 2.0])
+        outs = [rocchio_embed(q, FeedbackRecord(2, tuple(order), positive), corpus).tobytes()
+                for order in (block, shuffled)]
+        assert outs[0] == outs[1]
 
     @given(st.floats(0.1, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
@@ -152,7 +193,7 @@ class TestRocchioEmbed:
         fb = FeedbackRecord(n, ("p", "m"), (("p", "s", 1.0),))
         corpus = {"p": rng.standard_normal(4), "m": rng.standard_normal(4)}
         params = RocchioParams(gamma, b, c)
-        out = rocchio_embed(q, fb, corpus, params, n=n)
+        out = rocchio_embed(q, fb, corpus, params)
         expected = (1 - gamma**n * (b - c)) * q + gamma**n * (b * corpus["p"] - c * corpus["m"])
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
@@ -161,13 +202,13 @@ class TestRocchioClassic:
     def test_empty_feedback_scales_query(self):
         fb = FeedbackRecord(1, ("d9",), ())
         # a returned doc with no text would fail, so give it an empty text
-        out = rocchio_classic({"polar": 1.0}, fb, {"d9": ""}, RocchioParams(), n=1)
+        out = rocchio_classic({"polar": 1.0}, fb, {"d9": ""}, RocchioParams())
         coef = 1 - 0.9 * (0.75 - 0.25)
         assert out["polar"] == pytest.approx(coef)
 
     def test_positive_doc_terms_enter_weighted(self):
         fb = FeedbackRecord(1, ("p",), (("p", "s", 2.0),))
-        out = rocchio_classic({}, fb, {"p": "polar ice"}, RocchioParams(), n=1)
+        out = rocchio_classic({}, fb, {"p": "polar ice"}, RocchioParams())
         unit = 1.0 / np.sqrt(2.0)
         assert out["polar"] == pytest.approx(0.9 * 0.75 * unit)
         assert out["ice"] == pytest.approx(0.9 * 0.75 * unit)
@@ -175,13 +216,13 @@ class TestRocchioClassic:
     def test_zero_weights_identity(self):
         fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
         terms = {"a": 0.5, "b": 0.25}
-        out = rocchio_classic(terms, fb, {"p": "x y"}, RocchioParams(0.9, 0.0, 0.0), n=1)
+        out = rocchio_classic(terms, fb, {"p": "x y"}, RocchioParams(0.9, 0.0, 0.0))
         assert out == pytest.approx(terms)
 
     def test_truncates_to_top_terms(self):
         text = " ".join(f"term{i}" for i in range(80))
         fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
-        out = rocchio_classic({}, fb, {"p": text}, RocchioParams(), n=1, top_terms=50)
+        out = rocchio_classic({}, fb, {"p": text}, RocchioParams())
         assert len(out) == 50
 
 
@@ -247,3 +288,121 @@ class TestReformulators:
         out = fn(S(), rec)
         np.testing.assert_allclose(out, embed_text("polar shelf", 16, 0), atol=1e-12)
 
+
+# --- References: the reformulators as they were before each held only the
+# live session, and the embedding Rocchio before it averaged its own centroids
+
+def reference_mean_vectors(vectors, dim=None) -> np.ndarray:
+    vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if not vecs:
+        if dim is None:
+            raise ValueError("dim is required to take the mean of an empty set")
+        return np.zeros(dim, dtype=np.float64)
+    for v in vecs[1:]:
+        if v.shape[0] != vecs[0].shape[0]:
+            raise ValueError(f"mixed dimensions: {vecs[0].shape[0]} vs {v.shape[0]}")
+    return np.mean(np.stack(vecs), axis=0)
+
+
+def reference_rocchio_embed(q_n, fb, vectors, params, n) -> np.ndarray:
+    q_n = np.asarray(q_n, dtype=np.float64)
+    dim = q_n.shape[0]
+
+    def centroid(doc_ids) -> np.ndarray:
+        vecs = []
+        for doc in sorted(doc_ids):
+            if doc not in vectors:
+                raise ValueError(f"feedback document {doc!r} missing from corpus")
+            vecs.append(vectors[doc])
+        mean = reference_mean_vectors(vecs, dim=dim)
+        if mean.shape[0] != dim:
+            raise ValueError(f"dimension mismatch: query {dim}, documents {mean.shape[0]}")
+        return mean
+
+    decay = params.gamma**n
+    blend = (1.0 - decay * (params.b - params.c)) * q_n
+    return blend + decay * (params.b * centroid(fb.positive_docs()) - params.c * centroid(fb.negative_docs()))
+
+
+class ReferenceEmbedRocchio:
+    def __init__(self, params):
+        self.params = params
+
+    def __call__(self, state, record):
+        return reference_rocchio_embed(state.query, record, state.vectors, self.params, n=record.iteration)
+
+
+class ReferenceClassicRocchio:
+    """One term map per topic; every caller passed n=record.iteration and
+    top_terms=50, which ``rocchio_classic`` now reads from the record and
+    its constant."""
+
+    def __init__(self, corpus_texts, query_texts, params, dim, seed):
+        self.texts, self.query_texts = corpus_texts, dict(query_texts)
+        self.params, self.dim, self.seed = params, dim, seed
+        self._terms = {}
+
+    def __call__(self, state, record):
+        topic = state.topic_id
+        if record.iteration == 1 or topic not in self._terms:
+            self._terms[topic] = _tf_unit(self.query_texts.get(topic, "") or "")
+        self._terms[topic] = rocchio_classic(self._terms[topic], record, self.texts, self.params)
+        return embed_term_weights(self._terms[topic], self.dim, self.seed)
+
+
+class ReferenceNQE:
+    def __init__(self, corpus_texts, query_texts, dim, seed, top_m):
+        self.texts, self.query_texts = corpus_texts, dict(query_texts)
+        self.dim, self.seed, self.top_m = dim, seed, top_m
+        self._current = {}
+
+    def __call__(self, state, record):
+        topic = state.topic_id
+        if record.iteration == 1:
+            self._current.pop(topic, None)
+        text = self._current.get(topic, self.query_texts.get(topic, "") or "")
+        expanded = nqe_expand(text, record, self.texts, self.top_m)
+        self._current[topic] = expanded
+        return embed_text(expanded, self.dim, self.seed)
+
+
+TEXTS = {
+    "d0": "polar ice shelf melt melt",
+    "d1": "ice sheet glacier glacier",
+    "d2": "melt water sea level rise",
+    "d3": "glacier retreat polar bear",
+    "d4": "sea ice arctic winter ice",
+    "d5": "ocean heat shelf current",
+}
+QUERIES = {"a": "polar ice", "b": "sea level", "c": "glacier melt"}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_reformulators_match_references_over_sessions(data):
+    """One reformulator of each kind serves a run's sessions one after
+    another, topics repeating; every query vector equals its reference's
+    bit for bit."""
+    params = RocchioParams(0.8, 0.75, 0.25)
+    pairs = [
+        (EmbedRocchioFeedback(params), ReferenceEmbedRocchio(params)),
+        (ClassicRocchioFeedback(TEXTS, QUERIES, params, dim=16, seed=3),
+         ReferenceClassicRocchio(TEXTS, QUERIES, params, dim=16, seed=3)),
+        (NQEFeedback(TEXTS, QUERIES, dim=16, seed=3, top_m=2),
+         ReferenceNQE(TEXTS, QUERIES, dim=16, seed=3, top_m=2)),
+    ]
+    vectors = {d: embed_text(t, 16, 3) for d, t in TEXTS.items()}
+    for _ in range(data.draw(st.integers(1, 6), label="sessions")):
+        topic = data.draw(st.sampled_from(sorted(QUERIES)), label="topic")
+        records = []
+        for it in range(1, data.draw(st.integers(1, 5), label="records") + 1):
+            block = data.draw(st.lists(st.sampled_from(sorted(TEXTS)), min_size=1, max_size=4, unique=True))
+            positive = data.draw(st.lists(st.sampled_from(block), unique=True))
+            records.append(FeedbackRecord(it, tuple(block), tuple((d, "s1", 1.0) for d in positive)))
+        for new, old in pairs:
+            query = embed_text(QUERIES[topic], 16, 3)
+            states = [SimpleNamespace(topic_id=topic, query=query, vectors=vectors) for _ in range(2)]
+            for record in records:
+                got, want = new(states[0], record), old(states[1], record)
+                assert got.tobytes() == want.tobytes(), (type(new).__name__, topic, record)
+                states[0].query, states[1].query = got, want

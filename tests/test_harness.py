@@ -190,6 +190,38 @@ def tear_writes_to(monkeypatch):
     return arm
 
 
+THEMES = [
+    "polar ice glacier arctic shelf melt",
+    "ebola virus outbreak vaccine clinic fever",
+    "bitcoin ledger mining wallet exchange block",
+    "volcano lava eruption magma ash crater",
+    "election ballot vote poll candidate district",
+    "reef coral bleaching ocean fish algae",
+]
+COMMON = "report news study data review update".split()
+
+
+def write_text_corpus(root: Path) -> dict:
+    """A 6-topic TREC-DD corpus with query and document text, six documents
+    per topic and two subtopics; returns its ``dataset`` config section."""
+    topics, docs, qrels = [], [], []
+    for ti, theme in enumerate(THEMES):
+        words = theme.split()
+        topic = f"T{ti}"
+        topics.append({"topic_id": topic, "query": " ".join(words[:2])})
+        for j in range(6):
+            doc = f"{topic}-d{j}"
+            text = [words[j], words[(j + 2) % 6], words[(j + 2) % 6], COMMON[(ti + j) % 6], COMMON[j]]
+            docs.append({"doc_id": doc, "text": " ".join(text)})
+            if j % 3 != 2:
+                qrels.append(f"{topic}\ts{j % 2}\t{doc}\t{1 + j % 2}\n")
+    for name, rows in (("topics.jsonl", topics), ("docs.jsonl", docs)):
+        (root / name).write_text("".join(json.dumps(r) + "\n" for r in rows))
+    (root / "qrels.tsv").write_text("".join(qrels))
+    return {"kind": "trec_dd", "topics_path": str(root / "topics.jsonl"),
+            "qrels_path": str(root / "qrels.tsv"), "docs_path": str(root / "docs.jsonl"), "dim": 16}
+
+
 def tree_bytes(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -426,6 +458,37 @@ class TestAblate:
             assert sub["config"] == config_to_dict(
                 dataclasses.replace(config, feedback=variant, out_dir=str(arm)))
             assert sub["notes"] == make_feedback(dataclasses.replace(config, feedback=variant), ds)[1]
+
+    def test_term_space_arms_reformulate_on_a_text_corpus(self, tmp_path):
+        """On a corpus with document and query text every arm trains, and
+        classic Rocchio and NQE change the ranking; two string hash seeds
+        give the same files."""
+        config = {
+            "dataset": write_text_corpus(tmp_path),
+            "net": {"layers": 1, "input_dim": 32, "hidden_dims": [8], "dense_dims": [4], "window": 3,
+                    "dropout": 0.0, "learning_rate": 0.1, "output": "sigmoid", "input_scale": 4.0},
+            "policy": {"docs_per_iteration": 2, "iterations": 3, "epoch_cap": 2},
+            "metric": {"target": "alpha-ndcg", "report": ["alpha-ndcg"]},
+            "folds": 2,
+            "out_dir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        trees = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-m", "dynrank.cli", "ablate", "--config", str(cfg_path)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert "rank exactly as" not in done.stdout
+            trees.append({k: v for k, v in tree_bytes(tmp_path / "out").items() if Path(k).name != "timing.json"})
+            (tmp_path / "out").rename(tmp_path / f"out{seed}")
+        assert trees[0] == trees[1]
+        runs = {v: trees[0][f"ablate/{v}/run.jsonl"] for v in harness.ABLATION_VARIANTS}
+        assert runs["classic-rocchio"] != runs["no-feedback"]
+        assert runs["nqe"] != runs["no-feedback"]
 
     def test_vector_corpus_notes_term_fallback(self, tmp_path):
         config = tiny_config(tmp_path, feedback="classic-rocchio")
@@ -762,6 +825,84 @@ class TestCli:
         assert f"{runfile}: line 2: topic 't000': document 'd1' repeated" in output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", ["run-missing", "run-directory", "topics-missing", "letor-missing",
+                                      "docs-not-utf8", "qrels-not-utf8", "config-not-utf8"])
+    def test_unreadable_input_exits_with_its_code(self, tmp_path, capsys, case):
+        """A config file that cannot be read is a config error (exit 2); a
+        dataset or run file that cannot be read is a data error (exit 3).
+        Each names the file, and nothing is written."""
+        corpus = write_text_corpus(tmp_path)
+        config = config_to_dict(tiny_config(tmp_path / "out"))
+        args = ["train"]
+        if case.startswith("run-"):
+            bad = tmp_path / "run.jsonl"
+            if case == "run-directory":
+                bad.mkdir()
+            args = ["metrics", "--run", str(bad)]
+        elif case == "letor-missing":
+            bad = tmp_path / "missing.letor"
+            config["dataset"] = {"kind": "letor", "letor_path": str(bad)}
+        else:
+            config["dataset"] = corpus
+            bad = {"topics": tmp_path / "missing.jsonl", "docs": tmp_path / "docs.jsonl",
+                   "qrels": tmp_path / "qrels.tsv", "config": tmp_path / "c.json"}[case.split("-")[0]]
+            if case == "topics-missing":
+                config["dataset"]["topics_path"] = str(bad)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        if case.endswith("not-utf8"):
+            bad.write_bytes(bad.read_bytes() + b"\xff\xfe\n")
+        code, output = invoke(capsys, [*args, "--config", str(cfg_path)])
+        kind, want = ("config error", 2) if case == "config-not-utf8" else ("data error", 3)
+        assert code == want, output
+        assert output.startswith(f"{kind}: {bad}: "), output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("which", ["fold1.ckpt", "split.json"])
+    def test_checkpoint_or_record_that_is_a_directory_exits_3(self, tmp_path, capsys, which):
+        config = tiny_config(tmp_path / "out")
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(config)))
+        assert invoke(capsys, ["train", "--config", str(cfg_path)])[0] == 0
+        bad = tmp_path / "out" / "checkpoints" / which
+        bad.unlink()
+        bad.mkdir()
+        before = tree_bytes(tmp_path / "out")
+        code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
+        assert code == 3, output
+        assert output.startswith(f"data error: {bad}: "), output
+        assert tree_bytes(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("stop", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_stopped_train_leaves_no_fold_checkpoints(self, tmp_path, monkeypatch, capsys, stop):
+        """A ``train --folds 3`` that stops while saving fold 1, over a
+        finished 2-fold run: evaluating with the 2-fold config must not
+        test the 3-fold fold-0 network on topics it trained on."""
+        out = tmp_path / "out"
+        six = DatasetSpec(kind="synthetic", num_topics=6, docs_per_topic=10, subtopics_per_topic=2, dim=6)
+        config = tiny_config(out, dataset=six)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(config)))
+        assert invoke(capsys, ["train", "--config", str(cfg_path)])[0] == 0
+        real_save = valuenet.save
+
+        def save(params, path):
+            if Path(path).name == "fold1.ckpt":
+                raise stop
+            real_save(params, path)
+
+        monkeypatch.setattr(valuenet, "save", save)
+        with pytest.raises(type(stop)):
+            train_run(dataclasses.replace(config, folds=3))
+        monkeypatch.undo()
+        assert not list((out / "checkpoints").iterdir())
+        before = tree_bytes(out)
+        code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
+        assert code == 3, output
+        assert output.startswith(f"data error: missing checkpoint {out / 'checkpoints' / 'fold0.ckpt'}")
+        assert tree_bytes(out) == before
+
     @pytest.mark.parametrize("iterations, missing, later", [
         ((1, 3), 2, 3), ((2,), 1, 2), ((4, 1), 2, 4),
     ])
@@ -985,8 +1126,8 @@ def test_runs_hold_few_copies_of_the_weights(tmp_path):
 
 
 def test_package_does_not_import_scipy():
-    """Neither scipy (test-only) nor click (no longer a dependency) is
-    imported by any dynrank module, the CLI included."""
+    """Neither scipy nor click (no longer dependencies) is imported by any
+    dynrank module, the CLI included."""
     import dynrank
 
     code = (

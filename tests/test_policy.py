@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
 
 from dynrank.data import gen_synthetic
 from dynrank.feedback import EmbedRocchioFeedback, RocchioParams, simulate_feedback
@@ -392,7 +391,11 @@ class TestSelectAction:
             assert sorted(scores)[best_action(np.array([scores[d] for d in sorted(scores)]))] \
                 == reference_best_action(scores)
 
-    def test_epsilon_one_is_uniform(self):
+    def test_chi2_bound_is_the_tabulated_quantile(self, chi2_ppf_99):
+        # scipy.stats.chi2.ppf(0.99, df=4), bit for bit
+        assert chi2_ppf_99(4) == 13.276704135987622
+
+    def test_epsilon_one_is_uniform(self, chi2_ppf_99):
         rng = np.random.default_rng(0)
         scores = {c: float(i) for i, c in enumerate("abcde")}
         counts = {c: 0 for c in scores}
@@ -401,7 +404,7 @@ class TestSelectAction:
             counts[pick_id(scores, 1.0, "argmax", rng)] += 1
         expected = n / len(scores)
         stat = sum((c - expected) ** 2 / expected for c in counts.values())
-        assert stat < chi2.ppf(0.99, df=len(scores) - 1)
+        assert stat < chi2_ppf_99(len(scores) - 1)
 
     def test_epsilon_zero_argmax(self):
         rng = np.random.default_rng(0)
