@@ -59,7 +59,7 @@ _PROFILES = {"ablate": harness.trend_config, "sweep-layers": harness.sweep_confi
 _COMMANDS = {
     "train": "Train one value network per fold and write checkpoints.",
     "evaluate": "Evaluate fold checkpoints; writes the per-iteration metric table.",
-    "ablate": "Train and evaluate every feedback variant, all else fixed.",
+    "ablate": "Train and evaluate each feedback variant the corpus supports, all else fixed.",
     "sweep-layers": "Repeat training across stack depths and compare final metrics.",
     "metrics": "Score an existing run file offline.",
 }

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynrank.embedspace import embed_text, read_vectors_tsv
+from dynrank.embedspace import embed_text
 from dynrank.metrics import JudgmentSet
 
 
@@ -29,12 +29,66 @@ class DataError(Exception):
 
 def read_lines(path):
     """Yield ``(line number, line)`` over a UTF-8 text file. A file that is
-    missing, a directory, unreadable or not UTF-8 is a DataError naming it."""
+    missing, a directory, unreadable or not UTF-8 is a DataError naming it,
+    and for bytes that are not UTF-8 the first line that holds them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield from enumerate(fh, start=1)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise DataError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {_undecodable_line(path) or exc}") from None
+
+
+def _undecodable_line(path) -> str | None:
+    """``line N: <decode error>`` for the first line of ``path`` that is not
+    UTF-8, or None. Lines break at ``\\n``, ``\\r`` and ``\\r\\n``, as in
+    ``read_lines``; no UTF-8 sequence holds either byte, so no split cuts one."""
+    with open(path, "rb") as fh:
+        lines = (part for raw in fh for part in raw.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"line {lineno}: {exc}"
+    return None
+
+
+def read_vectors_tsv(path) -> tuple[int, dict[str, np.ndarray]]:
+    """Read an embeddings TSV: header ``#dim=D`` then ``doc_id\\tv1...\\tvD`` rows.
+
+    Returns ``(D, doc_id -> vector)``. Malformed input is a DataError
+    naming the file and line.
+    """
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1]
+    if not header.startswith("#dim="):
+        raise DataError(f"{path}: line 1: expected header '#dim=D'")
+    try:
+        dim = int(header[len("#dim="):].strip())
+    except ValueError:
+        raise DataError(f"{path}: line 1: malformed dimension in header") from None
+    if dim < 1:
+        raise DataError(f"{path}: line 1: dimension must be >= 1")
+    vectors: dict[str, np.ndarray] = {}
+    for lineno, line in lines:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != dim + 1:
+            raise DataError(f"{path}: line {lineno}: expected {dim + 1} columns, got {len(cells)}")
+        doc_id = cells[0]
+        if doc_id in vectors:
+            raise DataError(f"{path}: line {lineno}: duplicate doc id {doc_id!r}")
+        try:
+            vec = np.array([float(c) for c in cells[1:]], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: malformed float") from None
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path}: line {lineno}: non-finite entry for doc {doc_id!r}")
+        vectors[doc_id] = vec
+    return dim, vectors
 
 
 @dataclass
@@ -127,10 +181,7 @@ def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, 
     first = next(read_lines(docs_or_vectors_path), (0, ""))[1]
     texts: dict[str, str] | None = None
     if first.startswith("#dim="):
-        try:
-            dim, vectors = read_vectors_tsv(docs_or_vectors_path)
-        except ValueError as exc:
-            raise DataError(f"{docs_or_vectors_path}: {exc}") from None
+        dim, vectors = read_vectors_tsv(docs_or_vectors_path)
     else:
         texts = _read_jsonl_map(docs_or_vectors_path, "doc_id", "text", "doc", "documents")[0]
         vectors = {doc_id: embed_text(text, dim, seed) for doc_id, text in texts.items()}

@@ -3,7 +3,7 @@
 Vectors are plain 1-D float64 numpy arrays with a fixed dimension per run.
 The built-in encoder is a deterministic hashed bag-of-words, so the whole
 pipeline runs with zero external dependencies; precomputed embeddings can
-be ingested from TSV instead (``read_vectors_tsv``).
+be ingested from TSV instead (``data.read_vectors_tsv``).
 """
 
 from __future__ import annotations
@@ -70,40 +70,3 @@ def cosine(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
-
-
-def read_vectors_tsv(path) -> tuple[int, dict[str, np.ndarray]]:
-    """Read an embeddings TSV: header ``#dim=D`` then ``doc_id\\tv1...\\tvD`` rows.
-
-    Returns ``(D, doc_id -> vector)``. Raises ValueError with the offending
-    line number on malformed input.
-    """
-    vectors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("#dim="):
-            raise ValueError("line 1: expected header '#dim=D'")
-        try:
-            dim = int(header[len("#dim="):].strip())
-        except ValueError:
-            raise ValueError("line 1: malformed dimension in header") from None
-        if dim < 1:
-            raise ValueError("line 1: dimension must be >= 1")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != dim + 1:
-                raise ValueError(f"line {lineno}: expected {dim + 1} columns, got {len(cells)}")
-            doc_id = cells[0]
-            if doc_id in vectors:
-                raise ValueError(f"line {lineno}: duplicate doc id {doc_id!r}")
-            try:
-                vec = np.array([float(c) for c in cells[1:]], dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed float") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"line {lineno}: non-finite entry for doc {doc_id!r}")
-            vectors[doc_id] = vec
-    return dim, vectors

@@ -191,6 +191,22 @@ def load_dataset(spec: DatasetSpec, seed: int = 0) -> Dataset:
     return load_letor(spec.letor_path)
 
 
+def feedback_variants(dataset: Dataset) -> tuple[str, ...]:
+    """The feedback variants a run on ``dataset`` can use, in
+    ``ABLATION_VARIANTS`` order. Feature mode has no query vector to
+    reformulate; the term-space variants need document and query text."""
+    if dataset.kind == "feature":
+        return ("no-feedback",)
+    if not dataset.texts or not all(dataset.topics.values()):
+        return ("embed-rocchio", "no-feedback")
+    return ABLATION_VARIANTS
+
+
+def _lacking(dataset: Dataset) -> str:
+    """What ``dataset`` lacks for the variants ``feedback_variants`` leaves out."""
+    return "query vectors (feature mode)" if dataset.kind == "feature" else "document and query text"
+
+
 def _check_config(config: RunConfig, dataset: Dataset) -> None:
     """Reject a config the dataset cannot train or evaluate."""
     if config.folds > len(dataset.topics):
@@ -201,32 +217,24 @@ def _check_config(config: RunConfig, dataset: Dataset) -> None:
             f"net.input_dim={config.net.input_dim} but the dataset needs {expected} "
             f"({dataset.kind} mode, dim {dataset.dim})"
         )
+    supported = feedback_variants(dataset)
+    if config.feedback not in supported:
+        raise ConfigError(f"feedback {config.feedback!r} needs {_lacking(dataset)}, which the corpus "
+                          f"lacks; it supports {', '.join(supported)}")
 
 
 def make_feedback(config: RunConfig, dataset: Dataset):
-    """Build the query reformulator for a variant; returns (fn, notes).
-
-    Term-space variants need document and query text; on vector-only
-    corpora they fall back to the identity reformulation and say so.
-    """
+    """The query reformulator of ``config.feedback``, or None for
+    no-feedback; the dataset must support the variant (``_check_config``)."""
     name = config.feedback
-    notes: list[str] = []
     if name == "no-feedback":
-        return None, notes
-    if dataset.kind == "feature":
-        notes.append(f"feedback {name!r} requires embedded queries; feature mode runs without feedback")
-        return None, notes
+        return None
     if name == "embed-rocchio":
-        return EmbedRocchioFeedback(config.rocchio), notes
-    if not dataset.texts or not all(dataset.topics.values()):
-        notes.append(f"feedback {name!r} needs document and query text; corpus is vector-only, "
-                     "falling back to the identity reformulation")
-        return None, notes
+        return EmbedRocchioFeedback(config.rocchio)
     if name == "classic-rocchio":
-        return ClassicRocchioFeedback(
-            dataset.texts, dataset.topics, config.rocchio, dim=dataset.dim, seed=config.seed
-        ), notes
-    return NQEFeedback(dataset.texts, dataset.topics, dim=dataset.dim, seed=config.seed), notes
+        return ClassicRocchioFeedback(dataset.texts, dataset.topics, config.rocchio,
+                                      dim=dataset.dim, seed=config.seed)
+    return NQEFeedback(dataset.texts, dataset.topics, dim=dataset.dim, seed=config.seed)
 
 
 @dataclass
@@ -242,6 +250,14 @@ class RunReport:
 
 
 _SCHEMA = "dynrank-report/1"
+
+
+def _config_echo(config: RunConfig) -> dict:
+    """The run config as its report echoes it: every field but ``out_dir``,
+    so one config writes the same bytes wherever its output goes."""
+    echo = valuenet.config_to_dict(config)
+    del echo["out_dir"]
+    return echo
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -312,8 +328,8 @@ def train_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport:
     _check_config(config, dataset)
     out = Path(config.out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
-    report = RunReport(command="train", config=valuenet.config_to_dict(config))
-    fb, report.notes = make_feedback(config, dataset)
+    report = RunReport(command="train", config=_config_echo(config))
+    fb = make_feedback(config, dataset)
     folds = split_folds(dataset, config.folds, config.seed)
     # an earlier run's folds go first, and a run that stops early leaves none,
     # so evaluate never reads fold networks without the split record beside them
@@ -380,8 +396,8 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
         dataset = load_dataset(config.dataset, config.seed)
     _check_config(config, dataset)
     out = Path(config.out_dir)
-    report = RunReport(command="evaluate", config=valuenet.config_to_dict(config))
-    fb, report.notes = make_feedback(config, dataset)
+    report = RunReport(command="evaluate", config=_config_echo(config))
+    fb = make_feedback(config, dataset)
     folds = split_folds(dataset, config.folds, config.seed)
     record = _split_path(out)
     if record.exists():  # checkpoints without a record are evaluated as they are
@@ -438,66 +454,32 @@ def with_layers(net: NetConfig, layers: int) -> NetConfig:
     return dataclasses.replace(net, layers=layers, hidden_dims=hidden)
 
 
-def _copy_files(src: Path, dst: Path) -> None:
-    """Copy every file under ``src`` (temporary files aside) to the same
-    place under ``dst``, each written atomically."""
-    for path in sorted(src.rglob("*")):
-        if path.is_file() and not path.name.startswith("."):
-            target = dst / path.relative_to(src)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            with atomic_open(target, "wb") as fh:
-                fh.write(path.read_bytes())
-
-
 def _run_arms(command: str, config: RunConfig, arms, dataset: Dataset) -> RunReport:
-    """Train, evaluate and emit each ``(label, sub-config, same_as)`` arm on
-    one dataset; the report holds each arm's table as ``evaluation:<label>``
-    and the notes of every arm.
-
-    An arm whose ``same_as`` names an earlier arm would run exactly as that
-    one did, so it is not run again: it gets copies of that arm's files and
-    its evaluation report, with its own config echo and notes."""
-    report = RunReport(command=command, config=valuenet.config_to_dict(config))
-    runs: dict[str, tuple[RunConfig, RunReport]] = {}
-    for label, sub, same_as in arms:
-        if same_as is None:
-            notes = train_run(sub, dataset).notes
-            eval_rep = evaluate_run(sub, dataset)
-            runs[label] = (sub, eval_rep)
-        else:
-            first, shared = runs[same_as]
-            _copy_files(Path(first.out_dir), Path(sub.out_dir))
-            notes = make_feedback(sub, dataset)[1]
-            eval_rep = dataclasses.replace(shared, config=valuenet.config_to_dict(sub), notes=notes)
+    """Train, evaluate and emit each ``(label, sub-config)`` arm on one
+    dataset; the report holds each arm's table as ``evaluation:<label>``."""
+    report = RunReport(command=command, config=_config_echo(config))
+    for label, sub in arms:
+        train_run(sub, dataset)
+        eval_rep = evaluate_run(sub, dataset)
         emit_report(eval_rep, sub.out_dir)
-        report.notes.extend(n for n in notes + eval_rep.notes if n not in report.notes)
         report.tables[f"evaluation:{label}"] = eval_rep.tables["evaluation"]
     return report
 
 
 def ablate_run(config: RunConfig, dataset: Dataset) -> RunReport:
-    """Train and evaluate all feedback variants, everything else fixed.
-
-    The variants that get no query reformulator on the dataset (no-feedback,
-    the term-space ones on vector-only corpora, all of them in feature mode)
-    rank identically, so the first of them is trained and evaluated once
-    for all of them."""
+    """Train and evaluate each feedback variant the dataset supports,
+    everything else fixed; a note names the variants left out."""
+    variants = feedback_variants(dataset)
     out = Path(config.out_dir) / "ablate"
-    arms, plain = [], []  # plain: the variants without a reformulator
-    for v in ABLATION_VARIANTS:
-        sub = dataclasses.replace(config, feedback=v, out_dir=str(out / v))
-        same_as = None
-        if make_feedback(sub, dataset)[0] is None:
-            same_as = plain[0] if plain else None
-            plain.append(v)
-        arms.append((v, sub, same_as))
-    report = _run_arms("ablate", config, arms, dataset)
-    if len(plain) > 1:
-        report.notes.append(f"variants {', '.join(plain[1:])} rank exactly as {plain[0]} does "
-                            f"(no query reformulator): they were trained and evaluated once, as "
-                            f"{plain[0]}, and their files are copies of its files")
+    report = _run_arms("ablate", config, [
+        (v, dataclasses.replace(config, feedback=v, out_dir=str(out / v))) for v in variants
+    ], dataset)
+    skipped = [v for v in ABLATION_VARIANTS if v not in variants]
+    if skipped:
+        report.notes.append(f"variants {', '.join(skipped)} were not run: they need "
+                            f"{_lacking(dataset)}, which the corpus lacks")
     report.tables["ablation"] = [
-        (v, *row) for v in ABLATION_VARIANTS for row in report.tables[f"evaluation:{v}"]
+        (v, *row) for v in variants for row in report.tables[f"evaluation:{v}"]
     ]
     return report
 
@@ -506,8 +488,7 @@ def sweep_run(config: RunConfig, dataset: Dataset) -> RunReport:
     """Repeat training for each stack depth and report the final metric."""
     out = Path(config.out_dir) / "sweep"
     report = _run_arms("sweep-layers", config, [
-        (f"J{n}", dataclasses.replace(config, net=with_layers(config.net, n), out_dir=str(out / f"J{n}")),
-         None)
+        (f"J{n}", dataclasses.replace(config, net=with_layers(config.net, n), out_dir=str(out / f"J{n}")))
         for n in SWEEP_LAYERS
     ], dataset)
     primary = config.metric.report[0]
@@ -566,7 +547,7 @@ def metrics_run(config: RunConfig, run_path, dataset: Dataset | None = None) -> 
     iterations = max(config.policy.iterations, *(len(its) for its in blocks.values()))
     values = iteration_values(dataset.judgments, ranked, iterations, config.metric,
                               config.policy.docs_per_iteration)
-    report = RunReport(command="metrics", config=valuenet.config_to_dict(config))
+    report = RunReport(command="metrics", config=_config_echo(config))
     report.tables["evaluation"] = _rows_from_values(values)
     return report
 

@@ -118,6 +118,26 @@ class TestLoadTrecDD:
         assert sorted(ds.docs["t1"]) == ["d1", "d2", "d3"]
         assert ds.docs["t1"] is ds.docs["t2"]  # one map for the shared pool
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("which", ["qrels", "vectors"])
+    def test_non_utf8_byte_past_first_chunk_names_its_line(self, tmp_path, which, newline):
+        """A bad byte well past the text layer's 8 KiB decode chunk is
+        reported by the line that holds it, not by its offset in a chunk,
+        with lines counted as the loaders count them."""
+        topics, qrels, docs = write_trec_fixture(tmp_path, docs_as_vectors=True)
+        if which == "qrels":
+            bad, head = qrels, qrels.read_bytes() + (b"# padding comment line" + newline) * 3000
+        else:
+            bad, head = docs, docs.read_bytes() + b"".join(b"x%04d\t0.5\t0.5\t0.5" % i + newline
+                                                           for i in range(1000))
+        assert len(head) > 8192
+        lineno = len(head.splitlines()) + 1
+        bad.write_bytes(head + b"d9\t0.\xff\t0.0\t0.0" + newline)
+        with pytest.raises(DataError) as info:
+            load_trec_dd(topics, qrels, docs)
+        assert str(info.value) == (f"{bad}: line {lineno}: 'utf-8' codec can't decode byte 0xff "
+                                   "in position 5: invalid start byte")
+
 
 LETOR_FIXTURE = """\
 2 qid:10 1:0.5 2:0.1 #docid = GX1 extra

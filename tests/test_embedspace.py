@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynrank.data import DataError, read_vectors_tsv
 from dynrank.embedspace import (
     cosine,
     embed_text,
     embed_term_weights,
-    read_vectors_tsv,
     tokenize,
     token_bucket,
 )
@@ -128,24 +128,24 @@ class TestCorpusTsv:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "vecs.tsv"
         path.write_text("d1\t0.5\n")
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             read_vectors_tsv(path)
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "vecs.tsv"
         path.write_text("#dim=2\nd1\t0.5\n")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             read_vectors_tsv(path)
 
     def test_duplicate_doc(self, tmp_path):
         path = tmp_path / "vecs.tsv"
         path.write_text("#dim=1\nd1\t0.5\nd1\t0.25\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate"):
             read_vectors_tsv(path)
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_entry_names_line(self, tmp_path, entry):
         path = tmp_path / "vecs.tsv"
         path.write_text(f"#dim=2\nd0\t0.5\t0.5\nd1\t0.5\t{entry}\n")
-        with pytest.raises(ValueError, match=r"line 3: non-finite entry for doc 'd1'"):
+        with pytest.raises(DataError, match=r"line 3: non-finite entry for doc 'd1'"):
             read_vectors_tsv(path)

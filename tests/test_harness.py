@@ -33,7 +33,7 @@ from dynrank.harness import (
     train_run,
     trend_config,
 )
-from dynrank.embedspace import cosine
+from dynrank.embedspace import cosine, embed_text
 from dynrank.feedback import EmbedRocchioFeedback, RocchioParams
 from dynrank.metrics import MetricSpec, RankedList, report_value
 from dynrank.policy import PolicyConfig, cosine_pick, evaluate_session, random_pick, run_session
@@ -404,20 +404,49 @@ class TestDeterminism:
             assert first[key] == second[key], f"{key} differs between runs"
 
     def test_config_echo_reproduces_run(self, tmp_path):
+        """The echo is the config minus ``out_dir``: with the out dir given
+        back it rebuilds the run's config."""
         config = tiny_config(tmp_path)
         report = train_run(config)
-        assert config_from_dict(report.config) == config
+        assert "out_dir" not in report.config
+        assert config_from_dict({**report.config, "out_dir": config.out_dir}) == config
+
+    def test_same_config_same_bytes_in_two_directories(self, tmp_path):
+        """Where a run writes does not change what it writes."""
+        trees = []
+        for name in ("a", "much-longer-directory-name"):
+            config = tiny_config(tmp_path / name)
+            run(config, "train")
+            run(config, "evaluate")
+            trees.append({k: v for k, v in tree_bytes(tmp_path / name).items()
+                          if Path(k).name != "timing.json"})
+        assert "report.json" in trees[0] and "checkpoints/fold1.ckpt" in trees[0]
+        assert trees[0] == trees[1]
 
 
 class TestAblate:
-    def test_emits_four_variant_tables(self, tmp_path):
+    def test_vector_corpus_runs_the_two_variants_it_supports(self, tmp_path):
         config = tiny_config(tmp_path)
         report = run(config, "ablate")
-        variant_tables = [k for k in report.tables if k.startswith("evaluation:")]
-        assert len(variant_tables) == 4
-        assert (tmp_path / "ablation_summary.csv").exists()
-        for variant in ("embed-rocchio", "classic-rocchio", "nqe", "no-feedback"):
+        assert sorted(k for k in report.tables if k.startswith("evaluation:")) == [
+            "evaluation:embed-rocchio", "evaluation:no-feedback"]
+        assert sorted(p.name for p in (tmp_path / "ablate").iterdir()) == ["embed-rocchio", "no-feedback"]
+        for variant in ("embed-rocchio", "no-feedback"):
             assert (tmp_path / "ablate" / variant / "evaluation.csv").exists()
+        summary = (tmp_path / "ablation_summary.csv").read_text().splitlines()[1:]
+        assert {line.split(",")[0] for line in summary} == {"embed-rocchio", "no-feedback"}
+
+    def test_vector_corpus_notes_term_fallback(self, tmp_path):
+        """On a vector-only corpus the term-space variants fall away: no arm
+        is written for them, and the report, in memory and on disk, notes
+        what the corpus lacks."""
+        config = tiny_config(tmp_path)
+        report = run(config, "ablate")
+        note = ("variants classic-rocchio, nqe were not run: they need document "
+                "and query text, which the corpus lacks")
+        assert report.notes == [note]
+        assert json.loads((tmp_path / "report.json").read_text())["notes"] == [note]
+        assert not any((tmp_path / "ablate" / v).exists() for v in ("classic-rocchio", "nqe"))
 
     def test_variants_differ_only_in_feedback(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -430,34 +459,22 @@ class TestAblate:
             k for k in echoes[0]
             if echoes[0][k] != echoes[1][k]
         }
-        assert diff_keys == {"feedback", "out_dir"}
+        assert diff_keys == {"feedback"}
 
-    def test_arms_without_reformulator_run_once(self, tmp_path, monkeypatch):
+    def test_each_arm_is_its_own_run(self, tmp_path, monkeypatch):
+        """Every arm trains once, and its files are the bytes a run of its
+        own writes elsewhere."""
         trained = []
         real = harness.train_run
         monkeypatch.setattr(harness, "train_run", lambda c, d=None: trained.append(c.feedback) or real(c, d))
         config = tiny_config(tmp_path / "grid")
-        report = run(config, "ablate")
-        # on a vector-only corpus the term-space variants fall back to no reformulator
-        assert trained == ["embed-rocchio", "classic-rocchio"]
-        assert any("nqe, no-feedback rank exactly as classic-rocchio" in n for n in report.notes)
-        # a run of its own gives an alias arm the bytes it got as copies
+        run(config, "ablate")
+        assert trained == ["embed-rocchio", "no-feedback"]
+        monkeypatch.undo()
         alone = dataclasses.replace(config, feedback="no-feedback", out_dir=str(tmp_path / "alone"))
-        real(alone)
+        train_run(alone)
         emit_report(evaluate_run(alone), alone.out_dir)
-        files = sorted(p.relative_to(alone.out_dir) for p in Path(alone.out_dir).rglob("*"))
-        assert Path("checkpoints/fold0.ckpt") in files and Path("run.jsonl") in files
-        ds = load_dataset(config.dataset, config.seed)
-        for variant in ("classic-rocchio", "nqe", "no-feedback"):
-            arm = tmp_path / "grid" / "ablate" / variant
-            assert sorted(p.relative_to(arm) for p in arm.rglob("*")) == files
-            for name in files:
-                if name.name != "report.json" and (arm / name).is_file():
-                    assert (arm / name).read_bytes() == (Path(alone.out_dir) / name).read_bytes()
-            sub = json.loads((arm / "report.json").read_text())
-            assert sub["config"] == config_to_dict(
-                dataclasses.replace(config, feedback=variant, out_dir=str(arm)))
-            assert sub["notes"] == make_feedback(dataclasses.replace(config, feedback=variant), ds)[1]
+        assert tree_bytes(tmp_path / "grid" / "ablate" / "no-feedback") == tree_bytes(tmp_path / "alone")
 
     def test_term_space_arms_reformulate_on_a_text_corpus(self, tmp_path):
         """On a corpus with document and query text every arm trains, and
@@ -490,12 +507,13 @@ class TestAblate:
         assert runs["classic-rocchio"] != runs["no-feedback"]
         assert runs["nqe"] != runs["no-feedback"]
 
-    def test_vector_corpus_notes_term_fallback(self, tmp_path):
-        config = tiny_config(tmp_path, feedback="classic-rocchio")
-        ds = load_dataset(config.dataset, config.seed)
-        fn, notes = make_feedback(config, ds)
-        assert fn is None
-        assert notes and "vector-only" in notes[0]
+    def test_feature_corpus_runs_no_feedback_only(self, tmp_path):
+        config = letor_config(tmp_path)
+        report = run(config, "ablate")
+        assert sorted(p.name for p in (tmp_path / "out" / "ablate").iterdir()) == ["no-feedback"]
+        assert {row[0] for row in report.tables["ablation"]} == {"no-feedback"}
+        assert report.notes == ["variants embed-rocchio, classic-rocchio, nqe were not run: they need "
+                                "query vectors (feature mode), which the corpus lacks"]
 
 
 class TestSweep:
@@ -508,12 +526,68 @@ class TestSweep:
         assert (tmp_path / "sweep_layers.csv").exists()
 
     def test_report_keeps_arm_notes(self, tmp_path):
-        config = tiny_config(tmp_path, feedback="classic-rocchio")
+        """The sweep's report and every arm's report carry the same notes,
+        none, since each arm runs the variant it was given."""
+        config = tiny_config(tmp_path)
         report = run(config, "sweep-layers")
-        arm = json.loads((tmp_path / "sweep" / "J1" / "report.json").read_text())
-        assert arm["notes"] and "vector-only" in arm["notes"][0]
-        assert report.notes == arm["notes"]
-        assert json.loads((tmp_path / "report.json").read_text())["notes"] == arm["notes"]
+        assert report.notes == []
+        assert json.loads((tmp_path / "report.json").read_text())["notes"] == []
+        for n in (1, 2, 3, 4):
+            arm = json.loads((tmp_path / "sweep" / f"J{n}" / "report.json").read_text())
+            assert arm["notes"] == report.notes
+
+
+def corpus_config(tmp_path, corpus: str) -> RunConfig:
+    """A runnable config on one kind of corpus: "feature" (LETOR),
+    "synthetic", "tsv" (TREC-DD with precomputed vectors, no text) or
+    "text" (TREC-DD with document and query text)."""
+    if corpus == "feature":
+        return letor_config(tmp_path)
+    if corpus == "synthetic":
+        return tiny_config(tmp_path / "out")
+    spec = write_text_corpus(tmp_path)
+    if corpus == "tsv":
+        texts = [json.loads(line) for line in Path(spec["docs_path"]).read_text().splitlines()]
+        vectors = tmp_path / "docs.tsv"
+        vectors.write_text("#dim=16\n" + "".join(
+            row["doc_id"] + "".join(f"\t{float(x)!r}" for x in embed_text(row["text"], 16)) + "\n" for row in texts))
+        spec["docs_path"] = str(vectors)
+    return config_from_dict({**config_to_dict(tiny_config(tmp_path / "out")), "dataset": spec,
+                             "net": {**config_to_dict(tiny_config(tmp_path).net), "input_dim": 32}})
+
+
+class TestFeedbackVariants:
+    @pytest.mark.parametrize("corpus, variants", [
+        ("feature", ["no-feedback"]),
+        ("synthetic", ["embed-rocchio", "no-feedback"]),
+        ("tsv", ["embed-rocchio", "no-feedback"]),
+        ("text", ["embed-rocchio", "classic-rocchio", "nqe", "no-feedback"]),
+    ], ids=["feature", "synthetic", "tsv", "text"])
+    def test_variants_per_corpus(self, tmp_path, corpus, variants):
+        config = corpus_config(tmp_path, corpus)
+        ds = load_dataset(config.dataset, config.seed)
+        assert list(harness.feedback_variants(ds)) == variants
+        for v in variants:
+            fn = make_feedback(dataclasses.replace(config, feedback=v), ds)
+            assert (fn is None) == (v == "no-feedback")
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep-layers"])
+    @pytest.mark.parametrize("corpus, variant, lacks", [
+        ("synthetic", "classic-rocchio", "document and query text"),
+        ("tsv", "nqe", "document and query text"),
+        ("feature", "embed-rocchio", "query vectors (feature mode)"),
+    ], ids=["synthetic-classic-rocchio", "tsv-nqe", "feature-embed-rocchio"])
+    def test_unsupported_variant_exits_2(self, tmp_path, capsys, command, corpus, variant, lacks):
+        """A variant the corpus cannot run is a config error that names it
+        and what the corpus lacks, and nothing is written."""
+        config = dataclasses.replace(corpus_config(tmp_path, corpus), feedback=variant)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(config)))
+        code, output = invoke(capsys, [command, "--config", str(cfg_path)])
+        assert code == 2, output
+        assert output.startswith(f"config error: feedback {variant!r} needs {lacks}, which the corpus "
+                                 "lacks; it supports "), output
+        assert not Path(config.out_dir).exists()
 
 
 def reference_baseline(dataset, topic, method, k, seed=0) -> list[str]:
@@ -955,9 +1029,11 @@ class TestCli:
             "train", "--config", str(cfg_path), "--out", str(out2), "--seed", "3",
         ])
         assert code == 0, output
+        assert (out2 / "checkpoints" / "fold1.ckpt").exists()
+        assert not (tmp_path / "out").exists()  # the report sits in --out, not the config's out_dir
         echo = json.loads((out2 / "report.json").read_text())["config"]
         assert echo["seed"] == 3
-        assert echo["out_dir"] == str(out2)
+        assert "out_dir" not in echo
 
     @pytest.mark.parametrize("command, profile", [
         ("ablate", trend_config), ("sweep-layers", sweep_config), ("train", default_config),
@@ -1034,6 +1110,25 @@ LETOR_LINES = """\
 1 qid:3 1:0.6 2:0.3 3:0.1 4:0.4
 0 qid:3 1:0.1 2:0.7 3:0.4 4:0.2
 """
+
+
+def letor_config(tmp_path) -> RunConfig:
+    """A 3-fold feature-mode config over ``LETOR_LINES``."""
+    letor = tmp_path / "letor.txt"
+    letor.write_text(LETOR_LINES)
+    return RunConfig(
+        dataset=DatasetSpec(kind="letor", letor_path=str(letor)),
+        net=NetConfig(layers=1, input_dim=4, hidden_dims=(4,), dense_dims=(3,),
+                      window=2, dropout=0.0, learning_rate=0.1, output="sigmoid",
+                      input_scale=2.0),
+        policy=PolicyConfig(epsilon=0.3, docs_per_iteration=2, iterations=1,
+                            selection="sample", epoch_cap=3, stop_tol=0.0),
+        metric=MetricSpec(target="ndcg", report=("ndcg@2",)),
+        feedback="no-feedback",  # feature mode has no query vector to reformulate
+        folds=3,
+        seed=0,
+        out_dir=str(tmp_path / "out"),
+    )
 
 
 def nan_query_dataset(config):
@@ -1146,27 +1241,10 @@ def test_package_does_not_import_scipy():
 
 
 class TestFeatureMode:
-    def make_config(self, tmp_path):
-        letor = tmp_path / "letor.txt"
-        letor.write_text(LETOR_LINES)
-        return RunConfig(
-            dataset=DatasetSpec(kind="letor", letor_path=str(letor)),
-            net=NetConfig(layers=1, input_dim=4, hidden_dims=(4,), dense_dims=(3,),
-                          window=2, dropout=0.0, learning_rate=0.1, output="sigmoid",
-                          input_scale=2.0),
-            policy=PolicyConfig(epsilon=0.3, docs_per_iteration=2, iterations=1,
-                                selection="sample", epoch_cap=3, stop_tol=0.0),
-            metric=MetricSpec(target="ndcg", report=("ndcg@2",)),
-            feedback="embed-rocchio",  # must fall back in feature mode
-            folds=3,
-            seed=0,
-            out_dir=str(tmp_path / "out"),
-        )
-
     def test_feature_inputs_are_bare_feature_vectors(self, tmp_path):
         from dynrank.policy import forward_inputs, new_session, step_transition
 
-        config = self.make_config(tmp_path)
+        config = letor_config(tmp_path)
         ds = load_dataset(config.dataset, config.seed)
         state = new_session(ds, "1")
         assert state.query.size == 0
@@ -1176,11 +1254,11 @@ class TestFeatureMode:
         np.testing.assert_array_equal(unit, ds.docs["1"][doc])
 
     def test_train_evaluate_on_letor(self, tmp_path):
-        config = self.make_config(tmp_path)
+        config = letor_config(tmp_path)
         ds = load_dataset(config.dataset, config.seed)
         train_report = train_run(config, ds)
         assert len(train_report.folds) == 3
-        assert any("feature mode" in n for n in train_report.notes)
+        assert train_report.notes == []
         eval_report = evaluate_run(config, ds)
         rows = eval_report.tables["evaluation"]
         assert rows and all(0.0 <= mean <= 1.0 for _, _, mean, _ in rows)
