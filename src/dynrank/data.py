@@ -13,6 +13,7 @@ numbers instead of repairing them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -54,13 +55,14 @@ def _undecodable_line(path) -> str | None:
     return None
 
 
-def read_vectors_tsv(path) -> tuple[int, dict[str, np.ndarray]]:
+def read_vectors_tsv(path, lines=None) -> tuple[int, dict[str, np.ndarray]]:
     """Read an embeddings TSV: header ``#dim=D`` then ``doc_id\\tv1...\\tvD`` rows.
 
     Returns ``(D, doc_id -> vector)``. Malformed input is a DataError
-    naming the file and line.
+    naming the file and line. ``lines`` are the file's numbered lines
+    (``read_lines``) when the caller has already opened it.
     """
-    lines = read_lines(path)
+    lines = read_lines(path) if lines is None else lines
     header = next(lines, (1, ""))[1]
     if not header.startswith("#dim="):
         raise DataError(f"{path}: line 1: expected header '#dim=D'")
@@ -141,14 +143,15 @@ def _read_qrels(path) -> tuple[JudgmentSet, list[tuple[int, str, str, str, float
     return judgments, rows
 
 
-def _read_jsonl_map(path, key: str, value: str, noun: str,
+def _read_jsonl_map(path, lines, key: str, value: str, noun: str,
                     plural: str) -> tuple[dict[str, str], dict[str, int]]:
-    """``str(row[key]) -> str(row[value])`` over the rows of a JSONL file,
-    and each key's line number; ``noun`` and ``plural`` name a row in the
-    errors."""
+    """``row[key] -> row[value]`` over the numbered ``lines`` of a JSONL
+    file, and each key's line number. A key is a JSON string or integer
+    (kept as its decimal string), a value a JSON string; ``noun`` and
+    ``plural`` name a row in the errors."""
     out: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for lineno, line in read_lines(path):
+    where: dict[str, int] = {}
+    for lineno, line in lines:
         if not line.strip():
             continue
         try:
@@ -159,13 +162,19 @@ def _read_jsonl_map(path, key: str, value: str, noun: str,
             raise DataError(f"{path}: line {lineno}: expected a JSON object, got {type(row).__name__}")
         if key not in row or value not in row:
             raise DataError(f"{path}: line {lineno}: expected keys {key!r} and {value!r}")
-        k = str(row[key])
+        k, v = row[key], row[value]
+        if isinstance(k, bool) or not isinstance(k, (str, int)):
+            raise DataError(f"{path}: line {lineno}: {key!r} must be a string or an integer, "
+                            f"got {type(k).__name__}")
+        if not isinstance(v, str):
+            raise DataError(f"{path}: line {lineno}: {value!r} must be a string, got {type(v).__name__}")
+        k = str(k)
         if k in out:
             raise DataError(f"{path}: line {lineno}: duplicate {noun} {k!r}")
-        out[k], lines[k] = str(row[value]), lineno
+        out[k], where[k] = v, lineno
     if not out:
         raise DataError(f"{path}: no {plural} found")
-    return out, lines
+    return out, where
 
 
 def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, seed: int = 0) -> Dataset:
@@ -175,15 +184,19 @@ def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, 
     fallback at ``dim``) or a precomputed-embeddings TSV whose header
     fixes the dimension.
     """
-    topics, topic_lines = _read_jsonl_map(topics_path, "topic_id", "query", "topic", "topics")
+    topics, topic_lines = _read_jsonl_map(topics_path, read_lines(topics_path), "topic_id", "query",
+                                          "topic", "topics")
     judgments, qrel_rows = _read_qrels(qrels_path)
 
-    first = next(read_lines(docs_or_vectors_path), (0, ""))[1]
+    # one pass over the docs file: its first line tells a vectors TSV from JSONL
+    lines = read_lines(docs_or_vectors_path)
+    first = list(itertools.islice(lines, 1))
+    lines = itertools.chain(first, lines)
     texts: dict[str, str] | None = None
-    if first.startswith("#dim="):
-        dim, vectors = read_vectors_tsv(docs_or_vectors_path)
+    if first and first[0][1].startswith("#dim="):
+        dim, vectors = read_vectors_tsv(docs_or_vectors_path, lines)
     else:
-        texts = _read_jsonl_map(docs_or_vectors_path, "doc_id", "text", "doc", "documents")[0]
+        texts = _read_jsonl_map(docs_or_vectors_path, lines, "doc_id", "text", "doc", "documents")[0]
         vectors = {doc_id: embed_text(text, dim, seed) for doc_id, text in texts.items()}
 
     for lineno, topic, _, doc, _ in qrel_rows:

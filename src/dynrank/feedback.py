@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from dynrank.embedspace import embed_term_weights, embed_text, tokenize
+from dynrank.embedspace import embed_term_weights, tokenize
 from dynrank.metrics import JudgmentSet
 
 
@@ -117,9 +117,11 @@ def rocchio_embed(
 
 
 _TOP_TERMS = 50  # terms a classic Rocchio query keeps
+_NQE_TERMS = 10  # novel terms naive query expansion adds per round
 
 
-def _tf_unit(text: str) -> dict[str, float]:
+def tf_unit(text: str) -> dict[str, float]:
+    """L2-normalized term frequencies of ``text``."""
     counts = Counter(tokenize(text))
     norm = float(np.sqrt(sum(c * c for c in counts.values())))
     if norm == 0.0:
@@ -144,7 +146,7 @@ def rocchio_classic(
         for doc in docs:
             if doc not in corpus_texts:
                 raise ValueError(f"feedback document {doc!r} has no text")
-            for t, w in _tf_unit(corpus_texts[doc]).items():
+            for t, w in tf_unit(corpus_texts[doc]).items():
                 acc[t] = acc.get(t, 0.0) + w
         return {t: w / len(docs) for t, w in acc.items()} if docs else {}
 
@@ -164,26 +166,20 @@ def rocchio_classic(
 
 
 def nqe_expand(
-    query_text: str,
+    query_terms: Mapping[str, float],
     fb: FeedbackRecord,
     corpus_texts: Mapping[str, str],
-    top_m: int,
-) -> str:
-    """Append the most frequent novel terms of positively judged documents."""
-    if top_m < 0:
-        raise ValueError(f"top_m must be >= 0, got {top_m}")
-    if top_m == 0:
-        return query_text
-    existing = set(tokenize(query_text))
+) -> dict[str, float]:
+    """Add the ``_NQE_TERMS`` most frequent novel terms of positively judged
+    documents to a term-count map, each with count 1 and after the
+    existing terms: the counts of the query text with those terms appended."""
     counts: Counter = Counter()
     for doc in sorted(fb.positive_docs()):
         if doc not in corpus_texts:
             raise ValueError(f"feedback document {doc!r} has no text")
-        counts.update(t for t in tokenize(corpus_texts[doc]) if t not in existing)
-    if not counts:
-        return query_text
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_m]
-    return query_text + " " + " ".join(t for t, _ in ranked)
+        counts.update(t for t in tokenize(corpus_texts[doc]) if t not in query_terms)
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:_NQE_TERMS]
+    return {**query_terms, **dict.fromkeys((t for t, _ in ranked), 1)}
 
 
 # --- Reformulators: callables (state, record) -> new query vector -------
@@ -199,62 +195,26 @@ class EmbedRocchioFeedback:
         return rocchio_embed(state.query, record, state.vectors, self.params)
 
 
-class ClassicRocchioFeedback:
-    """Term-space Rocchio; the reformulated term map is re-embedded by hashing.
+class TermFeedback:
+    """Term-space reformulator: ``start(topic)`` is a topic's first term
+    map, ``step(terms, record)`` the next; each map is re-embedded by
+    hashing at ``dim`` with ``seed``.
 
     Holds the live session's ``(topic, term map)``: a session's first
-    record, or a record for another topic, restarts from the topic's query.
+    record, or a record for another topic, restarts from ``start``.
     A session is one ``run_session`` call, so nothing else is kept.
     """
 
-    def __init__(
-        self,
-        corpus_texts: Mapping[str, str],
-        query_texts: Mapping[str, str],
-        params: RocchioParams = RocchioParams(),
-        dim: int = 512,
-        seed: int = 0,
-    ):
-        self.texts = corpus_texts
-        self.query_texts = query_texts
-        self.params = params
-        self.dim = dim
-        self.seed = seed
-        self._session: tuple[str | None, dict[str, float]] = (None, {})
+    def __init__(self, start: Callable[[str], Mapping[str, float]],
+                 step: Callable[[Mapping[str, float], FeedbackRecord], Mapping[str, float]],
+                 dim: int, seed: int):
+        self.start, self.step, self.dim, self.seed = start, step, dim, seed
+        self._session: tuple[str | None, Mapping[str, float]] = (None, {})
 
     def __call__(self, state, record: FeedbackRecord) -> np.ndarray:
         topic, terms = self._session
         if record.iteration == 1 or topic != state.topic_id:
-            terms = _tf_unit(self.query_texts[state.topic_id])
-        terms = rocchio_classic(terms, record, self.texts, self.params)
+            terms = self.start(state.topic_id)
+        terms = self.step(terms, record)
         self._session = (state.topic_id, terms)
         return embed_term_weights(terms, self.dim, self.seed)
-
-
-class NQEFeedback:
-    """Naive query expansion; the expanded text is re-embedded by hashing.
-    Holds the live session's ``(topic, text)`` as ``ClassicRocchioFeedback``
-    holds its term map."""
-
-    def __init__(
-        self,
-        corpus_texts: Mapping[str, str],
-        query_texts: Mapping[str, str],
-        dim: int = 512,
-        seed: int = 0,
-        top_m: int = 10,
-    ):
-        self.texts = corpus_texts
-        self.query_texts = query_texts
-        self.dim = dim
-        self.seed = seed
-        self.top_m = top_m
-        self._session: tuple[str | None, str] = (None, "")
-
-    def __call__(self, state, record: FeedbackRecord) -> np.ndarray:
-        topic, text = self._session
-        if record.iteration == 1 or topic != state.topic_id:
-            text = self.query_texts[state.topic_id]
-        text = nqe_expand(text, record, self.texts, self.top_m)
-        self._session = (state.topic_id, text)
-        return embed_text(text, self.dim, self.seed)

@@ -16,6 +16,7 @@ import json
 import math
 import time
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -24,12 +25,9 @@ import numpy as np
 
 from dynrank import valuenet
 from dynrank.data import DataError, Dataset, gen_synthetic, load_letor, load_trec_dd, read_lines, split_folds
-from dynrank.feedback import (
-    ClassicRocchioFeedback,
-    EmbedRocchioFeedback,
-    NQEFeedback,
-    RocchioParams,
-)
+from dynrank.embedspace import tokenize
+from dynrank.feedback import (EmbedRocchioFeedback, RocchioParams, TermFeedback, nqe_expand,
+                              rocchio_classic, tf_unit)
 from dynrank.fileio import atomic_open
 from dynrank.metrics import MetricSpec, RankedList
 from dynrank.policy import (
@@ -231,10 +229,14 @@ def make_feedback(config: RunConfig, dataset: Dataset):
         return None
     if name == "embed-rocchio":
         return EmbedRocchioFeedback(config.rocchio)
+    queries, texts = dataset.topics, dataset.texts
     if name == "classic-rocchio":
-        return ClassicRocchioFeedback(dataset.texts, dataset.topics, config.rocchio,
-                                      dim=dataset.dim, seed=config.seed)
-    return NQEFeedback(dataset.texts, dataset.topics, dim=dataset.dim, seed=config.seed)
+        return TermFeedback(lambda topic: tf_unit(queries[topic]),
+                            lambda terms, record: rocchio_classic(terms, record, texts, config.rocchio),
+                            dataset.dim, config.seed)
+    return TermFeedback(lambda topic: Counter(tokenize(queries[topic])),
+                        lambda terms, record: nqe_expand(terms, record, texts),
+                        dataset.dim, config.seed)
 
 
 @dataclass

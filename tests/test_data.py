@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynrank import data
 from dynrank.data import DataError, Dataset, gen_synthetic, load_letor, load_trec_dd, split_folds
 from dynrank.embedspace import cosine, embed_text
 from dynrank.metrics import JudgmentSet, doc_relevance
@@ -112,6 +113,40 @@ class TestLoadTrecDD:
             load_trec_dd(topics, qrels, docs)
         lineno = len(text.splitlines()) + 1
         assert str(info.value).startswith(f"{path}: line {lineno}: expected a JSON object")
+
+    @pytest.mark.parametrize("which, row, message", [
+        ("topics", {"topic_id": "t3", "query": None}, "'query' must be a string, got NoneType"),
+        ("docs", {"doc_id": "d4", "text": ["polar", "ice"]}, "'text' must be a string, got list"),
+        ("docs", {"doc_id": "d4", "text": {"a": 1}}, "'text' must be a string, got dict"),
+        ("docs", {"doc_id": True, "text": "ice"}, "'doc_id' must be a string or an integer, got bool"),
+        ("topics", {"topic_id": 1.5, "query": "x"}, "'topic_id' must be a string or an integer, got float"),
+    ], ids=["null-query", "list-text", "object-text", "bool-id", "float-id"])
+    def test_jsonl_value_of_wrong_type_rejected_with_line(self, tmp_path, which, row, message):
+        topics, qrels, docs = write_trec_fixture(tmp_path)
+        path = topics if which == "topics" else docs
+        path.write_text(path.read_text() + json.dumps(row) + "\n")
+        with pytest.raises(DataError) as info:
+            load_trec_dd(topics, qrels, docs)
+        assert str(info.value) == f"{path}: line {len(path.read_text().splitlines())}: {message}"
+
+    def test_integer_id_is_its_decimal_string(self, tmp_path):
+        topics, qrels, docs = write_trec_fixture(tmp_path)
+        docs.write_text(docs.read_text() + json.dumps({"doc_id": 7, "text": "ice"}) + "\n")
+        assert "7" in load_trec_dd(topics, qrels, docs).docs["t1"]
+
+    @pytest.mark.parametrize("docs_as_vectors", [False, True], ids=["jsonl", "tsv"])
+    def test_docs_file_is_opened_once(self, tmp_path, monkeypatch, docs_as_vectors):
+        topics, qrels, docs = write_trec_fixture(tmp_path, docs_as_vectors=docs_as_vectors)
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(data, "open", counting_open, raising=False)
+        load_trec_dd(topics, qrels, docs)
+        assert opened.count(docs) == 1
+        assert opened.count(topics) == opened.count(qrels) == 1
 
     def test_pools_cover_whole_corpus(self, tmp_path):
         ds = load_trec_dd(*write_trec_fixture(tmp_path), dim=8)

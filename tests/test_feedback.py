@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,19 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynrank.embedspace import cosine, embed_term_weights, embed_text
+from dynrank.data import Dataset
+from dynrank.embedspace import cosine, embed_term_weights, embed_text, tokenize
 from dynrank.feedback import (
-    ClassicRocchioFeedback,
     EmbedRocchioFeedback,
     FeedbackRecord,
-    NQEFeedback,
     RocchioParams,
-    _tf_unit,
     nqe_expand,
     rocchio_classic,
     rocchio_embed,
     simulate_feedback,
+    tf_unit,
 )
+from dynrank.harness import RunConfig, make_feedback
 from dynrank.metrics import JudgmentSet
 
 
@@ -226,25 +227,63 @@ class TestRocchioClassic:
         assert len(out) == 50
 
 
+# more words than NQE adds in a round, so the cut is exercised
+VOCAB = ["polar", "ice", "shelf", "melt", "sea", "level", "glacier", "bear",
+         "ocean", "heat", "tide", "coast", "flood", "arctic", "winter", "current"]
+
+
+def term_feedback(variant, texts, queries, dim, seed, params=RocchioParams()):
+    """The ``variant`` reformulator of a run over a text corpus, as the harness builds it."""
+    dataset = Dataset("embedded", dict(queries), {}, JudgmentSet(), {}, texts=texts, dim=dim)
+    return make_feedback(RunConfig(feedback=variant, rocchio=params, seed=seed), dataset)
+
+
 class TestNqe:
     def test_zero_expansion_keeps_query(self):
+        # a positive document holds no term the query lacks
         fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
-        assert nqe_expand("polar ice", fb, {"p": "melt melt"}, 0) == "polar ice"
+        assert nqe_expand({"polar": 1, "ice": 2}, fb, {"p": "ice polar ice"}) == {"polar": 1, "ice": 2}
 
     def test_no_positive_docs_keeps_query(self):
         fb = FeedbackRecord(1, ("p",), ())
-        assert nqe_expand("polar ice", fb, {"p": "melt"}, 3) == "polar ice"
+        assert nqe_expand({"polar": 1, "ice": 1}, fb, {"p": "melt"}) == {"polar": 1, "ice": 1}
 
     def test_appends_most_frequent_novel_terms(self):
         fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
         texts = {"p": "melt melt shelf shelf shelf ice glacier"}
-        out = nqe_expand("polar ice", fb, texts, 2)
-        assert out == "polar ice shelf melt"
+        out = nqe_expand({"polar": 1, "ice": 1}, fb, texts)
+        assert list(out.items()) == [("polar", 1), ("ice", 1), ("shelf", 1), ("melt", 1), ("glacier", 1)]
 
     def test_tie_break_is_lexicographic(self):
         fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
-        out = nqe_expand("q", fb, {"p": "zebra apple"}, 2)
-        assert out == "q apple zebra"
+        out = nqe_expand({"q": 1}, fb, {"p": "zebra apple"})
+        assert list(out) == ["q", "apple", "zebra"]
+
+    def test_adds_at_most_ten_terms(self):
+        fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
+        out = nqe_expand({"q": 1}, fb, {"p": " ".join(f"t{i:02d}" for i in range(30))})
+        assert list(out) == ["q"] + [f"t{i:02d}" for i in range(10)]
+
+    def test_keeps_the_input_map(self):
+        fb = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
+        terms = {"q": 1}
+        nqe_expand(terms, fb, {"p": "melt"})
+        assert terms == {"q": 1}
+
+    @given(st.lists(st.sampled_from(VOCAB), max_size=6),
+           st.lists(st.lists(st.sampled_from(VOCAB), max_size=16), min_size=1, max_size=4),
+           st.data(), st.integers(1, 40), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_counts_embed_as_the_expanded_text(self, query, docs, data, dim, seed):
+        """Expanding the query's term counts embeds to the bytes of the
+        expanded query text, over rounds of feedback."""
+        texts = {f"d{i}": " ".join(words) for i, words in enumerate(docs)}
+        text, terms = " ".join(query), Counter(tokenize(" ".join(query)))
+        for it in range(1, 4):
+            positive = data.draw(st.lists(st.sampled_from(sorted(texts)), unique=True))
+            fb = FeedbackRecord(it, tuple(sorted(texts)), tuple((d, "s", 1.0) for d in positive))
+            text, terms = reference_nqe_expand(text, fb, texts, 10), nqe_expand(terms, fb, texts)
+            assert embed_term_weights(terms, dim, seed).tobytes() == embed_text(text, dim, seed).tobytes()
 
 
 class TestReformulators:
@@ -258,13 +297,10 @@ class TestReformulators:
         fn = EmbedRocchioFeedback(RocchioParams())
         np.testing.assert_allclose(fn(S(), rec), [0.55, 0.675], atol=1e-12)
 
-    @pytest.mark.parametrize("make", [
-        lambda texts: ClassicRocchioFeedback(texts, {"t": "polar"}, RocchioParams(), dim=8, seed=0),
-        lambda texts: NQEFeedback(texts, {"t": "polar"}, dim=8, seed=0),
-    ], ids=["classic-rocchio", "nqe"])
-    def test_resets_per_session(self, make):
+    @pytest.mark.parametrize("variant", ["classic-rocchio", "nqe"])
+    def test_resets_per_session(self, variant):
         # one reformulator serves every fold and session of a run
-        fn = make({"p": "shelf shelf", "q": "melt"})
+        fn = term_feedback(variant, {"p": "shelf shelf", "q": "melt"}, {"t": "polar"}, dim=8, seed=0)
 
         class S:
             query = np.zeros(8)
@@ -276,6 +312,16 @@ class TestReformulators:
         again = fn(S(), rec1)  # new session restarts at the original query
         np.testing.assert_allclose(first, again, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["classic-rocchio", "nqe"])
+    def test_record_for_another_topic_restarts(self, variant):
+        texts, queries = {"p": "shelf shelf", "q": "melt"}, {"t": "polar", "u": "sea"}
+        rec = FeedbackRecord(2, ("q",), (("q", "s", 1.0),))
+        fn = term_feedback(variant, texts, queries, dim=8, seed=0)
+        fn(SimpleNamespace(topic_id="t"), FeedbackRecord(1, ("p",), (("p", "s", 1.0),)))
+        fresh = term_feedback(variant, texts, queries, dim=8, seed=0)
+        state = SimpleNamespace(topic_id="u")
+        assert fn(state, rec).tobytes() == fresh(state, rec).tobytes()
+
     def test_nqe_reformulator_embeds_expansion(self):
         texts = {"p": "shelf shelf melt"}
 
@@ -283,14 +329,28 @@ class TestReformulators:
             query = np.zeros(16)
             topic_id = "t"
 
-        fn = NQEFeedback(texts, {"t": "polar"}, dim=16, seed=0, top_m=1)
+        fn = term_feedback("nqe", texts, {"t": "polar"}, dim=16, seed=0)
         rec = FeedbackRecord(1, ("p",), (("p", "s", 1.0),))
         out = fn(S(), rec)
-        np.testing.assert_allclose(out, embed_text("polar shelf", 16, 0), atol=1e-12)
+        np.testing.assert_allclose(out, embed_text("polar shelf melt", 16, 0), atol=1e-12)
 
 
 # --- References: the reformulators as they were before each held only the
-# live session, and the embedding Rocchio before it averaged its own centroids
+# live session, NQE as it was when it expanded the query text, and the
+# embedding Rocchio before it averaged its own centroids
+
+def reference_nqe_expand(query_text, fb, corpus_texts, top_m) -> str:
+    existing = set(tokenize(query_text))
+    counts = Counter()
+    for doc in sorted(fb.positive_docs()):
+        if doc not in corpus_texts:
+            raise ValueError(f"feedback document {doc!r} has no text")
+        counts.update(t for t in tokenize(corpus_texts[doc]) if t not in existing)
+    if not counts:
+        return query_text
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_m]
+    return query_text + " " + " ".join(t for t, _ in ranked)
+
 
 def reference_mean_vectors(vectors, dim=None) -> np.ndarray:
     vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
@@ -345,7 +405,7 @@ class ReferenceClassicRocchio:
     def __call__(self, state, record):
         topic = state.topic_id
         if record.iteration == 1 or topic not in self._terms:
-            self._terms[topic] = _tf_unit(self.query_texts.get(topic, "") or "")
+            self._terms[topic] = tf_unit(self.query_texts.get(topic, "") or "")
         self._terms[topic] = rocchio_classic(self._terms[topic], record, self.texts, self.params)
         return embed_term_weights(self._terms[topic], self.dim, self.seed)
 
@@ -361,7 +421,7 @@ class ReferenceNQE:
         if record.iteration == 1:
             self._current.pop(topic, None)
         text = self._current.get(topic, self.query_texts.get(topic, "") or "")
-        expanded = nqe_expand(text, record, self.texts, self.top_m)
+        expanded = reference_nqe_expand(text, record, self.texts, self.top_m)
         self._current[topic] = expanded
         return embed_text(expanded, self.dim, self.seed)
 
@@ -386,10 +446,10 @@ def test_reformulators_match_references_over_sessions(data):
     params = RocchioParams(0.8, 0.75, 0.25)
     pairs = [
         (EmbedRocchioFeedback(params), ReferenceEmbedRocchio(params)),
-        (ClassicRocchioFeedback(TEXTS, QUERIES, params, dim=16, seed=3),
+        (term_feedback("classic-rocchio", TEXTS, QUERIES, dim=16, seed=3, params=params),
          ReferenceClassicRocchio(TEXTS, QUERIES, params, dim=16, seed=3)),
-        (NQEFeedback(TEXTS, QUERIES, dim=16, seed=3, top_m=2),
-         ReferenceNQE(TEXTS, QUERIES, dim=16, seed=3, top_m=2)),
+        (term_feedback("nqe", TEXTS, QUERIES, dim=16, seed=3),
+         ReferenceNQE(TEXTS, QUERIES, dim=16, seed=3, top_m=10)),
     ]
     vectors = {d: embed_text(t, 16, 3) for d, t in TEXTS.items()}
     for _ in range(data.draw(st.integers(1, 6), label="sessions")):
