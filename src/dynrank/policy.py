@@ -300,7 +300,6 @@ def train_session(
     metric = metric or MetricSpec()
     topic_list = _check_topics(dataset, topics, "training")
     lr = params.config.learning_rate
-    window = params.config.window
     grad = np.empty_like(params.theta)  # every step's gradient, overwritten by backward
     pool = valuenet.ScoringWorkspace()
     log: list[EpochStats] = []
@@ -317,7 +316,8 @@ def train_session(
                 raise _diverged(epoch, exc) from None
             state = step_transition(state, pos)
             target = target_value(dataset.judgments, state.topic_id, state.ranked, metric)
-            value, cache = valuenet.forward(params, forward_inputs(state, window), rng=rng)
+            value, cache = valuenet.forward(params, forward_inputs(state, params.config.window),
+                                            rng=rng, workspace=pool)  # steps the scored prefix
             err = value - target
             loss = err * err  # overflows to inf, where ** 2 raises OverflowError
             if not math.isfinite(loss):  # also catches a non-finite value

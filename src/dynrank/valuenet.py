@@ -169,9 +169,8 @@ class ValueNetParams:
 
     ``apply_update`` changes ``theta`` in place and gives the object a new
     ``version``. Versions are unique in the process, so a version names one
-    state of one set of weights: caches of quantities derived from the
-    weights (the prefix unroll :func:`forward_candidates` memoises for the
-    train forward, a session's pool projection) key on it.
+    state of one set of weights: a :class:`ScoringWorkspace` tags the
+    pool projection and the prefix unroll it keeps with it.
     """
 
     def __init__(self, config: NetConfig, theta: np.ndarray):
@@ -187,7 +186,6 @@ class ValueNetParams:
             self.lstm.append(_LstmLayer(*(blk.view(theta) for blk in blocks), four_h // 4, in_dim))
         self.dense = [_DenseLayer(W.view(theta), b.view(theta)) for W, b in layout.dense]
         self.version = next(_versions)
-        self._prefix = None  # (version, scaled prefix inputs, their unroll), set by forward_candidates
 
     @property
     def n_params(self) -> int:
@@ -204,10 +202,6 @@ class ValueNetParams:
         )
 
 
-def _glorot_bound(fan_in: int, fan_out: int) -> float:
-    return float(np.sqrt(6.0 / (fan_in + fan_out)))
-
-
 def init_glorot(config: NetConfig, seed) -> ValueNetParams:
     """Uniform Glorot initialization of every weight, bias and initial state.
 
@@ -216,18 +210,20 @@ def init_glorot(config: NetConfig, seed) -> ValueNetParams:
     length n use bound sqrt(6 / (n + 1)).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    theta = np.empty(param_count(config), dtype=np.float64)
-    params = ValueNetParams(config, theta)
+    params = ValueNetParams(config, np.empty(param_count(config)))
+
+    def fill(block, fan_in, fan_out):
+        bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
+        block[:] = rng.uniform(-bound, bound, block.shape)
+
     for ly in params.lstm:
-        ly.W[:] = rng.uniform(-_glorot_bound(ly.in_dim, ly.H), _glorot_bound(ly.in_dim, ly.H), ly.W.shape)
-        ly.U[:] = rng.uniform(-_glorot_bound(ly.H, ly.H), _glorot_bound(ly.H, ly.H), ly.U.shape)
-        ly.b[:] = rng.uniform(-_glorot_bound(ly.H, 1), _glorot_bound(ly.H, 1), ly.b.shape)
-        ly.h0[:] = rng.uniform(-_glorot_bound(ly.H, 1), _glorot_bound(ly.H, 1), ly.h0.shape)
-        ly.c0[:] = rng.uniform(-_glorot_bound(ly.H, 1), _glorot_bound(ly.H, 1), ly.c0.shape)
+        fill(ly.W, ly.in_dim, ly.H)
+        fill(ly.U, ly.H, ly.H)
+        for vec in (ly.b, ly.h0, ly.c0):
+            fill(vec, ly.H, 1)
     for dl in params.dense:
-        fan_out, fan_in = dl.W.shape
-        dl.W[:] = rng.uniform(-_glorot_bound(fan_in, fan_out), _glorot_bound(fan_in, fan_out), dl.W.shape)
-        dl.b[:] = rng.uniform(-_glorot_bound(fan_out, 1), _glorot_bound(fan_out, 1), dl.b.shape)
+        fill(dl.W, dl.W.shape[1], dl.W.shape[0])
+        fill(dl.b, len(dl.b), 1)
     return params
 
 
@@ -248,7 +244,6 @@ class ForwardCache:
 
     params: ValueNetParams
     version: int  # params.version the forward ran at
-    inputs: np.ndarray  # scaled inputs, one row per step
     layers: list  # one _Run per LSTM layer
     dense: list  # (layer input, relu mask, dropout mask or None) per hidden layer
     head_in: np.ndarray
@@ -331,7 +326,7 @@ def _unroll(params: ValueNetParams, X: np.ndarray, runs: list | None = None) -> 
     return out
 
 
-def forward(params: ValueNetParams, inputs: Sequence, rng=None):
+def forward(params: ValueNetParams, inputs: Sequence, rng=None, *, workspace=None):
     """Run the network over an input sequence, as training does.
 
     Only the last ``window`` inputs are used. A net with dropout applies
@@ -339,30 +334,31 @@ def forward(params: ValueNetParams, inputs: Sequence, rng=None):
     masks from ``rng`` (a Generator or a seed), which it then requires.
 
     The stack is unrolled over all inputs but the last, then stepped once.
-    When :func:`forward_candidates` last scored exactly those inputs with
-    these params at their current version, its memoised unroll is reused;
-    either way the bits are the same.
+    Given the :class:`ScoringWorkspace` that last scored those inputs, the
+    unroll it keeps is stepped instead, with the same bits; one made at
+    another weights version or over another step count is a ValueError.
 
     Returns (value, cache); the cache feeds :func:`backward`.
     """
     cfg = params.config
-    xs = list(inputs)
+    xs = list(inputs)[-cfg.window :]
     if not xs:
         raise ValueError("empty input sequence")
-    X = _scaled_inputs(cfg, xs[-cfg.window :])
     use_dropout = cfg.dropout > 0.0
     if use_dropout:
         if rng is None:
             raise ValueError(f"a net with dropout {cfg.dropout} needs an rng for its dropout masks")
         rng = np.random.default_rng(rng)
 
-    head, memo = X[:-1], params._prefix
-    if (memo is not None and memo[0] == params.version and memo[1].shape == head.shape
-            and memo[1].tobytes() == head.tobytes()):
-        runs = memo[2]
+    if workspace is None:
+        runs = _unroll(params, _scaled_inputs(cfg, xs[:-1]))
     else:
-        runs = _unroll(params, head)
-    runs = _unroll(params, X[-1:], runs)
+        runs, made = workspace.prefix, workspace.prefix_version
+        if made != params.version:
+            raise ValueError(f"prefix unroll of weights version {made}, not {params.version}")
+        if len(runs[0].tc) != len(xs) - 1:
+            raise ValueError(f"prefix unroll of {len(runs[0].tc)} steps, not {len(xs) - 1}")
+    runs = _unroll(params, _scaled_inputs(cfg, xs[-1:]), runs)
 
     z = runs[-1].h[-1]
     dense_cache = []
@@ -380,8 +376,7 @@ def forward(params: ValueNetParams, inputs: Sequence, rng=None):
     out = params.dense[-1]
     v = out.W @ z + out.b
     value = float(_sigmoid_(v)[0] if cfg.output == "sigmoid" else v[0])
-    cache = ForwardCache(params, params.version, X, runs, dense_cache, z, value)
-    return value, cache
+    return value, ForwardCache(params, params.version, runs, dense_cache, z, value)
 
 
 def backward(params: ValueNetParams, cache: ForwardCache, target: float,
@@ -404,11 +399,9 @@ def backward(params: ValueNetParams, cache: ForwardCache, target: float,
     if grad.shape != params.theta.shape or grad.dtype != np.float64 or not grad.flags.c_contiguous:
         raise ValueError(f"out must be a contiguous float64 array of shape {params.theta.shape}")
 
-    dvalue = 2.0 * (cache.value - float(target))
+    dv = 2.0 * (cache.value - float(target))
     if cfg.output == "sigmoid":
-        dv = dvalue * cache.value * (1.0 - cache.value)
-    else:
-        dv = dvalue
+        dv = dv * cache.value * (1.0 - cache.value)
 
     out_W, out_b = layout.dense[-1]
     np.multiply(cache.head_in, dv, out=out_W.view(grad)[0])
@@ -424,7 +417,7 @@ def backward(params: ValueNetParams, cache: ForwardCache, target: float,
         b.view(grad)[:] = da
         dz = params.dense[l].W.T @ da
 
-    K = len(cache.inputs)
+    K = len(cache.layers[0].tc)
     incoming = np.zeros((K, params.lstm[-1].H))
     incoming[-1] = dz
     for j in range(len(params.lstm) - 1, -1, -1):
@@ -505,16 +498,18 @@ class ScoringWorkspace:
     It keeps the session's pool (``ids`` and their vectors) as the columns
     of one (dim, pool) matrix, multiplied by ``input_scale`` once, and the
     first layer's projection of the whole pool with the weights version it
-    was made at. Its scratch blocks (gates, hidden states and gathered
-    documents) are C-contiguous (rows, N) views of flat arrays that only
-    ever grow, so picks allocate nothing candidate-sized once the first
-    pick of the largest pool has run. Not for concurrent use.
+    was made at, and likewise the last call's prefix unroll. Its scratch
+    blocks (gates, hidden states and gathered documents) are C-contiguous
+    (rows, N) views of flat arrays that only ever grow, so picks allocate
+    nothing candidate-sized once the first pick of the largest pool has
+    run. Not for concurrent use.
     """
 
-    __slots__ = ("ids", "scale", "pool", "version", "proj", "_flat")
+    __slots__ = ("ids", "scale", "pool", "version", "proj", "prefix", "prefix_version", "_flat")
 
     def __init__(self):
         self.ids = self.scale = self.pool = self.version = self.proj = None
+        self.prefix = self.prefix_version = None  # set by forward_candidates
         self._flat = [np.empty(0) for _ in range(3)]  # gates, h, docs
 
     def _block(self, slot: int, rows: int, n: int) -> np.ndarray:
@@ -553,7 +548,7 @@ class ScoringWorkspace:
 
 
 def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj, query, *,
-                       workspace: ScoringWorkspace | None = None) -> np.ndarray:
+                       workspace: ScoringWorkspace) -> np.ndarray:
     """Dropout-free values for many candidates sharing one ranked prefix.
 
     Candidate ``n``'s input unit is ``doc_n ‖ query``; ``doc_proj[n]`` is
@@ -563,11 +558,10 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     (without dropout) once per candidate with inputs ``prefix + [doc_n ‖
     query]``: the prefix is unrolled once, the query half of the first
     layer is computed once and the final step runs batched, gate-major on
-    (4H, N) blocks. The prefix unroll is memoised on ``params``, under its
-    version, for the train forward of the chosen candidate.
+    (4H, N) blocks, all in ``workspace``, which keeps the prefix unroll for
+    :func:`forward` of the chosen candidate.
 
-    The final step's intermediates live in ``workspace`` (a fresh one when
-    None). The first layer's pre-activation is ``doc_proj`` plus the shared
+    The first layer's pre-activation is ``doc_proj`` plus the shared
     vector, written to the workspace's gate block; when ``doc_proj`` is the
     transpose of that block, as :meth:`ScoringWorkspace.doc_proj` may hand
     it out, the shared vector is added in place. A layer's cell state
@@ -576,27 +570,25 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     """
     cfg = params.config
     prefix = list(prefix_inputs)[-(cfg.window - 1) :] if cfg.window > 1 else []
-    X = _scaled_inputs(cfg, prefix)
-    runs = _unroll(params, X)
-    params._prefix = (params.version, X, runs)
+    runs = workspace.prefix = _unroll(params, _scaled_inputs(cfg, prefix))
+    workspace.prefix_version = params.version
     query = np.asarray(query, dtype=np.float64)
     first = params.lstm[0]
     rows = np.atleast_2d(np.asarray(doc_proj, dtype=np.float64))
     if rows.shape[1] != 4 * first.H:
         raise ValueError(f"document projections have width {rows.shape[1]}, expected {4 * first.H}")
-    ws = ScoringWorkspace() if workspace is None else workspace
     n = len(rows)
     d = cfg.input_dim - query.size
     shared = first.W[:, d:] @ (cfg.input_scale * query) + first.U @ runs[0].h[-1] + first.b
     for j, (ly, run) in enumerate(zip(params.lstm, runs)):
-        pre = ws._block(0, 4 * ly.H, n)
+        pre = workspace._block(0, 4 * ly.H, n)
         if j:
             np.matmul(ly.W, below, out=pre)
             pre += (ly.U @ run.h[-1] + ly.b)[:, None]
         else:
             np.add(rows.T, shared[:, None], out=pre)  # in place when rows.T is pre
         c = pre[: ly.H]  # f * c_prev is the first write: each element reads only its own f
-        below = ws._block(1, ly.H, n)
+        below = workspace._block(1, ly.H, n)
         _cell(pre, run.c[-1][:, None], c, c, below)
     z = below
     for dl in params.dense[:-1]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynrank import valuenet
 from dynrank.data import gen_synthetic
 from dynrank.feedback import EmbedRocchioFeedback, RocchioParams, simulate_feedback
 from dynrank.metrics import MetricSpec, alpha_dcg_at_k, dcg_at_k, target_value
@@ -650,6 +651,23 @@ class TestTrainSession:
         _, log = train_session(params, ds, None, config, rng=rng0())
         # with a frozen net the loss plateau triggers the relative-improvement stop
         assert len(log) == 2
+
+    def test_train_forward_steps_the_scored_prefix(self, monkeypatch):
+        """Each step unrolls the ranked prefix once, while scoring, and the
+        train forward then unrolls only the chosen input on top of it."""
+        calls = []
+        unroll = valuenet._unroll
+
+        def counting(params, X, runs=None):
+            calls.append((len(X), runs is not None))
+            return unroll(params, X, runs)
+
+        monkeypatch.setattr(valuenet, "_unroll", counting)
+        config = quick_policy(epoch_cap=1, iterations=2, docs_per_iteration=3)
+        train_session(init_glorot(NET, 0), tiny_dataset(), None, config, topics=["t000"],
+                      rng=rng0())
+        prefix_steps = [min(k, NET.window - 1) for k in range(6)]  # 6 steps, window 3
+        assert calls == [call for k in prefix_steps for call in ((k, False), (1, True))]
 
     def test_epoch_log_shape(self):
         ds = tiny_dataset()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynrank import valuenet
@@ -319,14 +319,16 @@ class TestBatchedScoring:
         rng = np.random.default_rng(2)
         prefix = [rng.standard_normal(2) for _ in range(3)]
         rows = rng.standard_normal((6, 2))
-        batch = forward_candidates(params, prefix, projected(params, rows), np.zeros(0))
+        batch = forward_candidates(params, prefix, projected(params, rows), np.zeros(0),
+                                   workspace=valuenet.ScoringWorkspace())
         singles = np.array([forward(params, prefix + [r])[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
     def test_empty_prefix(self):
         params = tiny_params()
         rows = np.array([[0.1, 0.2], [0.5, -0.5]])
-        batch = forward_candidates(params, [], projected(params, rows), np.zeros(0))
+        batch = forward_candidates(params, [], projected(params, rows), np.zeros(0),
+                                   workspace=valuenet.ScoringWorkspace())
         singles = np.array([forward(params, [r])[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
@@ -337,7 +339,8 @@ class TestBatchedScoring:
         rng = np.random.default_rng(4)
         prefix = [rng.standard_normal(2) for _ in range(5)]
         rows = rng.standard_normal((2, 2))
-        batch = forward_candidates(params, prefix, projected(params, rows), np.zeros(0))
+        batch = forward_candidates(params, prefix, projected(params, rows), np.zeros(0),
+                                   workspace=valuenet.ScoringWorkspace())
         singles = np.array([forward(params, prefix + [r])[0] for r in rows])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
@@ -478,6 +481,15 @@ def net_cases(draw):
     return init_glorot(net, seed), xs
 
 
+def hand_off_case(window, n_inputs):
+    """A fixed two-layer net with ``window`` and ``n_inputs`` inputs, as a
+    (params, inputs) pair like those :func:`net_cases` draws."""
+    net = NetConfig(layers=2, input_dim=3, hidden_dims=(2, 4), dense_dims=(3,), window=window,
+                    dropout=0.0, input_scale=3.1)
+    rng = np.random.default_rng(window * 10 + n_inputs)
+    return init_glorot(net, window), [rng.standard_normal(3) for _ in range(n_inputs)]
+
+
 def loss_at(params, theta, xs, target):
     value, _ = forward(ValueNetParams(params.config, theta), xs)
     return (value - target) ** 2
@@ -510,8 +522,12 @@ class TestUnrollProperties:
         assert rel.max() <= 1e-4
 
     @given(net_cases(), st.booleans())
+    @example(hand_off_case(window=1, n_inputs=1), True)  # no prefix at all
+    @example(hand_off_case(window=1, n_inputs=3), False)  # the window drops the prefix
+    @example(hand_off_case(window=4, n_inputs=2), True)  # a prefix shorter than the window
+    @example(hand_off_case(window=2, n_inputs=4), False)  # a prefix longer than the window
     @settings(max_examples=60, deadline=None)
-    def test_memoised_prefix_gives_identical_bits(self, case, feature_mode):
+    def test_workspace_prefix_gives_identical_bits(self, case, feature_mode):
         params, xs = case
         cfg = params.config
         rng = np.random.default_rng(len(xs))
@@ -520,47 +536,23 @@ class TestUnrollProperties:
         units = [np.concatenate([x[: cfg.input_dim - q_dim], query]) for x in xs]
         prefix, last = units[:-1], units[-1]
         docs = np.stack([last[: cfg.input_dim - q_dim], rng.standard_normal(cfg.input_dim - q_dim)])
-        forward_candidates(params, prefix, projected(params, docs), query)
+        ws = valuenet.ScoringWorkspace()
+        forward_candidates(params, prefix, projected(params, docs), query, workspace=ws)
 
-        def run(p, inputs):
-            value, cache = forward(p, inputs)
-            return value, cache, backward(p, cache, 0.5)
+        def run(**workspace):
+            value, cache = forward(params, prefix + [last], **workspace)
+            return value, cache, backward(params, cache, 0.5)
 
-        calls = []
-        real_unroll = valuenet._unroll
-
-        def counting_unroll(*args):
-            calls.append(len(args[1]))
-            return real_unroll(*args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(valuenet, "_unroll", counting_unroll)
-            hit = run(params, prefix + [last])
-            assert calls == [1]  # the memo covered the prefix: one step added
-            miss = run(params.copy(), prefix + [last])
-            assert calls == [1, len(prefix), 1]  # the copy unrolls the prefix itself
-            if prefix:
-                calls.clear()
-                changed = [u + 1.0 for u in prefix]
-                run(params, changed + [last])
-                assert len(calls) == 2  # a different prefix misses
-        assert hit[0] == miss[0]
-        assert hit[2].tobytes() == miss[2].tobytes()
-        for a, b in zip(hit[1].layers, miss[1].layers):
-            for name in ("below", "gates", "h", "c", "tc"):
+        handed, own = run(workspace=ws), run()
+        assert handed[0] == own[0]
+        assert handed[2].tobytes() == own[2].tobytes()
+        for a, b in zip(handed[1].layers, own[1].layers):
+            for name in valuenet._Run.__slots__:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-
-    def test_different_query_misses_memo(self, monkeypatch):
-        cfg = NetConfig(layers=1, input_dim=4, hidden_dims=(3,), dense_dims=(2,), dropout=0.0)
-        params = init_glorot(cfg, 0)
-        doc, q1, q2 = np.array([0.3, -0.2]), np.array([0.5, 0.1]), np.array([0.5, 0.2])
-        forward_candidates(params, [np.concatenate([doc, q1])], projected(params, doc[None]), q1)
-        calls = []
-        real_unroll = valuenet._unroll
-        monkeypatch.setattr(valuenet, "_unroll", lambda *a: calls.append(1) or real_unroll(*a))
-        value, _ = forward(params, [np.concatenate([doc, q2]), np.concatenate([doc, q2])])
-        assert len(calls) == 2
-        assert value == forward(params.copy(), [np.concatenate([doc, q2])] * 2)[0]
+        for a, b in zip(handed[1].dense, own[1].dense):
+            assert [x.tobytes() for x in a[:2]] == [x.tobytes() for x in b[:2]]
+            assert a[2] is None and b[2] is None
+        assert handed[1].head_in.tobytes() == own[1].head_in.tobytes()
 
 
 @st.composite
@@ -687,7 +679,8 @@ class TestScoringWorkspace:
         for which, prefix, rows in calls:
             p = params[which]
             shared, rows_proj = _score_in_workspace(p, prefix, ids, vectors, rows, query, ws)
-            fresh = forward_candidates(p, prefix, rows_proj, query)
+            fresh = forward_candidates(p, prefix, rows_proj, query,
+                                       workspace=valuenet.ScoringWorkspace())
             assert shared.tobytes() == fresh.tobytes()
             assert not any(np.shares_memory(shared, buf) for buf in ws._flat)
             units = [np.concatenate([pool[r], query]) for r in rows]
@@ -706,7 +699,9 @@ class TestScoringWorkspace:
                 buf.fill(np.nan)
             values, rows_proj = _score_in_workspace(p, prefix, ids, vectors, rows, query, ws)
             assert np.isfinite(values).all()
-            assert values.tobytes() == forward_candidates(p, prefix, rows_proj, query).tobytes()
+            fresh = forward_candidates(p, prefix, rows_proj, query,
+                                       workspace=valuenet.ScoringWorkspace())
+            assert values.tobytes() == fresh.tobytes()
             np.testing.assert_allclose(rows_proj, projected(p, pool)[rows], rtol=0, atol=1e-12)
 
 
@@ -748,14 +743,29 @@ class TestInPlaceStep:
         with pytest.raises(ValueError):
             backward(params, cache, 0.0)
 
-    @given(net_cases())
-    @settings(max_examples=40, deadline=None)
-    def test_prefix_memo_misses_after_update(self, case):
-        params, xs = case
-        forward_candidates(params, xs[:-1], projected(params, xs[-1][None]), np.zeros(0))
+    @staticmethod
+    def scored(params, prefix):
+        """A workspace that scored one candidate after ``prefix``."""
+        ws = valuenet.ScoringWorkspace()
+        forward_candidates(params, prefix, projected(params, np.zeros((1, 2))), np.zeros(0),
+                           workspace=ws)
+        return ws
+
+    def test_prefix_from_before_an_update_is_refused(self):
+        params = tiny_params()
+        xs = [np.array([0.1 * k, -0.2]) for k in range(4)]
+        ws = self.scored(params, xs[:-1])
+        made = params.version
         apply_update(params, np.full(params.n_params, 0.25), 0.1)
-        got, cache = forward(params, xs)
-        want, fresh = forward(params.copy(), xs)
-        assert got == want
-        for a, b in zip(cache.layers, fresh.layers):
-            assert a.h.tobytes() == b.h.tobytes() and a.c.tobytes() == b.c.tobytes()
+        with pytest.raises(ValueError, match=f"weights version {made}, not {params.version}"):
+            forward(params, xs, workspace=ws)
+        with pytest.raises(ValueError, match=f"weights version None, not {params.version}"):
+            forward(params, xs, workspace=valuenet.ScoringWorkspace())  # nothing scored yet
+
+    def test_prefix_a_step_short_is_refused(self):
+        params = tiny_params()
+        xs = [np.array([0.1 * k, -0.2]) for k in range(4)]
+        ws = self.scored(params, xs[:-2])
+        with pytest.raises(ValueError, match="2 steps, not 3"):
+            forward(params, xs, workspace=ws)
+        assert forward(params, xs[:-1], workspace=ws)[0] == forward(params, xs[:-1])[0]
