@@ -12,45 +12,48 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from dynrank import harness
+from dynrank import harness, valuenet
 from dynrank.data import DataError
 from dynrank.harness import ConfigError, RunConfig
 
 
+# normalized targets: every profile's head is a sigmoid
+_TARGETS = {"alpha-ndcg": "alpha-ndcg", "ndcg": "ndcg", "nsdcg": "ndcg"}
+
+# every override flag, in --help order: the config field it sets and its add_argument keywords
+_OVERRIDES = {
+    "--seed": ("seed", {"type": int}),
+    "--folds": ("folds", {"type": int}),
+    "--layers": ("net.layers", {"type": int}),  # ahead of the other net flags: it rebuilds the net
+    "--epsilon0": ("policy.epsilon", {"type": float}),
+    "--alpha": ("metric.alpha", {"type": float}),
+    "--gamma": ("rocchio.gamma", {"type": float}),
+    "--b": ("rocchio.b", {"type": float}),
+    "--c": ("rocchio.c", {"type": float}),
+    "--window": ("net.window", {"type": int}),
+    "--docs-per-iter": ("policy.docs_per_iteration", {"type": int}),
+    "--iterations": ("policy.iterations", {"type": int}),
+    "--metric": ("metric.report", {"choices": _TARGETS}),  # and metric.target
+    "--out": ("out_dir", {"metavar": "DIR"}),
+}
+
+
 def _apply_overrides(config: RunConfig, opts: dict) -> RunConfig:
-    net = config.net
-    policy = config.policy
-    rocchio = config.rocchio
-    metric = config.metric
-    if opts["layers"] is not None:
-        net = harness.with_layers(net, opts["layers"])
-    if opts["window"] is not None:
-        net = dataclasses.replace(net, window=opts["window"])
-    if opts["epsilon0"] is not None:
-        policy = dataclasses.replace(policy, epsilon=opts["epsilon0"])
-    if opts["docs_per_iter"] is not None:
-        policy = dataclasses.replace(policy, docs_per_iteration=opts["docs_per_iter"])
-    if opts["iterations"] is not None:
-        policy = dataclasses.replace(policy, iterations=opts["iterations"])
-    rocchio = dataclasses.replace(
-        rocchio, **{k: opts[k] for k in ("gamma", "b", "c") if opts[k] is not None})
-    if opts["alpha"] is not None:
-        metric = dataclasses.replace(metric, alpha=opts["alpha"])
-    if opts["metric"] is not None:
-        # normalized targets: every profile's head is a sigmoid
-        target = {"alpha-ndcg": "alpha-ndcg", "ndcg": "ndcg", "nsdcg": "ndcg"}[opts["metric"]]
-        metric = dataclasses.replace(metric, report=(opts["metric"],), target=target)
-    replacements = {"net": net, "policy": policy, "rocchio": rocchio, "metric": metric}
-    if opts["seed"] is not None:
-        replacements["seed"] = opts["seed"]
-    if opts["folds"] is not None:
-        replacements["folds"] = opts["folds"]
-    if opts["out"] is not None:
-        replacements["out_dir"] = opts["out"]
-    return dataclasses.replace(config, **replacements)
+    """``config`` with the overrides written into its JSON form and read back like a config file."""
+    d = valuenet.config_to_dict(config)
+    for flag, (field, _) in _OVERRIDES.items():
+        value = opts[flag[2:].replace("-", "_")]
+        if value is None:
+            continue
+        if flag == "--layers":  # every layer as wide as the first
+            d["net"] = valuenet.config_to_dict(harness.with_layers(config.net, value))
+        elif flag == "--metric":
+            d["metric"]["target"], value = _TARGETS[value], [value]
+        section, _, key = field.rpartition(".")
+        (d[section] if section else d)[key] = value
+    return harness.config_from_dict(d)
 
 
 # the built-in profile each command runs without --config
@@ -70,14 +73,8 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", dest="config_path", metavar="PATH",
                         help="JSON run config; defaults to the command's built-in profile.")
-    for flag in ("--seed", "--folds", "--layers"):
-        common.add_argument(flag, type=int)
-    for flag in ("--epsilon0", "--alpha", "--gamma", "--b", "--c"):
-        common.add_argument(flag, type=float)
-    for flag in ("--window", "--docs-per-iter", "--iterations"):
-        common.add_argument(flag, type=int)
-    common.add_argument("--metric", choices=["alpha-ndcg", "ndcg", "nsdcg"])
-    common.add_argument("--out", metavar="DIR")
+    for flag, (_, kwargs) in _OVERRIDES.items():
+        common.add_argument(flag, **kwargs)
     parser = argparse.ArgumentParser(prog="dynrank", allow_abbrev=False,
                                      description="Dynamic-search ranking experiments.")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
@@ -101,7 +98,7 @@ def main(argv: list[str] | None = None) -> None:
             config = _PROFILES.get(command, harness.default_config)()
         try:
             config = _apply_overrides(config, opts)
-        except ValueError as exc:  # an out-of-range override
+        except ValueError as exc:  # harness.with_layers at an out-of-range --layers
             raise ConfigError(str(exc)) from None
         report = harness.run(config, command, run_path=run_path)
     except ConfigError as exc:

@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import time
-import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,45 +122,11 @@ class RunConfig:
                               "target; use a normalized target or net.output 'linear'")
 
 
-_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-
-
-def _typed(hint, value, name: str):
-    """``value``, the JSON value of the field ``name`` annotated ``hint``,
-    checked against that annotation: a config object is built from a JSON
-    object, a list becomes a tuple, an integer passes for a float, and
-    null passes only where the field allows None."""
-    if type(None) in typing.get_args(hint):
-        if value is None:
-            return None
-        hint = next(a for a in typing.get_args(hint) if a is not type(None))
-    got = "null" if value is None else type(value).__name__
-    if dataclasses.is_dataclass(hint):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{name}: expected an object, got {got}")
-        fields = typing.get_type_hints(hint)
-        prefix = f"{name}." if name else ""
-        for key in value:
-            if key not in fields:
-                raise ConfigError(f"unknown config key {prefix}{key}")
-        return hint(**{key: _typed(fields[key], v, prefix + key) for key, v in value.items()})
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{name}: expected a list, got {got}")
-        item = typing.get_args(hint)[0]
-        return tuple(_typed(item, v, f"{name}[{i}]") for i, v in enumerate(value))
-    # JSON true is no number, though Python's bool is an int
-    if isinstance(value, bool) is not (hint is bool) or not isinstance(
-            value, (int, float) if hint is float else hint):
-        raise ConfigError(f"{name}: expected {_KINDS[hint]}, got {got}")
-    return value
-
-
 def config_from_dict(d: dict) -> RunConfig:
-    """A run config from JSON data: a value of the wrong type, or a key that
-    names no field, is a ConfigError that names the field."""
+    """A run config from JSON data (:func:`valuenet.from_json`): a value of the
+    wrong type, or a key that names no field, is a ConfigError naming the field."""
     try:
-        return _typed(RunConfig, d, "")
+        return valuenet.from_json(RunConfig, d)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -405,6 +370,7 @@ def evaluate_run(config: RunConfig, dataset: Dataset | None = None) -> RunReport
     if record.exists():  # checkpoints without a record are evaluated as they are
         try:
             trained = json.loads(record.read_text(encoding="utf-8"))["test_topics"]
+            valuenet.from_json(tuple[tuple[str, ...], ...], trained, "test_topics")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{record}: {exc}") from None
         for i, (was, now) in enumerate(itertools.zip_longest(trained, [list(t) for _, t in folds])):

@@ -22,7 +22,8 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -93,6 +94,41 @@ def config_to_dict(config) -> dict:
     """A config dataclass, nested ones included, as JSON data: tuples become lists."""
     return asdict(config, dict_factory=lambda items: {
         k: list(v) if isinstance(v, tuple) else v for k, v in items})
+
+
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def from_json(hint, value, name: str = ""):
+    """``value``, the JSON value of the field ``name`` annotated ``hint``,
+    checked against that annotation (the inverse of :func:`config_to_dict`):
+    a config object is built from a JSON object, a list becomes a tuple, an
+    integer passes for a float and null only where the field allows None.
+    A wrong type, or a key that names no field, is a ValueError naming it."""
+    if type(None) in typing.get_args(hint):
+        if value is None:
+            return None
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    got = "null" if value is None else type(value).__name__
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name}: expected an object, got {got}")
+        fields = typing.get_type_hints(hint)
+        prefix = f"{name}." if name else ""
+        for key in value:
+            if key not in fields:
+                raise ValueError(f"unknown config key {prefix}{key}")
+        return hint(**{key: from_json(fields[key], v, prefix + key) for key, v in value.items()})
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name}: expected a list, got {got}")
+        item = typing.get_args(hint)[0]
+        return tuple(from_json(item, v, f"{name}[{i}]") for i, v in enumerate(value))
+    # JSON true is no number, though Python's bool is an int
+    if isinstance(value, bool) is not (hint is bool) or not isinstance(
+            value, (int, float) if hint is float else hint):
+        raise ValueError(f"{name}: expected {_KINDS[hint]}, got {got}")
+    return value
 
 
 class _LstmLayer:
@@ -626,9 +662,9 @@ def save(params: ValueNetParams, path) -> None:
 
 def load(path) -> ValueNetParams:
     """Read a checkpoint into one float64 array. Raises CheckpointError for
-    a bad header, a header whose parameter count disagrees with its config
-    (before allocating), a short payload, trailing bytes or a parameter
-    that is NaN or infinite."""
+    a bad header (naming a field of the wrong JSON type), a header whose
+    parameter count disagrees with its config (before allocating), a short
+    payload, trailing bytes or a parameter that is NaN or infinite."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if len(head) < 8:
@@ -650,9 +686,9 @@ def load(path) -> ValueNetParams:
         if header.get("version") != _VERSION:
             raise CheckpointError(f"unsupported version {header.get('version')!r}")
         try:
-            config = NetConfig(**header["config"])
-            n = int(header["n_params"])
-        except (KeyError, TypeError, ValueError) as exc:
+            config = from_json(NetConfig, header["config"], "config")
+            n = from_json(int, header["n_params"], "n_params")
+        except (KeyError, ValueError) as exc:
             raise CheckpointError(f"invalid header: {exc}") from None
         if n != param_count(config):  # checked before anything parameter-sized exists
             raise CheckpointError(f"header declares {n} parameters, its config has {param_count(config)}")

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import pytest
 
@@ -22,3 +24,24 @@ def _chi2_ppf_99(df: int) -> float:
 def chi2_ppf_99():
     """``chi2_ppf_99(df)``: the chi-square bound of the uniformity tests."""
     return _chi2_ppf_99
+
+
+def _rewrite_header(path, field: str, value) -> None:
+    """Set the dotted ``field`` of the JSON header of the checkpoint at
+    ``path`` to ``value``, keeping the magic and the parameter payload."""
+    blob = path.read_bytes()
+    hlen = struct.unpack("<I", blob[4:8])[0]
+    header = json.loads(blob[8:8 + hlen])
+    *sections, key = field.split(".")
+    target = header
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:4] + struct.pack("<I", len(hjson)) + hjson + blob[8 + hlen:])
+
+
+@pytest.fixture
+def rewrite_header():
+    """``rewrite_header(path, field, value)``: a checkpoint with one header field changed."""
+    return _rewrite_header

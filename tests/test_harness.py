@@ -29,6 +29,7 @@ from dynrank.harness import (
     metrics_run,
     report_to_dict,
     run,
+    sanity_config,
     sweep_config,
     train_run,
     trend_config,
@@ -70,8 +71,10 @@ def tiny_config(out_dir, **kw) -> RunConfig:
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        config = tiny_config(tmp_path / "o")
-        assert config_from_dict(config_to_dict(config)) == config
+        """The CLI writes its overrides into this JSON form and reads it back."""
+        for make in (tiny_config, default_config, sanity_config, trend_config, sweep_config):
+            config = make(str(tmp_path / "o"))
+            assert config_from_dict(config_to_dict(config)) == config, make.__name__
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -947,6 +950,40 @@ class TestCli:
         assert output.startswith(f"data error: {bad}: "), output
         assert tree_bytes(tmp_path / "out") == before
 
+    @pytest.mark.parametrize("topics, message", [
+        (5, "test_topics: expected a list, got int"),
+        (None, "test_topics: expected a list, got null"),
+        ("ab", "test_topics: expected a list, got str"),
+        ([5, 6], "test_topics[0]: expected a list, got int"),
+    ], ids=["int", "null", "string", "flat-list"])
+    def test_split_record_of_wrong_shape_exits_3(self, tmp_path, capsys, topics, message):
+        config = tiny_config(tmp_path / "out")
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(config)))
+        assert invoke(capsys, ["train", "--config", str(cfg_path)])[0] == 0
+        record = tmp_path / "out" / "checkpoints" / "split.json"
+        record.write_text(json.dumps({"test_topics": topics}))
+        before = tree_bytes(tmp_path / "out")
+        code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
+        assert code == 3, output
+        assert output.startswith(f"data error: {record}: {message}"), output
+        assert tree_bytes(tmp_path / "out") == before
+
+    def test_checkpoint_header_of_wrong_json_type_exits_3(self, tmp_path, capsys, rewrite_header):
+        config = tiny_config(tmp_path / "out")
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(config)))
+        assert invoke(capsys, ["train", "--config", str(cfg_path)])[0] == 0
+        ckpts = [tmp_path / "out" / "checkpoints" / f"fold{i}.ckpt" for i in range(config.folds)]
+        for ckpt in ckpts:
+            rewrite_header(ckpt, "config.window", float(config.net.window))
+        before = tree_bytes(tmp_path / "out")
+        code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
+        assert code == 3, output
+        assert output.startswith(f"data error: {ckpts[0]}: invalid header: "
+                                 "config.window: expected an integer, got float"), output
+        assert tree_bytes(tmp_path / "out") == before
+
     @pytest.mark.parametrize("stop", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
                              ids=["error", "interrupt"])
     def test_stopped_train_leaves_no_fold_checkpoints(self, tmp_path, monkeypatch, capsys, stop):
@@ -1049,6 +1086,26 @@ class TestCli:
         code, output = invoke(capsys, [command, "--out", str(tmp_path)])
         assert code == 0, output
         assert seen == [profile(out_dir=str(tmp_path))]
+
+    def test_every_override_flag_at_once(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(harness, "run", lambda config, command, run_path=None:
+                            seen.append(config) or RunReport(command=command, config={}))
+        code, output = invoke(capsys, [
+            "train", "--layers", "1", "--window", "2", "--epsilon0", "0.3", "--alpha", "0.4",
+            "--gamma", "0.8", "--b", "0.5", "--c", "0.1", "--docs-per-iter", "3", "--iterations", "3",
+            "--metric", "nsdcg", "--folds", "2", "--seed", "1", "--out", str(tmp_path),
+        ])
+        assert code == 0, output
+        base = default_config()
+        assert seen == [dataclasses.replace(
+            base,
+            net=dataclasses.replace(base.net, layers=1, hidden_dims=base.net.hidden_dims[:1], window=2),
+            policy=dataclasses.replace(base.policy, epsilon=0.3, docs_per_iteration=3, iterations=3),
+            rocchio=RocchioParams(gamma=0.8, b=0.5, c=0.1),
+            metric=dataclasses.replace(base.metric, alpha=0.4, report=("nsdcg",), target="ndcg"),
+            folds=2, seed=1, out_dir=str(tmp_path),
+        )]
 
     def test_metric_override_sets_target(self, tmp_path, capsys):
         config = tiny_config(tmp_path / "out")

@@ -388,18 +388,11 @@ class TestSerialization:
         with pytest.raises(CheckpointError):
             load_bytes(blob[:-8], tmp_path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        import json
-        import struct
-
-        blob = save_bytes(tiny_params(), tmp_path)
-        hlen = struct.unpack("<I", blob[4:8])[0]
-        header = json.loads(blob[8:8 + hlen])
-        header["version"] = 99
-        hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        forged = blob[:4] + struct.pack("<I", len(hjson)) + hjson + blob[8 + hlen:]
-        with pytest.raises(CheckpointError):
-            load_bytes(forged, tmp_path)
+    def test_version_mismatch_rejected(self, tmp_path, rewrite_header):
+        save(tiny_params(), tmp_path / "p.ckpt")
+        rewrite_header(tmp_path / "p.ckpt", "version", 99)
+        with pytest.raises(CheckpointError, match="unsupported version 99"):
+            load(tmp_path / "p.ckpt")
 
 
 # written by the checkpoint code before save/load streamed: init_glorot(FIXTURE_NET, 2021)
@@ -440,24 +433,38 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match=f"^2 of {n} parameters are not finite$"):
             load(tmp_path / "bad.ckpt")
 
-    def test_count_mismatch_rejected_before_allocating(self, tmp_path, monkeypatch):
-        import json
-        import struct
-
-        blob = FIXTURE.read_bytes()
-        hlen = struct.unpack("<I", blob[4:8])[0]
-        header = json.loads(blob[8:8 + hlen])
-        n = 10**9  # the payload a forged header asks for
-        header["n_params"] = n
-        hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    def test_count_mismatch_rejected_before_allocating(self, tmp_path, monkeypatch, rewrite_header):
         path = tmp_path / "forged.ckpt"
-        path.write_bytes(blob[:4] + struct.pack("<I", len(hjson)) + hjson + blob[8 + hlen:])
+        path.write_bytes(FIXTURE.read_bytes())
+        n = 10**9  # the payload a forged header asks for
+        rewrite_header(path, "n_params", n)
         sizes = []
         real_empty = np.empty
         monkeypatch.setattr(np, "empty", lambda shape, *a, **k: sizes.append(shape) or real_empty(shape, *a, **k))
         with pytest.raises(CheckpointError, match="parameters"):
             load(path)
         assert n not in sizes
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("config.window", 4.0, "config.window: expected an integer, got float"),
+        ("config.hidden_dims", [2.9, 3.2], "config.hidden_dims[0]: expected an integer, got float"),
+        ("config.dense_dims", "2", "config.dense_dims: expected a list, got str"),
+        ("config.layers", True, "config.layers: expected an integer, got bool"),
+        ("config.heads", 2, "unknown config key config.heads"),
+        ("n_params", "141", "n_params: expected an integer, got str"),
+        ("n_params", 141.9, "n_params: expected an integer, got float"),
+        ("n_params", True, "n_params: expected an integer, got bool"),
+    ], ids=["window", "hidden_dims", "dense_dims", "layers", "unknown_key", "n_params_str",
+            "n_params_fraction", "n_params_bool"])
+    def test_header_field_of_wrong_json_type_rejected(self, tmp_path, rewrite_header, field, value, message):
+        """The header is read like a config file: no field is coerced, and
+        the error names the field."""
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(FIXTURE.read_bytes())
+        rewrite_header(path, field, value)
+        with pytest.raises(CheckpointError) as info:
+            load(path)
+        assert str(info.value) == f"invalid header: {message}"
 
 
 @st.composite
