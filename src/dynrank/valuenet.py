@@ -8,6 +8,14 @@ squared regression loss, plain SGD updates and a versioned binary
 checkpoint format are all implemented here on flat float64 parameter
 vectors with structured views.
 
+Precision: everything that trains or is saved is float64 (the train
+forward, backward, SGD and checkpoints), and so is the prefix unroll of
+batched scoring. Only the candidate side of scoring is float32: the
+workspace's pool, its projection and scratch, and the final step that
+:func:`forward_candidates` runs over every candidate, from float32 copies
+of the weights. Its scores come back as float64 and agree with
+:func:`forward` to float32 rounding, not bit for bit.
+
 Conventions:
   - gate order inside stacked matrices is (forget, input, output, candidate)
   - the forward pass only sees the last ``window`` inputs
@@ -21,6 +29,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import struct
 import typing
 from dataclasses import asdict, dataclass, is_dataclass
@@ -66,16 +75,18 @@ class NetConfig:
             raise ValueError(f"output must be 'linear' or 'sigmoid', got {self.output!r}")
         if self.input_scale <= 0.0:
             raise ValueError(f"input_scale must be > 0, got {self.input_scale}")
-        if self.hidden_dims is not None:
-            object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-            if len(self.hidden_dims) != self.layers:
+        for name in ("hidden_dims", "dense_dims"):
+            if getattr(self, name) is None:
+                continue
+            dims = tuple(getattr(self, name))
+            if any(isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in dims):
+                raise ValueError(f"{name} must hold integers, got {dims}")
+            dims = tuple(int(w) for w in dims)  # numpy integers become ints
+            object.__setattr__(self, name, dims)
+            if name == "hidden_dims" and len(dims) != self.layers:
                 raise ValueError("hidden_dims length must equal layers")
-            if any(h < 1 for h in self.hidden_dims):
-                raise ValueError("hidden_dims must be positive")
-        if self.dense_dims is not None:
-            object.__setattr__(self, "dense_dims", tuple(int(w) for w in self.dense_dims))
-            if any(w < 1 for w in self.dense_dims):
-                raise ValueError("dense_dims must be positive")
+            if any(w < 1 for w in dims):
+                raise ValueError(f"{name} must be positive")
 
     def resolved_hidden(self) -> tuple[int, ...]:
         if self.hidden_dims is not None:
@@ -104,7 +115,8 @@ def from_json(hint, value, name: str = ""):
     checked against that annotation (the inverse of :func:`config_to_dict`):
     a config object is built from a JSON object, a list becomes a tuple, an
     integer passes for a float and null only where the field allows None.
-    A wrong type, or a key that names no field, is a ValueError naming it."""
+    A wrong type, a NaN or infinite float, or a key that names no field, is
+    a ValueError naming it."""
     if type(None) in typing.get_args(hint):
         if value is None:
             return None
@@ -128,6 +140,8 @@ def from_json(hint, value, name: str = ""):
     if isinstance(value, bool) is not (hint is bool) or not isinstance(
             value, (int, float) if hint is float else hint):
         raise ValueError(f"{name}: expected {_KINDS[hint]}, got {got}")
+    if hint is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     return value
 
 
@@ -517,28 +531,29 @@ def apply_update(params: ValueNetParams, grad: np.ndarray, learning_rate: float)
 
 
 def project_docs(params: ValueNetParams, docs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Document half of the first layer's gate pre-activation, gate-major:
-    ``W_d @ docs`` into ``out`` (4H, N), where ``docs`` holds N documents'
-    columns (dim, N), already multiplied by ``input_scale``, and ``W_d``
-    the first ``dim`` columns of the first layer's input matrix. Returns
-    ``out``."""
+    """Document half of the first layer's gate pre-activation, gate-major,
+    in float32: ``W_d @ docs`` into the float32 ``out`` (4H, N), where
+    ``docs`` holds N documents' float32 columns (dim, N), already multiplied
+    by ``input_scale``, and ``W_d`` is a float32 copy of the first ``dim``
+    columns of the first layer's input matrix. Returns ``out``."""
     if len(docs) > params.config.input_dim:
         raise ValueError(f"document rows have dim {len(docs)}, input_dim is {params.config.input_dim}")
-    return np.matmul(params.lstm[0].W[:, : len(docs)], docs, out=out)
+    return np.matmul(params.lstm[0].W[:, : len(docs)].astype(np.float32), docs, out=out)
 
 
 class ScoringWorkspace:
     """The document side of batched scoring, for one session at a time,
     and the scratch :func:`forward_candidates` works in.
 
-    It keeps the session's pool (``ids`` and their vectors) as the columns
-    of one (dim, pool) matrix, multiplied by ``input_scale`` once, and the
-    first layer's projection of the whole pool with the weights version it
-    was made at, and likewise the last call's prefix unroll. Its scratch
-    blocks (gates, hidden states and gathered documents) are C-contiguous
-    (rows, N) views of flat arrays that only ever grow, so picks allocate
-    nothing candidate-sized once the first pick of the largest pool has
-    run. Not for concurrent use.
+    It keeps the session's pool (``ids`` and their vectors) as the float32
+    columns of one (dim, pool) matrix, multiplied by ``input_scale`` in
+    float64 and cast once, and the first layer's float32 projection of the
+    whole pool with the weights version it was made at, and likewise the
+    last call's float64 prefix unroll. Its float32 scratch blocks (gates,
+    hidden states and gathered documents) are C-contiguous (rows, N) views
+    of flat arrays that only ever grow, so picks allocate nothing
+    candidate-sized once the first pick of the largest pool has run. Not
+    for concurrent use.
     """
 
     __slots__ = ("ids", "scale", "pool", "version", "proj", "prefix", "prefix_version", "_flat")
@@ -546,17 +561,17 @@ class ScoringWorkspace:
     def __init__(self):
         self.ids = self.scale = self.pool = self.version = self.proj = None
         self.prefix = self.prefix_version = None  # set by forward_candidates
-        self._flat = [np.empty(0) for _ in range(3)]  # gates, h, docs
+        self._flat = [np.empty(0, np.float32) for _ in range(3)]  # gates, h, docs
 
     def _block(self, slot: int, rows: int, n: int) -> np.ndarray:
         size = rows * n
         if self._flat[slot].size < size:
-            self._flat[slot] = np.empty(size)
+            self._flat[slot] = np.empty(size, np.float32)
         return self._flat[slot][:size].reshape(rows, n)
 
     def doc_proj(self, params: ValueNetParams, ids: tuple, vectors, live: np.ndarray) -> np.ndarray:
-        """The document projections of ``ids[live]``, one row each, as the
-        transpose of a C-contiguous (4H, len(live)) block.
+        """The float32 document projections of ``ids[live]``, one row each,
+        as the transpose of a C-contiguous (4H, len(live)) block.
 
         At the version of the kept projection, its live columns are gathered
         into the gate block, where :func:`forward_candidates` completes the
@@ -570,12 +585,12 @@ class ScoringWorkspace:
             self.ids = self.pool = self.version = self.proj = None
             pool = np.stack([vectors[d] for d in ids], axis=1)
             pool *= scale
-            self.ids, self.scale, self.pool = ids, scale, pool
+            self.ids, self.scale, self.pool = ids, scale, pool.astype(np.float32)
         gates = self._block(0, 4 * params.lstm[0].H, len(live))
         if self.version == params.version:
             return np.take(self.proj, live, axis=1, out=gates, mode="clip").T
         if len(live) == len(ids):
-            self.proj = project_docs(params, self.pool, np.empty((len(gates), len(ids))))
+            self.proj = project_docs(params, self.pool, np.empty((len(gates), len(ids)), np.float32))
             self.version = params.version
             return self.proj.T
         docs = self._block(2, len(self.pool), len(live))
@@ -588,29 +603,34 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     """Dropout-free values for many candidates sharing one ranked prefix.
 
     Candidate ``n``'s input unit is ``doc_n ‖ query``; ``doc_proj[n]`` is
-    its document projection (column ``n`` of :func:`project_docs`) and
-    ``query`` the shared query half (empty in feature mode, where the
-    document row is the whole unit). Equivalent to calling :func:`forward`
-    (without dropout) once per candidate with inputs ``prefix + [doc_n ‖
-    query]``: the prefix is unrolled once, the query half of the first
-    layer is computed once and the final step runs batched, gate-major on
-    (4H, N) blocks, all in ``workspace``, which keeps the prefix unroll for
-    :func:`forward` of the chosen candidate.
+    its float32 document projection (column ``n`` of :func:`project_docs`)
+    and ``query`` the shared query half (empty in feature mode, where the
+    document row is the whole unit). Equivalent, to within float32
+    rounding, to calling :func:`forward` (without dropout) once per
+    candidate with inputs ``prefix + [doc_n ‖ query]``: the prefix is
+    unrolled once in float64, the query half of the first layer is computed
+    once in float64 and the final step runs batched in float32, gate-major
+    on (4H, N) blocks, all in ``workspace``, which keeps the prefix unroll
+    for :func:`forward` of the chosen candidate.
 
     The first layer's pre-activation is ``doc_proj`` plus the shared
-    vector, written to the workspace's gate block; when ``doc_proj`` is the
-    transpose of that block, as :meth:`ScoringWorkspace.doc_proj` may hand
-    it out, the shared vector is added in place. A layer's cell state
-    overwrites its spent forget rows, its hidden state the previous
-    layer's. The returned values are a new array.
+    vector, cast to float32 and written to the workspace's gate block; when
+    ``doc_proj`` is the transpose of that block, as
+    :meth:`ScoringWorkspace.doc_proj` may hand it out, the shared vector is
+    added in place. Each layer reads float32 copies of its weights, made
+    per call. A layer's cell state overwrites its spent forget rows, its
+    hidden state the previous layer's. The returned values are a new
+    float64 array: the output layer's float32 dot products, cast, plus its
+    bias (and sigmoid) in float64.
     """
+    f32 = np.float32
     cfg = params.config
     prefix = list(prefix_inputs)[-(cfg.window - 1) :] if cfg.window > 1 else []
     runs = workspace.prefix = _unroll(params, _scaled_inputs(cfg, prefix))
     workspace.prefix_version = params.version
     query = np.asarray(query, dtype=np.float64)
     first = params.lstm[0]
-    rows = np.atleast_2d(np.asarray(doc_proj, dtype=np.float64))
+    rows = np.atleast_2d(np.asarray(doc_proj, dtype=f32))
     if rows.shape[1] != 4 * first.H:
         raise ValueError(f"document projections have width {rows.shape[1]}, expected {4 * first.H}")
     n = len(rows)
@@ -619,19 +639,19 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
     for j, (ly, run) in enumerate(zip(params.lstm, runs)):
         pre = workspace._block(0, 4 * ly.H, n)
         if j:
-            np.matmul(ly.W, below, out=pre)
-            pre += (ly.U @ run.h[-1] + ly.b)[:, None]
+            np.matmul(ly.W.astype(f32), below, out=pre)
+            pre += (ly.U @ run.h[-1] + ly.b).astype(f32)[:, None]
         else:
-            np.add(rows.T, shared[:, None], out=pre)  # in place when rows.T is pre
+            np.add(rows.T, shared.astype(f32)[:, None], out=pre)  # in place when rows.T is pre
         c = pre[: ly.H]  # f * c_prev is the first write: each element reads only its own f
         below = workspace._block(1, ly.H, n)
-        _cell(pre, run.c[-1][:, None], c, c, below)
+        _cell(pre, run.c[-1].astype(f32)[:, None], c, c, below)
     z = below
     for dl in params.dense[:-1]:
-        z = dl.W @ z
-        z += dl.b[:, None]
+        z = dl.W.astype(f32) @ z
+        z += dl.b.astype(f32)[:, None]
         np.maximum(z, 0.0, out=z)
-    v = params.dense[-1].W[0] @ z
+    v = (params.dense[-1].W[0].astype(f32) @ z).astype(np.float64)
     v += params.dense[-1].b[0]
     if cfg.output == "sigmoid":
         _sigmoid_(v)

@@ -2,7 +2,20 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
+
+# Float32 candidate scoring against float64 `forward`, as rtol and atol both
+# (|score - value| <= SCORE_TOL * (1 + |value|)). Each float32 operation
+# rounds to within eps32 / 2 of its exact result (eps32 = 2**-23, about
+# 1.19e-7). A score is a chain of at most six layers in these tests' nets
+# (three LSTM, the dense head), and each layer adds at most 2**6 roundings
+# of O(1) terms: the input cast, a dot product of at most 17 terms, the gate
+# nonlinearities and the cell update. Squashing slopes are <= 1 and Glorot
+# weights keep a layer's gain near 1, so the errors add: 6 * 2**6 * eps32 / 2
+# is below 2**9 * eps32, about 6.1e-5. Two float32 projections of one
+# document by differently sized matmuls meet the same bound.
+SCORE_TOL = 2**9 * np.finfo(np.float32).eps
 
 
 def _chi2_ppf_99(df: int) -> float:

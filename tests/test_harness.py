@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,6 +91,13 @@ class TestConfig:
     def test_bad_nested_value_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"policy": {"epsilon": 2.0}})
+
+    def test_non_finite_value_from_python_rejected(self, tmp_path):
+        """A Python caller's config never passes through the JSON reader;
+        RunConfig still refuses its NaN and infinite floats."""
+        net = dataclasses.replace(tiny_config(tmp_path).net, learning_rate=math.nan)
+        with pytest.raises(ConfigError, match="net.learning_rate must be finite, got nan"):
+            tiny_config(tmp_path, net=net)
 
     def test_load_config_file(self, tmp_path):
         config = tiny_config(tmp_path / "o")
@@ -982,6 +990,26 @@ class TestCli:
         assert code == 3, output
         assert output.startswith(f"data error: {ckpts[0]}: invalid header: "
                                  "config.window: expected an integer, got float"), output
+        assert tree_bytes(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("config.learning_rate", math.nan, "config.learning_rate must be finite, got nan"),
+        ("config.input_scale", math.inf, "config.input_scale must be finite, got inf"),
+    ], ids=["nan_learning_rate", "inf_input_scale"])
+    def test_checkpoint_header_with_non_finite_float_exits_3(self, tmp_path, capsys, rewrite_header,
+                                                              field, value, message):
+        """A NaN or infinite header float is a data error naming the field,
+        not a net-config mismatch (exit 2)."""
+        config = tiny_config(tmp_path / "out")
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(config)))
+        assert invoke(capsys, ["train", "--config", str(cfg_path)])[0] == 0
+        ckpt = tmp_path / "out" / "checkpoints" / "fold0.ckpt"
+        rewrite_header(ckpt, field, value)
+        before = tree_bytes(tmp_path / "out")
+        code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
+        assert code == 3, output
+        assert output.startswith(f"data error: {ckpt}: invalid header: {message}"), output
         assert tree_bytes(tmp_path / "out") == before
 
     @pytest.mark.parametrize("stop", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],

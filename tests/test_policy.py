@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SCORE_TOL
 from dynrank import valuenet
 from dynrank.data import gen_synthetic
 from dynrank.feedback import EmbedRocchioFeedback, RocchioParams, simulate_feedback
@@ -114,7 +115,7 @@ class TestScoreCandidates:
         for doc in state.candidates()[:3]:
             inputs = forward_inputs(state) + [np.concatenate([state.vectors[doc], state.query])]
             expected, _ = forward(params, inputs)
-            assert scores[doc] == pytest.approx(expected, abs=1e-12)
+            assert scores[doc] == pytest.approx(expected, rel=SCORE_TOL, abs=SCORE_TOL)
 
     def test_empty_candidates_rejected(self):
         ds = tiny_dataset()
@@ -180,11 +181,12 @@ class TestScoringFastPath:
                 scores = score_map(params, current, pool)
                 expected = reference_scores(params, current)
                 for doc, value in scores.items():
-                    assert abs(value - expected[doc]) <= 1e-12
+                    assert value == pytest.approx(expected[doc], rel=SCORE_TOL, abs=SCORE_TOL)
                 assert score_map(params, current, pool) == scores
                 subset = with_candidates(current, keep & set(current.candidates()) or current.candidates())
                 sub_scores = score_map(params, subset, pool)
-                assert all(abs(sub_scores[d] - expected[d]) <= 1e-12 for d in sub_scores)
+                for doc, value in sub_scores.items():
+                    assert value == pytest.approx(expected[doc], rel=SCORE_TOL, abs=SCORE_TOL)
                 assert pool.version == params.version  # still the whole-pool projection
                 if len(current.live) == 1:
                     break
@@ -199,7 +201,8 @@ class TestScoringFastPath:
         updated = apply_update(params, grad, 0.1)
         after = score_map(updated, state)
         expected = reference_scores(updated, state)
-        assert all(abs(after[d] - expected[d]) <= 1e-12 for d in after)
+        for doc, value in after.items():
+            assert value == pytest.approx(expected[doc], rel=SCORE_TOL, abs=SCORE_TOL)
         assert all(after[d] != before[d] for d in after)
 
 
@@ -232,7 +235,7 @@ class TestInPlaceUpdateScoring:
         assert not np.shares_memory(cached, kept) and pool.ids is state.ids  # the same session's pool
         assert cached.tobytes() == kept[:, sub.live].tobytes()
         direct = gate_block(ScoringWorkspace(), params, sub)  # its live columns projected
-        np.testing.assert_allclose(direct, cached, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(direct, cached, rtol=SCORE_TOL, atol=SCORE_TOL)
         apply_update(params, np.ones(params.n_params), 0.1)
         again = gate_block(pool, params, sub)  # new weights: projected again
         fresh = gate_block(ScoringWorkspace(), params, sub)
@@ -247,12 +250,14 @@ def gate_block(pool, params, state):
 
 def reference_project_docs(params, docs, out):
     """The projection scoring used before the workspace kept a scaled pool:
-    ``docs``, the transpose of the caller's (dim, N) scratch, is scaled by
-    ``input_scale`` in place and projected gate-major into ``out.T``."""
+    ``docs``, the transpose of the caller's float64 (dim, N) scratch, is
+    scaled by ``input_scale`` in place, cast to float32 and projected by
+    the float32 first-layer weights gate-major into the float32 ``out.T``."""
     D = np.atleast_2d(np.asarray(docs, dtype=np.float64))
     scaled = D.T
     scaled *= params.config.input_scale
-    np.matmul(params.lstm[0].W[:, : D.shape[1]], scaled, out=out.T)
+    W_d = params.lstm[0].W[:, : D.shape[1]].astype(np.float32)
+    np.matmul(W_d, scaled.astype(np.float32), out=out.T)
     return out
 
 
@@ -265,11 +270,11 @@ class ReferencePoolCache:
 
     def __init__(self):
         self.ids = self.docs = self.version = self.proj = None
-        self.flat = [np.empty(0) for _ in range(3)]  # gates, docs, proj
+        self.flat = [np.empty(0, np.float32), np.empty(0), np.empty(0, np.float32)]  # gates, docs, proj
 
     def block(self, slot, rows, n):
         if self.flat[slot].size < rows * n:
-            self.flat[slot] = np.empty(rows * n)
+            self.flat[slot] = np.empty(rows * n, self.flat[slot].dtype)
         return self.flat[slot][: rows * n].reshape(rows, n)
 
     def gate_block(self, params, state):
@@ -849,7 +854,7 @@ def test_pool_projections_per_session_and_step(monkeypatch):
 
 def whole_pool_scores(params, state):
     """``score_candidates`` as a gather from a fresh whole-pool projection."""
-    whole = np.empty((4 * params.lstm[0].H, len(state.ids)))
+    whole = np.empty((4 * params.lstm[0].H, len(state.ids)), np.float32)
     docs = np.stack([state.vectors[d] for d in state.ids], axis=1)
     reference_project_docs(params, docs.T, out=whole.T)
     return forward_candidates(params, forward_inputs(state, params.config.window - 1),
@@ -929,7 +934,8 @@ def test_partial_projection_is_not_kept(monkeypatch):
     assert pool.version is None
     assert score_candidates(params, start, pool).tobytes() == want.tobytes()
     assert pool.version == params.version
-    np.testing.assert_allclose(score_candidates(params, later, pool), partial, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(score_candidates(params, later, pool), partial,
+                               rtol=SCORE_TOL, atol=SCORE_TOL)
     assert len(calls) == 2
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import SCORE_TOL
 from dynrank import valuenet
 from dynrank.valuenet import (
     CheckpointError,
@@ -33,11 +35,12 @@ def tiny_params(seed=42) -> ValueNetParams:
 
 
 def projected(params, docs):
-    """The document projections of ``docs`` (one document per row), one
-    row each: :func:`project_docs` of their columns times ``input_scale``."""
+    """The float32 document projections of ``docs`` (one document per row),
+    one row each: :func:`project_docs` of their columns times
+    ``input_scale``, scaled in float64 and cast, as the workspace does."""
     scaled = np.array(docs, dtype=np.float64, ndmin=2).T * params.config.input_scale
-    out = np.empty((4 * params.lstm[0].H, scaled.shape[1]))
-    return project_docs(params, np.ascontiguousarray(scaled), out).T
+    out = np.empty((4 * params.lstm[0].H, scaled.shape[1]), np.float32)
+    return project_docs(params, np.ascontiguousarray(scaled, np.float32), out).T
 
 
 def closed_form_count(cfg: NetConfig) -> int:
@@ -342,7 +345,7 @@ class TestBatchedScoring:
         batch = forward_candidates(params, prefix, projected(params, rows), np.zeros(0),
                                    workspace=valuenet.ScoringWorkspace())
         singles = np.array([forward(params, prefix + [r])[0] for r in rows])
-        np.testing.assert_allclose(batch, singles, atol=1e-12)
+        np.testing.assert_allclose(batch, singles, rtol=SCORE_TOL, atol=SCORE_TOL)
 
 
 def save_bytes(params: ValueNetParams, tmp_path) -> bytes:
@@ -454,17 +457,38 @@ class TestCheckpointFile:
         ("n_params", "141", "n_params: expected an integer, got str"),
         ("n_params", 141.9, "n_params: expected an integer, got float"),
         ("n_params", True, "n_params: expected an integer, got bool"),
+        ("config.learning_rate", math.nan, "config.learning_rate must be finite, got nan"),
+        ("config.input_scale", math.inf, "config.input_scale must be finite, got inf"),
+        ("config.dropout", -math.inf, "config.dropout must be finite, got -inf"),
     ], ids=["window", "hidden_dims", "dense_dims", "layers", "unknown_key", "n_params_str",
-            "n_params_fraction", "n_params_bool"])
+            "n_params_fraction", "n_params_bool", "nan_learning_rate", "inf_input_scale",
+            "minus_inf_dropout"])
     def test_header_field_of_wrong_json_type_rejected(self, tmp_path, rewrite_header, field, value, message):
-        """The header is read like a config file: no field is coerced, and
-        the error names the field."""
+        """The header is read like a config file: no field is coerced, a
+        float must be finite (JSON's NaN and Infinity parse), and the error
+        names the field."""
         path = tmp_path / "bad.ckpt"
         path.write_bytes(FIXTURE.read_bytes())
         rewrite_header(path, field, value)
         with pytest.raises(CheckpointError) as info:
             load(path)
         assert str(info.value) == f"invalid header: {message}"
+
+
+class TestNetConfig:
+    @pytest.mark.parametrize("field, dims", [
+        ("hidden_dims", (2.9,)), ("hidden_dims", (np.float64(3.0),)), ("hidden_dims", (True,)),
+        ("dense_dims", (4, 2.5)), ("dense_dims", ("4",)),
+    ])
+    def test_non_integer_width_rejected(self, field, dims):
+        """A width is never truncated: ``(2.9,)`` used to become ``(2,)``."""
+        with pytest.raises(ValueError, match=f"{field} must hold integers"):
+            NetConfig(layers=1, input_dim=3, **{field: dims})
+
+    def test_numpy_integer_widths_become_ints(self):
+        cfg = NetConfig(layers=2, input_dim=3, hidden_dims=np.array([4, 5]), dense_dims=[np.int32(3)])
+        assert cfg.hidden_dims == (4, 5) and cfg.dense_dims == (3,)
+        assert all(type(w) is int for w in cfg.hidden_dims + cfg.dense_dims)
 
 
 @st.composite
@@ -692,7 +716,7 @@ class TestScoringWorkspace:
             assert not any(np.shares_memory(shared, buf) for buf in ws._flat)
             units = [np.concatenate([pool[r], query]) for r in rows]
             singles = [forward(p, prefix + [u])[0] for u in units]
-            np.testing.assert_allclose(shared, singles, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(shared, singles, rtol=SCORE_TOL, atol=SCORE_TOL)
 
     @given(scoring_sequences())
     @settings(max_examples=30, deadline=None)
@@ -709,7 +733,47 @@ class TestScoringWorkspace:
             fresh = forward_candidates(p, prefix, rows_proj, query,
                                        workspace=valuenet.ScoringWorkspace())
             assert values.tobytes() == fresh.tobytes()
-            np.testing.assert_allclose(rows_proj, projected(p, pool)[rows], rtol=0, atol=1e-12)
+            # a direct projection of the rows or a gather from the whole pool's
+            np.testing.assert_allclose(rows_proj, projected(p, pool)[rows],
+                                       rtol=SCORE_TOL, atol=SCORE_TOL)
+
+
+class TestFloat32Scoring:
+    @given(net_cases(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @example(hand_off_case(window=3, n_inputs=3), 5, 0)  # input scale 3.1, linear head
+    @settings(max_examples=100, deadline=None)
+    def test_scores_within_bound_of_float64_forward(self, case, n, seed):
+        """Float32 batched scores of a workspace's pool stay within
+        SCORE_TOL of float64 ``forward``, for either head, input scales
+        above and below 1, and feature or embedding mode."""
+        params, xs = case
+        cfg = params.config
+        rng = np.random.default_rng(seed)
+        query = rng.standard_normal(rng.integers(0, cfg.input_dim))  # empty: feature mode
+        d = cfg.input_dim - query.size
+        prefix = [np.concatenate([x[:d], query]) for x in xs[:-1]]
+        ids, vectors = _pool_ids(rng.standard_normal((n, d)))
+        ws = valuenet.ScoringWorkspace()
+        scores = forward_candidates(params, prefix, ws.doc_proj(params, ids, vectors, np.arange(n)),
+                                    query, workspace=ws)
+        want = [forward(params, prefix + [np.concatenate([vectors[i], query])])[0] for i in ids]
+        np.testing.assert_allclose(scores, want, rtol=SCORE_TOL, atol=SCORE_TOL)
+
+    def test_candidate_side_is_float32_and_scores_a_new_float64_array(self):
+        params = init_glorot(dataclasses.replace(TINY, input_scale=2.0), 5)
+        ids, vectors = _pool_ids(np.random.default_rng(5).standard_normal((6, 2)))
+        ws = valuenet.ScoringWorkspace()
+        for live in (np.arange(6), np.array([1, 4])):  # kept projection, then a gather from it
+            forward_candidates(params, [vectors["d00"]], ws.doc_proj(params, ids, vectors, live),
+                               np.zeros(0), workspace=ws)
+        apply_update(params, np.ones(params.n_params), 0.1)
+        scores = forward_candidates(params, [vectors["d00"]], ws.doc_proj(params, ids, vectors, live),
+                                    np.zeros(0), workspace=ws)  # a direct projection of two
+        assert all(a.dtype == np.float32 for a in [ws.pool, ws.proj, *ws._flat])
+        assert all(a.size for a in ws._flat)  # every flat block was used
+        assert all(run.h.dtype == np.float64 for run in ws.prefix)  # the unroll forward is handed
+        assert scores.dtype == np.float64 and scores.shape == (2,) and scores.base is None
+        assert not any(np.shares_memory(scores, a) for a in [ws.pool, ws.proj, *ws._flat])
 
 
 class TestInPlaceStep:
