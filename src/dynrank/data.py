@@ -5,7 +5,6 @@ Supported inputs:
   - qrels TSV:    topic_id <TAB> subtopic_id <TAB> doc_id <TAB> grade
   - docs JSONL:   {"doc_id": ..., "text": ...}, or an embeddings TSV
     (header ``#dim=D``) for precomputed vectors
-  - LETOR lines:  ``grade qid:N 1:v1 2:v2 ... #comment``
 
 Loaders validate referential integrity and reject broken files with line
 numbers instead of repairing them.
@@ -97,13 +96,11 @@ def read_vectors_tsv(path, lines=None) -> tuple[int, dict[str, np.ndarray]]:
 class Dataset:
     """Topics, hidden judgments and the documents' vectors.
 
-    ``kind`` is "embedded" (documents and queries share one embedding
-    space) or "feature" (precomputed query-document feature vectors; the
-    query has no vector of its own). ``docs`` maps each topic to its
-    candidate documents' vectors; topics that share a pool share one map.
+    Documents and queries share one embedding space of width ``dim``.
+    ``docs`` maps each topic to its candidate documents' vectors; topics
+    that share a pool share one map.
     """
 
-    kind: str
     topics: dict[str, str | None]
     query_vectors: dict[str, np.ndarray]
     judgments: JudgmentSet
@@ -115,8 +112,8 @@ class Dataset:
         return sorted(self.topics)
 
     def input_dim(self) -> int:
-        """Width of one value-network input unit."""
-        return self.dim if self.kind == "feature" else 2 * self.dim
+        """Width of one value-network input unit: a document, then the query."""
+        return 2 * self.dim
 
 
 def _read_qrels(path) -> tuple[JudgmentSet, list[tuple[int, str, str, str, float]]]:
@@ -209,90 +206,12 @@ def load_trec_dd(topics_path, qrels_path, docs_or_vectors_path, dim: int = 512, 
             raise DataError(f"{topics_path}: line {lineno}: topic {topic!r} has no judgments in {qrels_path}")
 
     return Dataset(
-        kind="embedded",
         topics=dict(topics),
         query_vectors={t: embed_text(q, dim, seed) for t, q in topics.items()},
         judgments=judgments,
         docs=dict.fromkeys(topics, vectors),
         texts=texts,
         dim=dim,
-    )
-
-
-def load_letor(path) -> Dataset:
-    """Load a LETOR-style feature file into a feature Dataset.
-
-    Each line is ``grade qid:N 1:v1 2:v2 ... #comment``; grades must be
-    0, 1 or 2. Documents keep their ``docid`` from the comment when
-    present, otherwise get a per-line identifier.
-    """
-    docs: dict[str, dict[str, np.ndarray]] = {}
-    judgments = JudgmentSet()
-    feature_len: int | None = None
-    for lineno, raw in read_lines(path):
-        line = raw.strip()
-        if not line:
-            continue
-        body, _, comment = line.partition("#")
-        parts = body.split()
-        if len(parts) < 2:
-            raise DataError(f"{path}: line {lineno}: expected 'grade qid:N features...'")
-        try:
-            grade = int(parts[0])
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: malformed grade {parts[0]!r}") from None
-        if grade not in (0, 1, 2):
-            raise DataError(f"{path}: line {lineno}: grade must be 0, 1 or 2, got {grade}")
-        if not parts[1].startswith("qid:"):
-            raise DataError(f"{path}: line {lineno}: expected 'qid:N', got {parts[1]!r}")
-        qid = parts[1][4:]
-        feats: dict[int, float] = {}
-        for token in parts[2:]:
-            idx, _, val = token.partition(":")
-            try:
-                index, value = int(idx), float(val)
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: malformed feature {token!r}") from None
-            if not math.isfinite(value):
-                raise DataError(f"{path}: line {lineno}: non-finite feature {token!r}")
-            if index < 1:
-                raise DataError(f"{path}: line {lineno}: feature index must be >= 1 in {token!r}")
-            feats[index] = value
-        if not feats:
-            raise DataError(f"{path}: line {lineno}: no features")
-        width = max(feats)
-        if feature_len is None:
-            feature_len = width
-        elif width != feature_len:
-            raise DataError(
-                f"{path}: line {lineno}: {width} features, expected {feature_len}"
-            )
-        vec = np.zeros(feature_len, dtype=np.float64)
-        for idx, val in feats.items():
-            vec[idx - 1] = val
-        doc_id = None
-        if comment:
-            tokens = comment.split()
-            if len(tokens) >= 3 and tokens[0] == "docid" and tokens[1] == "=":
-                doc_id = tokens[2]
-        if doc_id is None:
-            doc_id = f"{qid}-{lineno}"
-        pool = docs.setdefault(qid, {})
-        if doc_id in pool:
-            raise DataError(f"{path}: line {lineno}: duplicate document {doc_id!r} for qid {qid!r}")
-        pool[doc_id] = vec
-        # grade 0 is a judgment too: a query judged all-irrelevant stays a
-        # known topic and trains with target 0
-        judgments.add(qid, "0", doc_id, float(grade))
-    if not docs:
-        raise DataError(f"{path}: no data lines")
-    return Dataset(
-        kind="feature",
-        topics={qid: None for qid in docs},
-        query_vectors={qid: np.zeros(0, dtype=np.float64) for qid in docs},
-        judgments=judgments,
-        docs=docs,
-        dim=feature_len,
     )
 
 
@@ -432,7 +351,6 @@ def gen_synthetic(
         query_vectors[topic] = np.mean(centroid_rows, axis=0)
 
     return Dataset(
-        kind="embedded",
         topics=topics,
         query_vectors=query_vectors,
         judgments=judgments,

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from dynrank import valuenet
-from dynrank.data import DataError, Dataset, gen_synthetic, load_letor, load_trec_dd, read_lines, split_folds
+from dynrank.data import DataError, Dataset, gen_synthetic, load_trec_dd, read_lines, split_folds
 from dynrank.embedspace import tokenize
 from dynrank.feedback import (EmbedRocchioFeedback, RocchioParams, TermFeedback, nqe_expand,
                               rocchio_classic, tf_unit)
@@ -52,7 +52,7 @@ COMMANDS = ("train", "evaluate", "ablate", "sweep-layers", "metrics")
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Where the data comes from: generated, topic/qrels/docs files, or LETOR."""
+    """Where the data comes from: generated, or topic/qrels/docs files."""
 
     kind: str = "synthetic"
     num_topics: int = 20
@@ -65,15 +65,12 @@ class DatasetSpec:
     topics_path: str | None = None
     qrels_path: str | None = None
     docs_path: str | None = None
-    letor_path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("synthetic", "trec_dd", "letor"):
+        if self.kind not in ("synthetic", "trec_dd"):
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "trec_dd" and not (self.topics_path and self.qrels_path and self.docs_path):
             raise ConfigError("trec_dd datasets need topics_path, qrels_path and docs_path")
-        if self.kind == "letor" and not self.letor_path:
-            raise ConfigError("letor datasets need letor_path")
         for name in ("num_topics", "docs_per_topic", "subtopics_per_topic", "dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"dataset.{name} must be >= 1, got {getattr(self, name)}")
@@ -149,25 +146,16 @@ def load_dataset(spec: DatasetSpec, seed: int = 0) -> Dataset:
             decoy_clusters=spec.decoy_clusters,
             frac_high=spec.frac_high, frac_mid=spec.frac_mid,
         )
-    if spec.kind == "trec_dd":
-        return load_trec_dd(spec.topics_path, spec.qrels_path, spec.docs_path, dim=spec.dim, seed=seed)
-    return load_letor(spec.letor_path)
+    return load_trec_dd(spec.topics_path, spec.qrels_path, spec.docs_path, dim=spec.dim, seed=seed)
 
 
 def feedback_variants(dataset: Dataset) -> tuple[str, ...]:
     """The feedback variants a run on ``dataset`` can use, in
-    ``ABLATION_VARIANTS`` order. Feature mode has no query vector to
-    reformulate; the term-space variants need document and query text."""
-    if dataset.kind == "feature":
-        return ("no-feedback",)
+    ``ABLATION_VARIANTS`` order; the term-space variants need document
+    and query text."""
     if not dataset.texts or not all(dataset.topics.values()):
         return ("embed-rocchio", "no-feedback")
     return ABLATION_VARIANTS
-
-
-def _lacking(dataset: Dataset) -> str:
-    """What ``dataset`` lacks for the variants ``feedback_variants`` leaves out."""
-    return "query vectors (feature mode)" if dataset.kind == "feature" else "document and query text"
 
 
 def _check_config(config: RunConfig, dataset: Dataset) -> None:
@@ -176,14 +164,12 @@ def _check_config(config: RunConfig, dataset: Dataset) -> None:
         raise ConfigError(f"folds={config.folds} exceeds the dataset's {len(dataset.topics)} topics")
     expected = dataset.input_dim()
     if config.net.input_dim != expected:
-        raise ConfigError(
-            f"net.input_dim={config.net.input_dim} but the dataset needs {expected} "
-            f"({dataset.kind} mode, dim {dataset.dim})"
-        )
+        raise ConfigError(f"net.input_dim={config.net.input_dim} but the dataset needs {expected} "
+                          f"(twice its dim {dataset.dim})")
     supported = feedback_variants(dataset)
     if config.feedback not in supported:
-        raise ConfigError(f"feedback {config.feedback!r} needs {_lacking(dataset)}, which the corpus "
-                          f"lacks; it supports {', '.join(supported)}")
+        raise ConfigError(f"feedback {config.feedback!r} needs document and query text, "
+                          f"which the corpus lacks; it supports {', '.join(supported)}")
 
 
 def make_feedback(config: RunConfig, dataset: Dataset):
@@ -445,7 +431,7 @@ def ablate_run(config: RunConfig, dataset: Dataset) -> RunReport:
     skipped = [v for v in ABLATION_VARIANTS if v not in variants]
     if skipped:
         report.notes.append(f"variants {', '.join(skipped)} were not run: they need "
-                            f"{_lacking(dataset)}, which the corpus lacks")
+                            "document and query text, which the corpus lacks")
     report.tables["ablation"] = [
         (v, *row) for v in variants for row in report.tables[f"evaluation:{v}"]
     ]

@@ -125,8 +125,7 @@ def new_session(dataset: Dataset, topic: str) -> SessionState:
 
 
 def pair_input(doc_vec: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """One network input unit: the document's vector, then the query's.
-    Feature-mode queries are empty, so the unit is the feature vector."""
+    """One network input unit: the document's vector, then the query's."""
     return np.concatenate([doc_vec, query])
 
 
@@ -143,21 +142,27 @@ def score_candidates(params: ValueNetParams, state: SessionState,
     Dropout-free scoring; candidates share the ranked prefix, so the
     final network step runs batched across them, in ``pool``, which keeps
     the document side of the session's scoring. Returns a new array of the
-    scores in the order of ``state.live``, which is ascending doc id.
+    scores in the order of ``state.live``, which is ascending doc id. Weights
+    past float32's range score as non-finite, without numpy's warnings: the
+    picks (:func:`best_action`, :func:`select_action`) raise on them.
     """
     if not state.live.size:
         raise ValueError("no candidates to score")
     window = params.config.window
     prefix = forward_inputs(state, window - 1) if window > 1 else []
-    return valuenet.forward_candidates(
-        params, prefix, pool.doc_proj(params, state.ids, state.vectors, state.live), state.query,
-        workspace=pool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return valuenet.forward_candidates(
+            params, prefix, pool.doc_proj(params, state.ids, state.vectors, state.live), state.query,
+            workspace=pool)
 
 
 def best_action(scores: np.ndarray) -> int:
     """Position of the best score; ties go to the first, which is the
-    smallest doc id."""
-    return int(np.argmax(scores))
+    smallest doc id. A non-finite best (argmax's first NaN, or +inf) raises."""
+    pos = int(np.argmax(scores))
+    if not math.isfinite(scores[pos]):
+        raise FloatingPointError("non-finite candidate scores")
+    return pos
 
 
 def select_action(

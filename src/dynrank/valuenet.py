@@ -604,8 +604,7 @@ def forward_candidates(params: ValueNetParams, prefix_inputs: Sequence, doc_proj
 
     Candidate ``n``'s input unit is ``doc_n ‖ query``; ``doc_proj[n]`` is
     its float32 document projection (column ``n`` of :func:`project_docs`)
-    and ``query`` the shared query half (empty in feature mode, where the
-    document row is the whole unit). Equivalent, to within float32
+    and ``query`` the shared query half. Equivalent, to within float32
     rounding, to calling :func:`forward` (without dropout) once per
     candidate with inputs ``prefix + [doc_n ‖ query]``: the prefix is
     unrolled once in float64, the query half of the first layer is computed

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynrank import data
-from dynrank.data import DataError, Dataset, gen_synthetic, load_letor, load_trec_dd, split_folds
+from dynrank.data import DataError, Dataset, gen_synthetic, load_trec_dd, split_folds
 from dynrank.embedspace import cosine, embed_text
 from dynrank.metrics import JudgmentSet, doc_relevance
 
@@ -46,7 +46,6 @@ class TestLoadTrecDD:
         ds = load_trec_dd(*write_trec_fixture(tmp_path), dim=16, seed=0)
         assert ds.topic_ids() == ["t1", "t2"]
         assert {d for d in ds.docs["t1"] if ds.judgments.coverage("t1", d)} == {"d1", "d2"}
-        assert ds.kind == "embedded"
         assert ds.dim == 16
         assert ds.input_dim() == 32
 
@@ -63,6 +62,27 @@ class TestLoadTrecDD:
         assert ds.dim == 3
         np.testing.assert_array_equal(ds.docs["t1"]["d2"], [0.0, 1.0, 0.0])
         assert ds.texts is None
+
+    def test_all_zero_query_is_registered_and_trains(self, tmp_path):
+        from dynrank.metrics import MetricSpec, target_value
+        from dynrank.policy import PolicyConfig, train_session
+        from dynrank.valuenet import NetConfig, init_glorot
+
+        topics, qrels, docs = write_trec_fixture(tmp_path, docs_as_vectors=True)
+        topics.write_text(topics.read_text() + json.dumps({"topic_id": "t3", "query": "sea ice"}) + "\n")
+        # grade 0 is a judgment too: a topic judged all-irrelevant stays a
+        # known topic and trains with target 0
+        qrels.write_text(qrels.read_text() + "t3\ts1\td2\t0\nt3\ts2\td3\t0\n")
+        ds = load_trec_dd(topics, qrels, docs)
+        assert [t for t in ds.topic_ids() if not ds.judgments.positive_docs(t)] == ["t3"]
+        assert ds.judgments.has_topic("t3")
+        for target in ("dcg", "ndcg", "alpha-ndcg"):
+            assert target_value(ds.judgments, "t3", list(ds.docs["t3"]), MetricSpec(target=target)) == 0.0
+        net = NetConfig(layers=1, input_dim=6, hidden_dims=(3,), dense_dims=(2,), window=2,
+                        dropout=0.0)
+        policy = PolicyConfig(docs_per_iteration=1, iterations=2, epoch_cap=2, stop_tol=0.0)
+        _, log = train_session(init_glorot(net, 0), ds, None, policy, rng=np.random.default_rng(0))
+        assert len(log) == 2 and all(np.isfinite(s.mean_loss) for s in log)
 
     def test_orphan_judgment_names_doc(self, tmp_path):
         topics, qrels, docs = write_trec_fixture(tmp_path)
@@ -174,98 +194,6 @@ class TestLoadTrecDD:
                                    "in position 5: invalid start byte")
 
 
-LETOR_FIXTURE = """\
-2 qid:10 1:0.5 2:0.1 #docid = GX1 extra
-0 qid:10 1:0.0 2:0.9
-1 qid:10 1:0.4 2:0.4
-1 qid:20 1:0.7 2:0.2 #docid = GX9
-0 qid:20 1:0.1 2:0.1
-"""
-
-
-class TestLoadLetor:
-    def test_line_parsing(self, tmp_path):
-        path = tmp_path / "letor.txt"
-        path.write_text("2 qid:10 1:0.5 2:0.1\n")
-        ds = load_letor(path)
-        assert ds.kind == "feature"
-        assert ds.dim == 2
-        assert list(ds.docs) == ["10"]
-        ((doc, vec),) = ds.docs["10"].items()
-        np.testing.assert_array_equal(vec, [0.5, 0.1])
-        assert doc_relevance(ds.judgments, "10", doc) == 2.0
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "letor.txt"
-        path.write_text("")
-        with pytest.raises(DataError):
-            load_letor(path)
-
-    def test_fixture_counts(self, tmp_path):
-        path = tmp_path / "letor.txt"
-        path.write_text(LETOR_FIXTURE)
-        ds = load_letor(path)
-        assert sorted(ds.topics) == ["10", "20"]
-        assert len(ds.docs["10"]) == 3
-        assert len(ds.docs["20"]) == 2
-        assert "GX1" in ds.docs["10"]
-        assert ds.query_vectors["10"].size == 0
-
-    def test_grade_out_of_range(self, tmp_path):
-        path = tmp_path / "letor.txt"
-        path.write_text("4 qid:1 1:0.5\n")
-        with pytest.raises(DataError, match="line 1"):
-            load_letor(path)
-
-    def test_malformed_feature(self, tmp_path):
-        path = tmp_path / "letor.txt"
-        path.write_text("1 qid:1 1:zzz\n")
-        with pytest.raises(DataError, match="line 1"):
-            load_letor(path)
-
-    @pytest.mark.parametrize("token", ["0:9.0", "-1:9.0"])
-    def test_feature_index_below_one_rejected(self, tmp_path, token):
-        path = tmp_path / "letor.txt"
-        path.write_text(f"1 qid:1 1:0.1 2:0.2\n2 qid:1 {token} 1:0.5 2:0.25\n")
-        with pytest.raises(DataError, match=f"line 2: feature index must be >= 1 in '{token}'"):
-            load_letor(path)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
-    def test_non_finite_feature_rejected(self, tmp_path, value):
-        path = tmp_path / "letor.txt"
-        path.write_text(f"1 qid:1 1:0.1 2:0.2\n0 qid:1 1:{value} 2:0.2\n")
-        with pytest.raises(DataError, match="line 2"):
-            load_letor(path)
-
-    def test_all_zero_query_is_registered_and_trains(self, tmp_path):
-        from dynrank.metrics import MetricSpec, target_value
-        from dynrank.policy import PolicyConfig, train_session
-        from dynrank.valuenet import NetConfig, init_glorot
-
-        path = tmp_path / "letor.txt"
-        path.write_text(
-            "1 qid:1 1:0.1 2:0.2\n0 qid:1 1:0.3 2:0.4\n"
-            "0 qid:2 1:0.5 2:0.6\n0 qid:2 1:0.7 2:0.8\n"
-            "2 qid:3 1:0.9 2:0.1\n"
-        )
-        ds = load_letor(path)
-        assert [t for t in ds.topic_ids() if not ds.judgments.positive_docs(t)] == ["2"]
-        assert ds.judgments.has_topic("2")
-        for target in ("dcg", "ndcg", "alpha-ndcg"):
-            assert target_value(ds.judgments, "2", list(ds.docs["2"]), MetricSpec(target=target)) == 0.0
-        net = NetConfig(layers=1, input_dim=2, hidden_dims=(3,), dense_dims=(2,), window=2,
-                        dropout=0.0)
-        policy = PolicyConfig(docs_per_iteration=1, iterations=2, epoch_cap=2, stop_tol=0.0)
-        _, log = train_session(init_glorot(net, 0), ds, None, policy, rng=np.random.default_rng(0))
-        assert len(log) == 2 and all(np.isfinite(s.mean_loss) for s in log)
-
-    def test_inconsistent_width(self, tmp_path):
-        path = tmp_path / "letor.txt"
-        path.write_text("1 qid:1 1:0.1 2:0.2\n1 qid:1 1:0.1 2:0.2 3:0.3\n")
-        with pytest.raises(DataError, match="line 2"):
-            load_letor(path)
-
-
 def _unit(v):
     return v / np.linalg.norm(v)
 
@@ -324,7 +252,7 @@ def reference_gen_synthetic(num_topics, docs_per_topic, subtopics_per_topic, dim
                     judgments.add(topic, sid, doc_id, 1.0)
         query_vectors[topic] = np.mean(np.stack(centroids), axis=0)
         all_centroids[topic] = dict(zip(subtopic_ids, centroids))
-    dataset = Dataset(kind="embedded", topics=dict.fromkeys(docs), query_vectors=query_vectors,
+    dataset = Dataset(topics=dict.fromkeys(docs), query_vectors=query_vectors,
                       judgments=judgments, docs=docs, dim=dim)
     return dataset, all_centroids
 

@@ -234,7 +234,7 @@ VOCAB = ["polar", "ice", "shelf", "melt", "sea", "level", "glacier", "bear",
 
 def term_feedback(variant, texts, queries, dim, seed, params=RocchioParams()):
     """The ``variant`` reformulator of a run over a text corpus, as the harness builds it."""
-    dataset = Dataset("embedded", dict(queries), {}, JudgmentSet(), {}, texts=texts, dim=dim)
+    dataset = Dataset(dict(queries), {}, JudgmentSet(), {}, texts=texts, dim=dim)
     return make_feedback(RunConfig(feedback=variant, rocchio=params, seed=seed), dataset)
 
 

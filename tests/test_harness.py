@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +112,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_dataset_spec_validation(self):
+    def test_dataset_spec_validation(self, tmp_path, capsys):
         with pytest.raises(ConfigError):
             DatasetSpec(kind="trec_dd")
-        with pytest.raises(ConfigError):
-            DatasetSpec(kind="nope")
+        for kind in ("nope", "letor"):  # every corpus is embedded: no LETOR feature files
+            with pytest.raises(ConfigError, match=f"unknown dataset kind '{kind}'"):
+                DatasetSpec(kind=kind)
+        cfg_path = tmp_path / "c.json"
+        config = config_to_dict(tiny_config(tmp_path / "out"))
+        cfg_path.write_text(json.dumps({**config, "dataset": {**config["dataset"], "letor_path": "x.txt"}}))
+        code, output = invoke(capsys, ["train", "--config", str(cfg_path)])
+        assert code == 2, output
+        assert output.startswith("config error: unknown config key dataset.letor_path"), output
 
     def test_dim_consistency_checked(self, tmp_path):
         config = tiny_config(tmp_path, net=NetConfig(layers=1, input_dim=99, hidden_dims=(6,),
@@ -518,14 +526,6 @@ class TestAblate:
         assert runs["classic-rocchio"] != runs["no-feedback"]
         assert runs["nqe"] != runs["no-feedback"]
 
-    def test_feature_corpus_runs_no_feedback_only(self, tmp_path):
-        config = letor_config(tmp_path)
-        report = run(config, "ablate")
-        assert sorted(p.name for p in (tmp_path / "out" / "ablate").iterdir()) == ["no-feedback"]
-        assert {row[0] for row in report.tables["ablation"]} == {"no-feedback"}
-        assert report.notes == ["variants embed-rocchio, classic-rocchio, nqe were not run: they need "
-                                "query vectors (feature mode), which the corpus lacks"]
-
 
 class TestSweep:
     def test_sweep_table(self, tmp_path):
@@ -549,11 +549,9 @@ class TestSweep:
 
 
 def corpus_config(tmp_path, corpus: str) -> RunConfig:
-    """A runnable config on one kind of corpus: "feature" (LETOR),
-    "synthetic", "tsv" (TREC-DD with precomputed vectors, no text) or
-    "text" (TREC-DD with document and query text)."""
-    if corpus == "feature":
-        return letor_config(tmp_path)
+    """A runnable config on one kind of corpus: "synthetic", "tsv" (TREC-DD
+    with precomputed vectors, no text) or "text" (TREC-DD with document and
+    query text)."""
     if corpus == "synthetic":
         return tiny_config(tmp_path / "out")
     spec = write_text_corpus(tmp_path)
@@ -569,11 +567,10 @@ def corpus_config(tmp_path, corpus: str) -> RunConfig:
 
 class TestFeedbackVariants:
     @pytest.mark.parametrize("corpus, variants", [
-        ("feature", ["no-feedback"]),
         ("synthetic", ["embed-rocchio", "no-feedback"]),
         ("tsv", ["embed-rocchio", "no-feedback"]),
         ("text", ["embed-rocchio", "classic-rocchio", "nqe", "no-feedback"]),
-    ], ids=["feature", "synthetic", "tsv", "text"])
+    ], ids=["synthetic", "tsv", "text"])
     def test_variants_per_corpus(self, tmp_path, corpus, variants):
         config = corpus_config(tmp_path, corpus)
         ds = load_dataset(config.dataset, config.seed)
@@ -583,12 +580,9 @@ class TestFeedbackVariants:
             assert (fn is None) == (v == "no-feedback")
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "sweep-layers"])
-    @pytest.mark.parametrize("corpus, variant, lacks", [
-        ("synthetic", "classic-rocchio", "document and query text"),
-        ("tsv", "nqe", "document and query text"),
-        ("feature", "embed-rocchio", "query vectors (feature mode)"),
-    ], ids=["synthetic-classic-rocchio", "tsv-nqe", "feature-embed-rocchio"])
-    def test_unsupported_variant_exits_2(self, tmp_path, capsys, command, corpus, variant, lacks):
+    @pytest.mark.parametrize("corpus, variant", [("synthetic", "classic-rocchio"), ("tsv", "nqe")],
+                             ids=["synthetic-classic-rocchio", "tsv-nqe"])
+    def test_unsupported_variant_exits_2(self, tmp_path, capsys, command, corpus, variant):
         """A variant the corpus cannot run is a config error that names it
         and what the corpus lacks, and nothing is written."""
         config = dataclasses.replace(corpus_config(tmp_path, corpus), feedback=variant)
@@ -596,8 +590,8 @@ class TestFeedbackVariants:
         cfg_path.write_text(json.dumps(config_to_dict(config)))
         code, output = invoke(capsys, [command, "--config", str(cfg_path)])
         assert code == 2, output
-        assert output.startswith(f"config error: feedback {variant!r} needs {lacks}, which the corpus "
-                                 "lacks; it supports "), output
+        assert output.startswith(f"config error: feedback {variant!r} needs document and query text, "
+                                 "which the corpus lacks; it supports "), output
         assert not Path(config.out_dir).exists()
 
 
@@ -910,7 +904,7 @@ class TestCli:
         assert f"{runfile}: line 2: topic 't000': document 'd1' repeated" in output
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["run-missing", "run-directory", "topics-missing", "letor-missing",
+    @pytest.mark.parametrize("case", ["run-missing", "run-directory", "topics-missing",
                                       "docs-not-utf8", "qrels-not-utf8", "config-not-utf8"])
     def test_unreadable_input_exits_with_its_code(self, tmp_path, capsys, case):
         """A config file that cannot be read is a config error (exit 2); a
@@ -924,9 +918,6 @@ class TestCli:
             if case == "run-directory":
                 bad.mkdir()
             args = ["metrics", "--run", str(bad)]
-        elif case == "letor-missing":
-            bad = tmp_path / "missing.letor"
-            config["dataset"] = {"kind": "letor", "letor_path": str(bad)}
         else:
             config["dataset"] = corpus
             bad = {"topics": tmp_path / "missing.jsonl", "docs": tmp_path / "docs.jsonl",
@@ -1181,41 +1172,6 @@ class TestCli:
             tiny_config(tmp_path, metric=MetricSpec(target=target))
 
 
-LETOR_LINES = """\
-2 qid:1 1:0.9 2:0.1 3:0.2 4:0.1
-1 qid:1 1:0.6 2:0.2 3:0.1 4:0.3
-0 qid:1 1:0.1 2:0.8 3:0.4 4:0.2
-0 qid:1 1:0.2 2:0.7 3:0.6 4:0.1
-2 qid:2 1:0.8 2:0.2 3:0.1 4:0.2
-0 qid:2 1:0.1 2:0.9 3:0.3 4:0.4
-1 qid:2 1:0.7 2:0.1 3:0.2 4:0.1
-0 qid:2 1:0.3 2:0.6 3:0.5 4:0.3
-2 qid:3 1:0.9 2:0.0 3:0.3 4:0.2
-0 qid:3 1:0.2 2:0.8 3:0.2 4:0.1
-1 qid:3 1:0.6 2:0.3 3:0.1 4:0.4
-0 qid:3 1:0.1 2:0.7 3:0.4 4:0.2
-"""
-
-
-def letor_config(tmp_path) -> RunConfig:
-    """A 3-fold feature-mode config over ``LETOR_LINES``."""
-    letor = tmp_path / "letor.txt"
-    letor.write_text(LETOR_LINES)
-    return RunConfig(
-        dataset=DatasetSpec(kind="letor", letor_path=str(letor)),
-        net=NetConfig(layers=1, input_dim=4, hidden_dims=(4,), dense_dims=(3,),
-                      window=2, dropout=0.0, learning_rate=0.1, output="sigmoid",
-                      input_scale=2.0),
-        policy=PolicyConfig(epsilon=0.3, docs_per_iteration=2, iterations=1,
-                            selection="sample", epoch_cap=3, stop_tol=0.0),
-        metric=MetricSpec(target="ndcg", report=("ndcg@2",)),
-        feedback="no-feedback",  # feature mode has no query vector to reformulate
-        folds=3,
-        seed=0,
-        out_dir=str(tmp_path / "out"),
-    )
-
-
 def nan_query_dataset(config):
     """The config's synthetic dataset with NaN queries: the first gradient
     step makes theta non-finite, and argmax selection keeps training going."""
@@ -1247,15 +1203,37 @@ class TestNonFiniteTraining:
 
     def test_overflowing_linear_head(self, tmp_path):
         # |value| passes 1e154 within a few steps, so (value - target)**2
-        # would overflow a Python float
+        # would overflow a Python float; the divergence error is the only
+        # report, with no numpy warning from the float32 scoring before it
         config = tiny_config(
             tmp_path / "out",
             net=dataclasses.replace(tiny_config(tmp_path).net, output="linear", learning_rate=1e250),
             metric=MetricSpec(target="dcg", report=("ndcg@5",)),
         )
-        with pytest.raises(RuntimeError, match=r"fold 0: training diverged at epoch \d+"):
-            train_run(config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match=r"fold 0: training diverged at epoch \d+"):
+                train_run(config)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not list((tmp_path / "out" / "checkpoints").iterdir())
+
+    def test_evaluate_on_weights_past_float32_exits_4(self, tmp_path, capsys):
+        # finite float64 weights the checkpoint loader accepts, but their
+        # float32 copies are infinite: scoring yields no finite best score
+        config = self.config(tmp_path)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config_to_dict(config)))
+        assert invoke(capsys, ["train", "--config", str(cfg_path)])[0] == 0
+        ckpt = tmp_path / "out" / "checkpoints" / "fold0.ckpt"
+        params = valuenet.load(ckpt)
+        params.theta *= 1e40
+        valuenet.save(params, ckpt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, output = invoke(capsys, ["evaluate", "--config", str(cfg_path)])
+        assert code == 4, output
+        assert "runtime failure: non-finite candidate scores" in output
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_cli_exits_4(self, tmp_path, monkeypatch, capsys):
         from dynrank import harness
@@ -1323,27 +1301,3 @@ def test_package_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
-
-
-class TestFeatureMode:
-    def test_feature_inputs_are_bare_feature_vectors(self, tmp_path):
-        from dynrank.policy import forward_inputs, new_session, step_transition
-
-        config = letor_config(tmp_path)
-        ds = load_dataset(config.dataset, config.seed)
-        state = new_session(ds, "1")
-        assert state.query.size == 0
-        doc = state.candidates()[0]
-        state = step_transition(state, 0)
-        (unit,) = forward_inputs(state)
-        np.testing.assert_array_equal(unit, ds.docs["1"][doc])
-
-    def test_train_evaluate_on_letor(self, tmp_path):
-        config = letor_config(tmp_path)
-        ds = load_dataset(config.dataset, config.seed)
-        train_report = train_run(config, ds)
-        assert len(train_report.folds) == 3
-        assert train_report.notes == []
-        eval_report = evaluate_run(config, ds)
-        rows = eval_report.tables["evaluation"]
-        assert rows and all(0.0 <= mean <= 1.0 for _, _, mean, _ in rows)

@@ -129,14 +129,13 @@ class TestScoreCandidates:
 @st.composite
 def scoring_cases(draw):
     """A random net and session: 1-3 layers, window 1-5, either head, input
-    scale 1 or not, embedding mode or feature mode (empty query), some
-    documents ranked and a candidate set that may be smaller than the pool."""
+    scale 1 or not, some documents ranked and a candidate set that may be
+    smaller than the pool."""
     layers = draw(st.integers(1, 3))
-    feature_mode = draw(st.booleans())
     dim = draw(st.integers(1, 5))
     net = NetConfig(
         layers=layers,
-        input_dim=dim if feature_mode else 2 * dim,
+        input_dim=2 * dim,
         hidden_dims=tuple(draw(st.lists(st.integers(1, 6), min_size=layers, max_size=layers))),
         dense_dims=(3,),
         window=draw(st.integers(1, 5)),
@@ -148,7 +147,7 @@ def scoring_cases(draw):
     rng = np.random.default_rng(seed)
     n_docs = draw(st.integers(1, 10))
     vectors = {f"d{i:02d}": rng.standard_normal(dim) for i in range(n_docs)}
-    query = np.zeros(0) if feature_mode else rng.standard_normal(dim)
+    query = rng.standard_normal(dim)
     state = SessionState(topic_id="t", query=query, vectors=vectors,
                          ids=tuple(sorted(vectors)), live=range(n_docs))
     order = rng.permutation(sorted(vectors))
@@ -463,6 +462,16 @@ class TestSelectAction:
     def test_non_finite_scores_rejected_in_sample_mode(self, bad):
         with pytest.raises(FloatingPointError, match="non-finite candidate scores"):
             select_action(np.array([bad, 1.0]), 0.0, "sample", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_best_score_rejected(self, bad):
+        # a bare argmax returns the first NaN, or the +inf, as the pick
+        for scores in (np.array([1.0, bad, 2.0]), np.array([bad, 1.0])):
+            with pytest.raises(FloatingPointError, match="non-finite candidate scores"):
+                best_action(scores)
+            with pytest.raises(FloatingPointError, match="non-finite candidate scores"):
+                select_action(scores, 0.0, "argmax", np.random.default_rng(0))
+        assert best_action(np.array([-math.inf, 1.0, -math.inf])) == 1  # only the best must be finite
 
 
 class TestTransitions:

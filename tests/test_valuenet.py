@@ -558,11 +558,11 @@ class TestUnrollProperties:
     @example(hand_off_case(window=4, n_inputs=2), True)  # a prefix shorter than the window
     @example(hand_off_case(window=2, n_inputs=4), False)  # a prefix longer than the window
     @settings(max_examples=60, deadline=None)
-    def test_workspace_prefix_gives_identical_bits(self, case, feature_mode):
+    def test_workspace_prefix_gives_identical_bits(self, case, no_query):
         params, xs = case
         cfg = params.config
         rng = np.random.default_rng(len(xs))
-        q_dim = 0 if feature_mode else rng.integers(0, cfg.input_dim + 1)
+        q_dim = 0 if no_query else rng.integers(0, cfg.input_dim + 1)
         query = xs[-1][cfg.input_dim - q_dim :]
         units = [np.concatenate([x[: cfg.input_dim - q_dim], query]) for x in xs]
         prefix, last = units[:-1], units[-1]
@@ -652,14 +652,14 @@ class TestGateMajorCell:
 @st.composite
 def scoring_sequences(draw):
     """A random net (1-3 layers of unequal widths, either head), two sets of
-    its weights, an embedding- or feature-mode query, a pool of documents
+    its weights, a query of 0-3 entries, a pool of documents
     and a sequence of scoring calls: (weights index, prefix, candidate rows),
     whose candidate count shrinks and grows past every earlier count, then
     covers the whole pool, whose projection a workspace keeps, and one row."""
     layers = draw(st.integers(1, 3))
-    feature_mode = draw(st.booleans())
+    no_query = draw(st.booleans())
     doc_dim = draw(st.integers(1, 4))
-    q_dim = 0 if feature_mode else draw(st.integers(1, 3))
+    q_dim = 0 if no_query else draw(st.integers(1, 3))
     net = NetConfig(
         layers=layers,
         input_dim=doc_dim + q_dim,
@@ -745,11 +745,11 @@ class TestFloat32Scoring:
     def test_scores_within_bound_of_float64_forward(self, case, n, seed):
         """Float32 batched scores of a workspace's pool stay within
         SCORE_TOL of float64 ``forward``, for either head, input scales
-        above and below 1, and feature or embedding mode."""
+        above and below 1, and a query of any width, none included."""
         params, xs = case
         cfg = params.config
         rng = np.random.default_rng(seed)
-        query = rng.standard_normal(rng.integers(0, cfg.input_dim))  # empty: feature mode
+        query = rng.standard_normal(rng.integers(0, cfg.input_dim))  # may be empty
         d = cfg.input_dim - query.size
         prefix = [np.concatenate([x[:d], query]) for x in xs[:-1]]
         ids, vectors = _pool_ids(rng.standard_normal((n, d)))
