@@ -111,10 +111,6 @@ class Dataset:
     def topic_ids(self) -> list[str]:
         return sorted(self.topics)
 
-    def input_dim(self) -> int:
-        """Width of one value-network input unit: a document, then the query."""
-        return 2 * self.dim
-
 
 def _read_qrels(path) -> tuple[JudgmentSet, list[tuple[int, str, str, str, float]]]:
     judgments = JudgmentSet()

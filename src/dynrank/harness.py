@@ -162,9 +162,8 @@ def _check_config(config: RunConfig, dataset: Dataset) -> None:
     """Reject a config the dataset cannot train or evaluate."""
     if config.folds > len(dataset.topics):
         raise ConfigError(f"folds={config.folds} exceeds the dataset's {len(dataset.topics)} topics")
-    expected = dataset.input_dim()
-    if config.net.input_dim != expected:
-        raise ConfigError(f"net.input_dim={config.net.input_dim} but the dataset needs {expected} "
+    if config.net.input_dim != 2 * dataset.dim:  # an input unit is a document, then the query
+        raise ConfigError(f"net.input_dim={config.net.input_dim} but the dataset needs {2 * dataset.dim} "
                           f"(twice its dim {dataset.dim})")
     supported = feedback_variants(dataset)
     if config.feedback not in supported:

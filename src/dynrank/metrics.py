@@ -136,9 +136,6 @@ class JudgmentSet:
     def has_topic(self, topic: str) -> bool:
         return topic in self._coverage
 
-    def positive_docs(self, topic: str) -> set[str]:
-        return set(self._pool(topic)[0])
-
     def pool_relevances(self, topic: str) -> list[float]:
         """Descending overall relevance of the topic's positive documents."""
         return list(self._pool(topic)[2])
@@ -146,12 +143,6 @@ class JudgmentSet:
     def coverage(self, topic: str, doc: str) -> dict[str, float]:
         """Subtopic -> grade map for one document (empty when unjudged)."""
         return dict(self._coverage.get(topic, {}).get(doc, {}))
-
-    def __len__(self) -> int:
-        return sum(len(cov) for docs in self._coverage.values() for cov in docs.values())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JudgmentSet) and self._coverage == other._coverage
 
 
 def doc_relevance(judgments: JudgmentSet, topic: str, doc: str) -> float:

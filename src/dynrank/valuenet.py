@@ -237,20 +237,6 @@ class ValueNetParams:
         self.dense = [_DenseLayer(W.view(theta), b.view(theta)) for W, b in layout.dense]
         self.version = next(_versions)
 
-    @property
-    def n_params(self) -> int:
-        return self.theta.size
-
-    def copy(self) -> "ValueNetParams":
-        return ValueNetParams(self.config, self.theta.copy())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ValueNetParams)
-            and self.config == other.config
-            and np.array_equal(self.theta, other.theta)
-        )
-
 
 def init_glorot(config: NetConfig, seed) -> ValueNetParams:
     """Uniform Glorot initialization of every weight, bias and initial state.
@@ -583,9 +569,9 @@ class ScoringWorkspace:
         scale = params.config.input_scale
         if ids is not self.ids or scale != self.scale:  # a new pool: drop the last one first
             self.ids = self.pool = self.version = self.proj = None
-            pool = np.stack([vectors[d] for d in ids], axis=1)
-            pool *= scale
-            self.ids, self.scale, self.pool = ids, scale, pool.astype(np.float32)
+            rows = np.array([vectors[d] for d in ids])  # one gather, a row per document
+            rows *= scale
+            self.ids, self.scale, self.pool = ids, scale, np.ascontiguousarray(rows.T, np.float32)
         gates = self._block(0, 4 * params.lstm[0].H, len(live))
         if self.version == params.version:
             return np.take(self.proj, live, axis=1, out=gates, mode="clip").T

@@ -47,7 +47,8 @@ class TestLoadTrecDD:
         assert ds.topic_ids() == ["t1", "t2"]
         assert {d for d in ds.docs["t1"] if ds.judgments.coverage("t1", d)} == {"d1", "d2"}
         assert ds.dim == 16
-        assert ds.input_dim() == 32
+        assert {v.shape for pool in ds.docs.values() for v in pool.values()} == {(16,)}
+        assert {v.shape for v in ds.query_vectors.values()} == {(16,)}
 
     def test_subtopic_sum_cross_check(self, tmp_path):
         ds = load_trec_dd(*write_trec_fixture(tmp_path), dim=16)
@@ -74,7 +75,7 @@ class TestLoadTrecDD:
         # known topic and trains with target 0
         qrels.write_text(qrels.read_text() + "t3\ts1\td2\t0\nt3\ts2\td3\t0\n")
         ds = load_trec_dd(topics, qrels, docs)
-        assert [t for t in ds.topic_ids() if not ds.judgments.positive_docs(t)] == ["t3"]
+        assert [t for t in ds.topic_ids() if not ds.judgments.pool_relevances(t)] == ["t3"]
         assert ds.judgments.has_topic("t3")
         for target in ("dcg", "ndcg", "alpha-ndcg"):
             assert target_value(ds.judgments, "t3", list(ds.docs["t3"]), MetricSpec(target=target)) == 0.0
@@ -333,7 +334,7 @@ class TestGenSynthetic:
         for topic, pool in a.docs.items():
             for doc, vec in pool.items():
                 assert vec.tobytes() == b.docs[topic][doc].tobytes()
-        assert a.judgments == b.judgments
+        assert ordered_grades(a.judgments) == ordered_grades(b.judgments)
 
     def test_single_subtopic_clusters(self):
         ds = gen_synthetic(2, 30, 1, 32, seed=1)
@@ -369,7 +370,7 @@ class TestGenSynthetic:
 
     def test_every_topic_has_positive_docs(self):
         ds = gen_synthetic(4, 40, 3, 32, seed=0)
-        assert all(ds.judgments.positive_docs(t) for t in ds.topic_ids())
+        assert all(ds.judgments.pool_relevances(t) for t in ds.topic_ids())
 
     def test_rejects_nonpositive_args(self):
         with pytest.raises(ValueError):

@@ -128,8 +128,9 @@ class TestConfig:
     def test_dim_consistency_checked(self, tmp_path):
         config = tiny_config(tmp_path, net=NetConfig(layers=1, input_dim=99, hidden_dims=(6,),
                                                      dense_dims=(4,), window=3, dropout=0.0))
-        with pytest.raises(ConfigError, match="input_dim"):
+        with pytest.raises(ConfigError) as info:
             train_run(config)
+        assert str(info.value) == "net.input_dim=99 but the dataset needs 12 (twice its dim 6)"
 
 
 class TestReportSerialization:

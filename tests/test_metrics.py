@@ -360,12 +360,17 @@ class TestJudgments:
         js = self.make()
         assert [t for t in ("t0", "t1", "t2", "t3") if js.has_topic(t)] == ["t1", "t2"]
         assert set(js.coverage("t1", "d1")) | set(js.coverage("t1", "d2")) == {"s1", "s2"}
-        assert len(js) == 4
+        assert sum(len(js.coverage(t, d)) for t in ("t1", "t2") for d in ("d1", "d2", "d3")) == 4
         assert {d for d in ("d1", "d2", "d3") if js.coverage("t1", d)} == {"d1", "d2"}
-        assert js.positive_docs("t2") == {"d3"}
+        assert js.pool_relevances("t2") == [1.0] and js.coverage("t2", "d3") == {"s1": 1.0}
         assert js.coverage("t1", "d1").get("s1", 0.0) == 2.0
         assert js.coverage("t1", "d1").get("s9", 0.0) == 0.0
-        assert js == self.make() and js != JudgmentSet({("t2", "s1", "d3"): 1.0})
+
+        def grades(j):
+            return [j.coverage(t, d) for t in ("t1", "t2") for d in ("d1", "d2", "d3")]
+
+        assert grades(js) == grades(self.make())
+        assert grades(js) != grades(JudgmentSet({("t2", "s1", "d3"): 1.0}))
 
 
 class TestRankedList:

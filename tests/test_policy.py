@@ -49,6 +49,11 @@ def tiny_dataset(num_topics=2, docs=12, subtopics=2, seed=0):
     return gen_synthetic(num_topics, docs, subtopics, dim=4, seed=seed)
 
 
+def positive_docs(ds, topic):
+    """The topic's documents with a positive grade, sorted."""
+    return sorted(d for d in ds.docs[topic] if any(ds.judgments.coverage(topic, d).values()))
+
+
 def rank(state, doc):
     """``step_transition`` by doc id."""
     return step_transition(state, state.candidates().index(doc))
@@ -196,7 +201,7 @@ class TestScoringFastPath:
         params = init_glorot(NET, 1)
         state = rank(new_session(ds, "t000"), "t000-d0003")
         before = score_map(params, state)
-        grad = np.random.default_rng(0).standard_normal(params.n_params)
+        grad = np.random.default_rng(0).standard_normal(params.theta.size)
         updated = apply_update(params, grad, 0.1)
         after = score_map(updated, state)
         expected = reference_scores(updated, state)
@@ -212,9 +217,9 @@ class TestInPlaceUpdateScoring:
         params, state, _ = case
         pool = ScoringWorkspace()
         score_candidates(params, state, pool)  # keeps the projection at this version
-        grad = np.random.default_rng(seed).standard_normal(params.n_params)
+        grad = np.random.default_rng(seed).standard_normal(params.theta.size)
         apply_update(params, grad, 0.1)
-        fresh = params.copy()
+        fresh = ValueNetParams(params.config, params.theta.copy())
         after = score_candidates(params, state, pool)
         want = score_candidates(fresh, state, ScoringWorkspace())
         assert after.tobytes() == want.tobytes()
@@ -235,7 +240,7 @@ class TestInPlaceUpdateScoring:
         assert cached.tobytes() == kept[:, sub.live].tobytes()
         direct = gate_block(ScoringWorkspace(), params, sub)  # its live columns projected
         np.testing.assert_allclose(direct, cached, rtol=SCORE_TOL, atol=SCORE_TOL)
-        apply_update(params, np.ones(params.n_params), 0.1)
+        apply_update(params, np.ones(params.theta.size), 0.1)
         again = gate_block(pool, params, sub)  # new weights: projected again
         fresh = gate_block(ScoringWorkspace(), params, sub)
         assert again.tobytes() == fresh.tobytes()
@@ -325,7 +330,7 @@ def test_doc_proj_matches_pool_cache_reference(case):
             live = state.live[rng.random(len(state.live)) < 0.5]
             state = dataclasses.replace(state, live=live if live.size else state.live[:1])
         elif op == "update":
-            apply_update(params, rng.standard_normal(params.n_params), 0.1)
+            apply_update(params, rng.standard_normal(params.theta.size), 0.1)
         elif op == "session":
             vectors = state.vectors if rng.random() < 0.5 else {
                 f"e{i:02d}": rng.standard_normal(dim) for i in range(int(rng.integers(1, 10)))}
@@ -573,7 +578,7 @@ class TestStepReward:
     def test_first_step_grade(self):
         ds = tiny_dataset()
         topic = "t000"
-        pos = sorted(ds.judgments.positive_docs(topic))[0]
+        pos = positive_docs(ds, topic)[0]
         state = self.make_state(ds, topic, [pos])
         from dynrank.metrics import doc_relevance
 
@@ -590,7 +595,7 @@ class TestStepReward:
     def test_alpha_dcg_matches_metrics_module(self):
         ds = tiny_dataset()
         topic = "t000"
-        docs = sorted(ds.judgments.positive_docs(topic))[:2]
+        docs = positive_docs(ds, topic)[:2]
         state = self.make_state(ds, topic, docs)
         got = target_value(ds.judgments, topic, state.ranked, MetricSpec(target="alpha-dcg", alpha=0.5))
         cov = [ds.judgments.coverage(topic, d) for d in docs]
